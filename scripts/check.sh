@@ -2,9 +2,10 @@
 # Sanitizer gate: builds the repo twice via the QOX_SANITIZE CMake knob and
 # runs the tier-1 suite under AddressSanitizer, then the concurrency-heavy
 # engine_* / plan / robustness / crash / resource / service / cdc-labeled tests
-# under ThreadSanitizer (the streaming executor, channels, the work-stealing
+# under ThreadSanitizer (the dataflow scheduler — concurrent streaming stages
+# and staged partition-branch fan-outs — channels, the work-stealing
 # WorkerPool substrate and the multi-flow FlowService on top of it, the
-# planner equivalence sweep — which drives both schedulers — the
+# planner equivalence sweep — which drives both execution modes — the
 # fault-containment suites, whose chaos sweep quarantines concurrently from
 # every pipeline, and the resource suites, whose blocking operators spill
 # concurrently against a shared MemoryBudget, are where data races would

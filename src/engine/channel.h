@@ -5,7 +5,9 @@
 // load as concurrently running stages connected by channels of RowBatches.
 // The bounded capacity provides backpressure: a producer that outruns its
 // consumer blocks on Push until space frees, so no stage ever materializes
-// more than `capacity` batches ahead of its consumer.
+// more than `capacity` batches ahead of its consumer. Staged (phased)
+// execution uses the same edges unbounded: each stage runs to completion
+// before its consumer starts.
 //
 // Lifecycle:
 //   * Close()   — graceful end-of-stream. Pending items drain; subsequent
@@ -232,6 +234,17 @@ class Channel {
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return queue_.size();
+  }
+
+  /// Sum of `weight(item)` over the items queued right now. Once the
+  /// producer has finished and closed the channel, this is the weight of
+  /// everything still to be popped (e.g. a staged stage's input rows).
+  template <typename Weight>
+  size_t QueuedWeight(Weight weight) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    size_t total = 0;
+    for (const T& item : queue_) total += weight(item);
+    return total;
   }
 
   ChannelStats stats() const {

@@ -1,4 +1,4 @@
-// ExecContext: the Executor concept both schedulers program against.
+// ExecContext: the Executor concept the dataflow scheduler programs against.
 //
 // A context is a (pool, tag) pair — *where* work runs plus *how it is
 // scheduled* (flow deadline, predicted cost, blocking class). The engine's
@@ -8,8 +8,8 @@
 //   Post        — queue for asynchronous execution (never inline)
 //   Dispatch    — run inline when already on a pool worker, else post
 //   BulkExecute — fan a counted loop out as CPU tasks and help-wait until
-//                 every iteration completes (the phased scheduler's
-//                 partition fan-out)
+//                 every iteration completes (a staged run's partition
+//                 branch fan-out)
 //
 // The tag travels with every submission, so a FlowService can stamp one
 // deadline on a flow's context and have every partition branch, streaming
@@ -50,8 +50,8 @@ class ExecContext {
   /// Queues `fn` for asynchronous execution under this context's tag.
   /// `blocking` routes to the pool's expansion lane (bodies that may park —
   /// streaming stages, flow drivers). Without a pool, runs inline as a
-  /// degenerate fallback — callers that require asynchrony (the streaming
-  /// scheduler) must hold a pooled context.
+  /// degenerate fallback — callers that require asynchrony (a streaming
+  /// StageSet) must hold a pooled context.
   void Post(std::function<void()> fn, TaskGroup* group = nullptr,
             bool blocking = false) const;
 

@@ -51,15 +51,16 @@ void WaitBackoff(const RetryPolicy& policy, size_t failed_attempt, Rng* rng,
   }
 }
 
-/// Per-instance flow execution: a scheduler over the lowered ExecutionPlan
-/// with recovery semantics. Produces the rows at the final cut (pre-load).
-/// Phased mode runs the plan's sections in order, materializing at every
-/// barrier; streaming mode submits one blocking stage task per plan node
-/// and wires one bounded channel per edge. All work — partition branches,
-/// streaming stages — goes through the instance's ExecContext, so it runs
-/// on whatever substrate the caller provided (a private pool for solo
-/// runs, the shared pool under a FlowService) under the flow's deadline
-/// tag.
+/// Per-instance flow execution: one attempt driver over the lowered
+/// ExecutionPlan with recovery semantics. Produces the rows at the final
+/// cut (pre-load). Every attempt spawns one stage per plan node and wires
+/// one channel per edge; the plan's streaming property only picks the
+/// StageSet mode. Streaming runs the stages as concurrent blocking tasks
+/// on bounded channels; phased plans run staged — each stage to completion
+/// on this thread, a partitioned unit's branches fanned out together.
+/// All work goes through the instance's ExecContext, so it runs on
+/// whatever substrate the caller provided (a private pool for solo runs,
+/// the shared pool under a FlowService) under the flow's deadline tag.
 class FlowRunner {
  public:
   FlowRunner(const FlowSpec& flow, const ExecutionConfig& config,
@@ -184,10 +185,7 @@ class FlowRunner {
         QOX_RETURN_IF_ERROR(journal_->RecordAttemptStart(
             attempt, config_.streaming, resume_cut));
       }
-      const Status st =
-          config_.streaming
-              ? RunAttemptStreaming(static_cast<int>(attempt), resume_cut, out)
-              : RunAttempt(static_cast<int>(attempt), resume_cut, out);
+      const Status st = RunDataflow(static_cast<int>(attempt), resume_cut, out);
       // Spill runs are strictly intra-attempt temporaries: delete them on
       // every exit from an attempt, successful or not (best effort on the
       // failure path — a dangling file must not mask the attempt verdict;
@@ -246,19 +244,6 @@ class FlowRunner {
 
  private:
   size_t NumOps() const { return flow_.transforms.size(); }
-
-  /// Points a pipeline at the flow's shared containment state. Every
-  /// pipeline construction site — phased sequential/parallel units and
-  /// streaming stages — goes through here, which is what makes both
-  /// schedulers enforce identical containment semantics.
-  void WireContainment(PipelineConfig* pc) {
-    pc->error_policies = &config_.error_policies;
-    pc->error_budget = &budget_state_;
-    pc->quarantine_sink = quarantine_sink_;
-    // The columnar flag rides along for the same reason: every pipeline of
-    // either scheduler must agree on the execution mode.
-    pc->columnar = config_.columnar;
-  }
 
   /// Sheds one load row under ResourcePolicy::kShedToQuarantine: routes it
   /// to the dead-letter ledger (count-and-drop when none is configured)
@@ -327,212 +312,6 @@ class FlowRunner {
     return std::move(batch.rows());
   }
 
-  Result<std::vector<Row>> Extract(int attempt) {
-    const StopWatch timer;
-    QOX_ASSIGN_OR_RETURN(const size_t total, flow_.source->NumRows());
-    if (config_.injector != nullptr) {
-      // Report the phase start before scanning: an empty source never
-      // invokes the scan consumer, so a failure placed at extraction
-      // fraction 0 would otherwise never get a chance to fire.
-      const Status st = config_.injector->Check(instance_id_, attempt,
-                                                /*op_index=*/-1, 0, total);
-      if (!st.ok()) {
-        metrics_.extract_micros += timer.ElapsedMicros();
-        return st;
-      }
-    }
-    std::vector<Row> rows;
-    rows.reserve(total);
-    Status scan_status = flow_.source->Scan(
-        config_.batch_size, [&](RowBatch& batch) -> Status {
-          if (cancelled_ != nullptr && cancelled_->load()) {
-            return Status::Cancelled("extraction cancelled");
-          }
-          if (attempt_deadline_micros_ > 0 &&
-              NowMicros() > attempt_deadline_micros_) {
-            return Status::DeadlineExceeded(
-                "attempt deadline expired during extraction");
-          }
-          if (config_.injector != nullptr) {
-            QOX_RETURN_IF_ERROR(config_.injector->Check(
-                instance_id_, attempt, /*op_index=*/-1,
-                rows.size() + batch.num_rows(), total));
-          }
-          rows.insert(rows.end(), std::make_move_iterator(batch.rows().begin()),
-                      std::make_move_iterator(batch.rows().end()));
-          return Status::OK();
-        });
-    metrics_.extract_micros += timer.ElapsedMicros();
-    if (!scan_status.ok()) return scan_status;
-    metrics_.rows_extracted += rows.size();
-    return rows;
-  }
-
-  /// Runs transform ops [begin, end) sequentially on this thread.
-  Result<std::vector<Row>> RunSequentialUnit(size_t begin, size_t end,
-                                             std::vector<Row> rows,
-                                             int attempt) {
-    std::vector<OperatorPtr> ops;
-    ops.reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) ops.push_back(flow_.transforms[i]());
-    PipelineConfig pc;
-    pc.instance_id = instance_id_;
-    pc.attempt = attempt;
-    pc.op_index_offset = static_cast<int>(begin);
-    pc.injector = config_.injector;
-    pc.expected_input_rows = rows.size();
-    pc.deadline_micros = attempt_deadline_micros_;
-    WireContainment(&pc);
-    QOX_ASSIGN_OR_RETURN(
-        std::unique_ptr<Pipeline> pipeline,
-        Pipeline::Create(cut_schemas_[begin], std::move(ops), &ctx_, pc));
-    // The unit owns these rows outright, so batches are handed to the
-    // pipeline by move (pass-through ops then avoid deep-copying cells).
-    const SchemaPtr in_schema = MakeSchemaPtr(cut_schemas_[begin]);
-    RowBatch batch(in_schema);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      batch.Append(std::move(rows[i]));
-      if (batch.num_rows() >= config_.batch_size) {
-        QOX_RETURN_IF_ERROR(pipeline->Push(std::move(batch)));
-        batch = RowBatch(in_schema);
-      }
-    }
-    if (!batch.empty()) QOX_RETURN_IF_ERROR(pipeline->Push(std::move(batch)));
-    QOX_RETURN_IF_ERROR(pipeline->Finish());
-    for (const OpStats& stats : pipeline->op_stats()) {
-      metrics_.AccumulateOp(stats);
-    }
-    return pipeline->TakeOutput();
-  }
-
-  /// Runs transform ops [begin, end) partitioned over the pool, then merges.
-  Result<std::vector<Row>> RunParallelUnit(size_t begin, size_t end,
-                                           std::vector<Row> rows,
-                                           int attempt) {
-    const size_t num_parts = config_.parallel.partitions;
-    // Distribute rows.
-    std::vector<std::vector<Row>> parts(num_parts);
-    for (auto& part : parts) part.reserve(rows.size() / num_parts + 1);
-    if (config_.parallel.scheme == PartitionScheme::kHash) {
-      QOX_ASSIGN_OR_RETURN(
-          const size_t col,
-          cut_schemas_[begin].FieldIndex(config_.parallel.hash_column));
-      for (Row& row : rows) {
-        const size_t h = row.HashColumns({col});
-        parts[h % num_parts].push_back(std::move(row));
-      }
-    } else {
-      for (size_t i = 0; i < rows.size(); ++i) {
-        parts[i % num_parts].push_back(std::move(rows[i]));
-      }
-    }
-    rows.clear();
-
-    struct PartResult {
-      Status status;
-      std::vector<Row> rows;
-      std::vector<OpStats> op_stats;
-      int64_t micros = 0;
-    };
-    std::vector<PartResult> results(num_parts);
-    // Partition branches are CPU tasks of the substrate: they fan out under
-    // the flow's deadline tag and the help-waiting BulkExecute runs queued
-    // branches on this thread too, so nested fan-out cannot deadlock a
-    // small shared pool.
-    exec_.BulkExecute(num_parts, [&](size_t p) {
-      PartResult& result = results[p];
-      const StopWatch part_timer;
-      std::vector<OperatorPtr> ops;
-      ops.reserve(end - begin);
-      for (size_t i = begin; i < end; ++i) {
-        ops.push_back(flow_.transforms[i]());
-      }
-      PipelineConfig pc;
-      pc.instance_id = instance_id_;
-      pc.attempt = attempt;
-      pc.op_index_offset = static_cast<int>(begin);
-      pc.injector = config_.injector;
-      pc.expected_input_rows = parts[p].size();
-      pc.deadline_micros = attempt_deadline_micros_;
-      WireContainment(&pc);
-      Result<std::unique_ptr<Pipeline>> pipeline = Pipeline::Create(
-          cut_schemas_[begin], std::move(ops), &ctx_, pc);
-      if (!pipeline.ok()) {
-        result.status = pipeline.status();
-        return;
-      }
-      const SchemaPtr part_schema = MakeSchemaPtr(cut_schemas_[begin]);
-      RowBatch batch(part_schema);
-      Status st = Status::OK();
-      for (Row& row : parts[p]) {
-        batch.Append(std::move(row));
-        if (batch.num_rows() >= config_.batch_size) {
-          st = pipeline.value()->Push(std::move(batch));
-          if (!st.ok()) break;
-          batch = RowBatch(part_schema);
-        }
-      }
-      if (st.ok() && !batch.empty()) {
-        st = pipeline.value()->Push(std::move(batch));
-      }
-      if (st.ok()) st = pipeline.value()->Finish();
-      result.status = st;
-      if (st.ok()) result.rows = pipeline.value()->TakeOutput();
-      result.op_stats = pipeline.value()->op_stats();
-      result.micros = part_timer.ElapsedMicros();
-    });
-    // Injected failures win over secondary cancellations so the retry
-    // machinery sees the true cause.
-    Status failed = Status::OK();
-    for (const PartResult& result : results) {
-      if (result.status.IsInjectedFailure()) {
-        failed = result.status;
-        break;
-      }
-      if (!result.status.ok() && failed.ok()) failed = result.status;
-    }
-    for (const PartResult& result : results) {
-      for (const OpStats& stats : result.op_stats) {
-        metrics_.AccumulateOp(stats);
-      }
-    }
-    QOX_RETURN_IF_ERROR(failed);
-    ParallelUnitStats unit_stats;
-    unit_stats.range_begin = begin;
-    unit_stats.range_end = end;
-    for (const PartResult& result : results) {
-      unit_stats.partition_micros.push_back(result.micros);
-      int64_t serialized = 0;
-      for (const OpStats& stats : result.op_stats) {
-        if (stats.kind == "delta") serialized += stats.micros;
-      }
-      unit_stats.serialized_micros.push_back(serialized);
-    }
-    // Merge branches back. Concatenation plus (by default) re-establishing
-    // a global order — the non-trivial merge cost the paper warns about.
-    const StopWatch merge_timer;
-    std::vector<Row> merged;
-    size_t total = 0;
-    for (const PartResult& result : results) total += result.rows.size();
-    merged.reserve(total);
-    for (PartResult& result : results) {
-      std::move(result.rows.begin(), result.rows.end(),
-                std::back_inserter(merged));
-      result.rows.clear();
-    }
-    if (config_.ordered_merge && !merged.empty() &&
-        merged.front().num_values() > 0) {
-      std::stable_sort(merged.begin(), merged.end(),
-                       [](const Row& a, const Row& b) {
-                         return a.value(0).Compare(b.value(0)) < 0;
-                       });
-    }
-    unit_stats.merge_micros = merge_timer.ElapsedMicros();
-    metrics_.merge_micros += unit_stats.merge_micros;
-    metrics_.parallel_units.push_back(std::move(unit_stats));
-    return merged;
-  }
-
   /// Resolves the resume point: loads the newest verifiable recovery point
   /// into `*rows`, falling back past corrupted points (dropping them) to
   /// older ones. Returns the cut resumed from, or -1 for a from-scratch
@@ -555,68 +334,19 @@ class FlowRunner {
     return -1;
   }
 
-  /// Phased scheduler: runs the plan's sections in order, executing each
-  /// section's units on materialized row vectors and persisting at the
-  /// recovery-point barrier ending the section.
-  Status RunAttempt(int attempt, int resume_cut, std::vector<Row>* out) {
-    attempt_start_micros_ = NowMicros();
-    durable_elapsed_micros_ = 0;
-    std::vector<Row> rows;
-    size_t current_cut = 0;
-    // Resume from the newest complete recovery point. A point whose
-    // checksum fails verification is dropped and resume falls back to the
-    // next older complete one (ultimately from scratch) instead of failing
-    // the run on its own persisted state.
-    QOX_ASSIGN_OR_RETURN(const int resumed_cut,
-                         ResumeFromRp(resume_cut, &rows));
-    const bool resumed = resumed_cut >= 0;
-    if (resumed) current_cut = static_cast<size_t>(resumed_cut);
-    if (!resumed) {
-      QOX_ASSIGN_OR_RETURN(rows, Extract(attempt));
-      current_cut = 0;
-      if (plan_.rp_after_extract()) QOX_RETURN_IF_ERROR(WriteRp(0, rows));
-    }
-    // Denominator for the error budget's end-of-attempt fraction check.
-    const size_t attempt_input_rows = rows.size();
-    // Resume cuts are always barrier cuts, i.e. section boundaries, so a
-    // resumed attempt skips whole sections and never enters one mid-way.
-    // The transform phase is timed exclusively: recovery-point writes have
-    // their own counter so the phases are additive.
-    for (const PlanSection& section : plan_.sections()) {
-      if (section.end_cut <= current_cut) continue;
-      const StopWatch segment_timer;
-      for (const PlanUnit& unit : section.units) {
-        QOX_ASSIGN_OR_RETURN(
-            rows, unit.parallel
-                      ? RunParallelUnit(unit.begin, unit.end, std::move(rows),
-                                        attempt)
-                      : RunSequentialUnit(unit.begin, unit.end,
-                                          std::move(rows), attempt));
-      }
-      metrics_.transform_micros += segment_timer.ElapsedMicros();
-      current_cut = section.end_cut;
-      if (section.rp_at_end) {
-        QOX_RETURN_IF_ERROR(WriteRp(current_cut, rows));
-      }
-    }
-    // Transforms have drained: enforce the budget's fractional ceiling
-    // before the output leaves the attempt (i.e. before load).
-    QOX_RETURN_IF_ERROR(budget_state_.CheckFraction(attempt_input_rows));
-    *out = std::move(rows);
-    return Status::OK();
-  }
-
-  // ===== Streaming (pipelined) execution ==================================
+  // ===== Dataflow execution ===============================================
   //
-  // The attempt is wired as a dataflow of stages connected by bounded
-  // channels (engine/streaming.h): source (extract, or recovery-point
-  // replay) → transform units split exactly as RunSegment splits them →
-  // recovery-point barriers → sink (inline load, or a collector when the
-  // redundancy voter needs the output). Stage bodies run on their own
-  // threads; they never touch metrics_ except under stage_mu_, and phase
-  // counters are attributed from per-stage busy time after Join. Blocking
-  // operators (inside pipelines), ordered-merge sorts, and recovery-point
-  // barriers remain the only full materialization points.
+  // The attempt is wired as a dataflow of stages connected by channels
+  // (engine/streaming.h): source (extract, or recovery-point replay) →
+  // transform units split exactly as the plan's sections split them →
+  // recovery-point barriers → sink (inline load, or a collector handing the
+  // output to LoadWithRetry or the redundancy voter). Streaming plans run
+  // the stages concurrently on bounded channels; phased plans run them
+  // staged, one after another on this thread. Stage bodies never touch
+  // metrics_ except under stage_mu_; phase counters are attributed from
+  // per-stage busy time after Join. Blocking operators (inside pipelines),
+  // the per-branch sorts ahead of a merge, and recovery-point barriers are
+  // the only full materialization points of a streaming run.
 
   /// Appends `row` to `*acc`, flushing full batches into `out`.
   Status EmitRow(Row row, RowBatch* acc, BatchChannel* out,
@@ -639,8 +369,20 @@ class FlowRunner {
     return out->Push(std::move(send), &stats->backpressure_micros);
   }
 
-  /// Builds a bound pipeline over ops [begin, end) (shared by streaming
-  /// transform stages; `expected_rows` feeds failure-fraction denominators).
+  /// Failure-fraction denominator of a stage reading `in`. A staged stage
+  /// starts after its upstream finished, so it counts the rows that
+  /// actually entered it; a streaming stage only has `estimate`.
+  size_t InputRows(const BatchChannel& in, size_t estimate) const {
+    if (config_.streaming) return estimate;
+    return in.QueuedWeight(
+        [](const RowBatch& batch) { return batch.num_rows(); });
+  }
+
+  /// Builds a bound pipeline over ops [begin, end), pointed at the flow's
+  /// shared containment state and execution mode. Every transform and
+  /// branch stage builds its pipeline here, so all of them enforce
+  /// identical containment semantics. `expected_rows` feeds the
+  /// failure-fraction denominators.
   Result<std::unique_ptr<Pipeline>> MakePipeline(size_t begin, size_t end,
                                                  int attempt,
                                                  size_t expected_rows) {
@@ -654,7 +396,10 @@ class FlowRunner {
     pc.injector = config_.injector;
     pc.expected_input_rows = expected_rows;
     pc.deadline_micros = attempt_deadline_micros_;
-    WireContainment(&pc);
+    pc.error_policies = &config_.error_policies;
+    pc.error_budget = &budget_state_;
+    pc.quarantine_sink = quarantine_sink_;
+    pc.columnar = config_.columnar;
     return Pipeline::Create(cut_schemas_[begin], std::move(ops), &ctx_, pc);
   }
 
@@ -671,6 +416,9 @@ class FlowRunner {
       stats->node_id = static_cast<int64_t>(node_id);
       QOX_ASSIGN_OR_RETURN(const size_t total, flow_.source->NumRows());
       if (config_.injector != nullptr) {
+        // Report the phase start before scanning: an empty source never
+        // invokes the scan consumer, so a failure placed at extraction
+        // fraction 0 would otherwise never get a chance to fire.
         QOX_RETURN_IF_ERROR(config_.injector->Check(
             instance_id_, attempt, /*op_index=*/-1, 0, total));
       }
@@ -770,8 +518,9 @@ class FlowRunner {
                   [this, in, out, begin, end, attempt, expected_rows,
                    node_id](StageStats* stats) -> Status {
       stats->node_id = static_cast<int64_t>(node_id);
-      QOX_ASSIGN_OR_RETURN(std::unique_ptr<Pipeline> pipeline,
-                           MakePipeline(begin, end, attempt, expected_rows));
+      QOX_ASSIGN_OR_RETURN(
+          std::unique_ptr<Pipeline> pipeline,
+          MakePipeline(begin, end, attempt, InputRows(*in, expected_rows)));
       RowBatch acc(cut_schemas_[end]);
       while (true) {
         QOX_ASSIGN_OR_RETURN(std::optional<RowBatch> item,
@@ -795,12 +544,12 @@ class FlowRunner {
     return out;
   }
 
+
   /// Partitioned unit over ops [begin, end): a partitioner stage routes
   /// rows into per-partition channels as they arrive (no pre-split
   /// materialization), one pipeline stage per partition transforms them,
-  /// and a merge stage reunifies the branches — a k-way ordered merge over
-  /// per-partition sorted runs when ordered_merge is set, else a
-  /// deterministic round-robin batch interleave.
+  /// and a merge stage reunifies the branches (SpawnMerge). The branches
+  /// run as one stage group, so a staged run fans them out together.
   Result<BatchChannelPtr> SpawnParallelUnit(StageSet* stages,
                                             BatchChannelPtr in,
                                             const PlanUnit& unit, int attempt,
@@ -852,26 +601,36 @@ class FlowRunner {
           stats->channel_high_water = high_water;
           return Status::OK();
         });
-    const bool ordered =
-        config_.ordered_merge && cut_schemas_[end].num_fields() > 0;
+    // The unit's virtual-CPU accounting: each branch fills its own slot,
+    // and the merge records the whole once every branch has finished.
+    auto unit_stats = std::make_shared<ParallelUnitStats>();
+    unit_stats->range_begin = begin;
+    unit_stats->range_end = end;
+    unit_stats->partition_micros.assign(num_parts, 0);
+    unit_stats->serialized_micros.assign(num_parts, 0);
+    const bool ordered = cut_schemas_[end].num_fields() > 0;
     std::vector<BatchChannelPtr> part_out;
     part_out.reserve(num_parts);
+    std::vector<StageSet::Stage> branches;
+    branches.reserve(num_parts);
     const size_t per_part_rows = expected_rows / num_parts + 1;
     for (size_t p = 0; p < num_parts; ++p) {
       part_out.push_back(stages->MakeChannel(config_.channel_capacity));
-      stages->Spawn(
+      branches.push_back(StageSet::Stage{
           plan_.nodes()[unit.branches[p]].label,
-          [this, inp = part_in[p], outp = part_out[p], begin, end, attempt,
-           per_part_rows, ordered,
+          [this, p, inp = part_in[p], outp = part_out[p], begin, end,
+           attempt, per_part_rows, ordered, unit_stats,
            branch_id = unit.branches[p]](StageStats* stats) -> Status {
+            const StopWatch timer;
             stats->node_id = static_cast<int64_t>(branch_id);
             QOX_ASSIGN_OR_RETURN(
                 std::unique_ptr<Pipeline> pipeline,
-                MakePipeline(begin, end, attempt, per_part_rows));
+                MakePipeline(begin, end, attempt,
+                             InputRows(*inp, per_part_rows)));
             RowBatch acc(cut_schemas_[end]);
             // Ordered merges need each branch to emit one sorted run, so
             // the branch buffers + sorts its whole output (a blocking
-            // materialization, same as the phased post-merge sort).
+            // materialization).
             std::vector<Row> run;
             auto emit = [&](std::vector<Row> produced) -> Status {
               if (ordered) {
@@ -907,33 +666,46 @@ class FlowRunner {
             }
             QOX_RETURN_IF_ERROR(FlushBatch(&acc, outp.get(), stats));
             AccumulateOpsLocked(pipeline->op_stats());
+            // Time inside the delta's snapshot critical section serializes
+            // across partitions; the virtual-CPU makespan keeps it serial.
+            int64_t serialized = 0;
+            for (const OpStats& op : pipeline->op_stats()) {
+              if (op.kind == "delta") serialized += op.micros;
+            }
+            unit_stats->partition_micros[p] = timer.ElapsedMicros() -
+                                              stats->stall_micros -
+                                              stats->backpressure_micros;
+            unit_stats->serialized_micros[p] = serialized;
             stats->channel_high_water = outp->stats().high_water;
             outp->Close();
             return Status::OK();
-          });
+          }});
     }
+    stages->SpawnGroup(std::move(branches));
     BatchChannelPtr out = stages->MakeChannel(config_.channel_capacity);
-    if (ordered) {
-      SpawnOrderedMerge(stages, part_out, out, end, unit.merge);
-    } else {
-      SpawnRoundRobinMerge(stages, part_out, out, unit.merge);
-    }
+    SpawnMerge(stages, std::move(part_out), out, end, unit.merge, ordered,
+               std::move(unit_stats));
     return out;
   }
 
-  /// K-way merge over per-partition sorted runs: repeatedly emits the
+  /// K-way merge over the per-partition runs: repeatedly emits the
   /// smallest head row by first-column order, breaking ties toward the
-  /// lowest partition index — exactly the order the phased executor's
-  /// stable_sort over the partition-concatenated output produces. Inputs
-  /// are consumed through a PartitionFeed so waiting on one partition's
-  /// next batch never head-of-line blocks the others (deadlock under
-  /// partition skew otherwise).
-  void SpawnOrderedMerge(StageSet* stages, std::vector<BatchChannelPtr> parts,
-                         BatchChannelPtr out, size_t end_cut,
-                         size_t node_id) {
+  /// lowest partition index — the order a stable sort of the
+  /// partition-ordered concatenation produces. Without `ordered` (an
+  /// output with no columns) every row ties, so the partitions concatenate
+  /// in index order. Inputs are consumed through a PartitionFeed so
+  /// waiting on one partition's next batch never head-of-line blocks the
+  /// others (deadlock under partition skew otherwise). On success the
+  /// merge records the unit's ParallelUnitStats.
+  void SpawnMerge(StageSet* stages, std::vector<BatchChannelPtr> parts,
+                  BatchChannelPtr out, size_t end_cut, size_t node_id,
+                  bool ordered,
+                  std::shared_ptr<ParallelUnitStats> unit_stats) {
     stages->Spawn(
         plan_.nodes()[node_id].label,
-        [this, parts, out, end_cut, node_id](StageStats* stats) -> Status {
+        [this, parts, out, end_cut, node_id, ordered,
+         unit_stats](StageStats* stats) -> Status {
+          const StopWatch timer;
           stats->node_id = static_cast<int64_t>(node_id);
           struct Run {
             std::vector<Row> rows;
@@ -965,8 +737,9 @@ class FlowRunner {
             for (size_t p = 0; p < runs.size(); ++p) {
               if (runs[p].next >= runs[p].rows.size()) continue;
               if (best < 0 ||
-                  runs[p].rows[runs[p].next].value(0).Compare(
-                      runs[best].rows[runs[best].next].value(0)) < 0) {
+                  (ordered &&
+                   runs[p].rows[runs[p].next].value(0).Compare(
+                       runs[best].rows[runs[best].next].value(0)) < 0)) {
                 best = static_cast<int>(p);
               }
             }
@@ -979,58 +752,30 @@ class FlowRunner {
           }
           QOX_RETURN_IF_ERROR(FlushBatch(&acc, out.get(), stats));
           stats->channel_high_water = out->stats().high_water;
-          out->Close();
-          return Status::OK();
-        });
-  }
-
-  /// Unordered merge: forwards one batch per open partition per round, in
-  /// partition-index order — deterministic, which the inline-load sink's
-  /// cross-attempt skip logic depends on. The deterministic *emission*
-  /// order is decoupled from consumption via a PartitionFeed: while the
-  /// round waits for a starved partition, ready batches from the other
-  /// partitions are drained into local buffers, so skewed partitioning
-  /// never deadlocks the bounded dataflow.
-  void SpawnRoundRobinMerge(StageSet* stages,
-                            std::vector<BatchChannelPtr> parts,
-                            BatchChannelPtr out, size_t node_id) {
-    stages->Spawn(
-        plan_.nodes()[node_id].label,
-        [parts, out, node_id](StageStats* stats) -> Status {
-          stats->node_id = static_cast<int64_t>(node_id);
-          PartitionFeed feed(parts);
-          std::vector<bool> open(parts.size(), true);
-          size_t remaining = parts.size();
-          while (remaining > 0) {
-            for (size_t p = 0; p < parts.size(); ++p) {
-              if (!open[p]) continue;
-              QOX_ASSIGN_OR_RETURN(std::optional<RowBatch> item,
-                                   feed.Next(p, &stats->stall_micros));
-              if (!item.has_value()) {
-                open[p] = false;
-                --remaining;
-                continue;
-              }
-              stats->rows += item->num_rows();
-              ++stats->batches;
-              QOX_RETURN_IF_ERROR(
-                  out->Push(std::move(*item), &stats->backpressure_micros));
-            }
+          unit_stats->merge_micros = timer.ElapsedMicros() -
+                                     stats->stall_micros -
+                                     stats->backpressure_micros;
+          {
+            std::lock_guard<std::mutex> lock(stage_mu_);
+            metrics_.parallel_units.push_back(*unit_stats);
           }
-          stats->channel_high_water = out->stats().high_water;
           out->Close();
           return Status::OK();
         });
   }
 
-  /// Terminal stage, redundancy mode: materializes the dataflow output for
-  /// the voter (the caller's `*out` buffer, cleared per attempt).
+  /// Terminal stage when the load does not run inline: materializes the
+  /// dataflow output (the caller's `*out` buffer, cleared per attempt) for
+  /// LoadWithRetry or the redundancy voter. It reports under the plan's
+  /// sink node: the kCollect feeding the voter, else the kLoad it feeds.
   void SpawnCollectStage(StageSet* stages, BatchChannelPtr in,
                          std::vector<Row>* out) {
-    const size_t node_id = plan_.collect_node();
-    stages->Spawn("collect", [in, out, node_id](StageStats* stats) -> Status {
+    const size_t node_id = plan_.sink_node();
+    stages->Spawn("collect", [this, in, out,
+                              node_id](StageStats* stats) -> Status {
       stats->node_id = static_cast<int64_t>(node_id);
       out->clear();
+      out->reserve(InputRows(*in, 0));
       while (true) {
         QOX_ASSIGN_OR_RETURN(std::optional<RowBatch> item,
                              in->Pop(&stats->stall_micros));
@@ -1123,9 +868,12 @@ class FlowRunner {
     });
   }
 
+
   /// Charges per-stage busy time to the phase counters. Streaming stages
-  /// overlap, so in this mode the phase counters are busy-time aggregates
-  /// rather than exclusive wall-clock phases.
+  /// overlap, so in that mode the phase counters are busy-time aggregates
+  /// rather than exclusive wall-clock phases. Staged transform time is
+  /// charged by RunDataflow instead: it must be the wall time of a branch
+  /// fan-out, not the branches' summed busy time.
   void AttributeStagePhases(const std::vector<StageStats>& stage_stats) {
     for (const StageStats& s : stage_stats) {
       if (s.name == "extract" || s.name == "replay") {
@@ -1133,38 +881,44 @@ class FlowRunner {
         if (s.name == "extract") metrics_.rows_extracted += s.rows;
       } else if (s.name.rfind("merge", 0) == 0) {
         metrics_.merge_micros += s.busy_micros;
-      } else if (s.name.rfind("transform", 0) == 0 ||
-                 s.name.rfind("part", 0) == 0) {
+      } else if (config_.streaming && (s.name.rfind("transform", 0) == 0 ||
+                                       s.name.rfind("part", 0) == 0)) {
         metrics_.transform_micros += s.busy_micros;
       } else if (s.name == "load") {
         metrics_.load_micros += s.busy_micros;
       }
       // "rp.cut*" barriers: the persist cost is self-accounted by WriteRp;
-      // "collect" is voter bookkeeping, not a flow phase.
+      // "collect" is hand-off bookkeeping, not a flow phase.
     }
   }
 
-  /// One streaming attempt: spawns a stage thread per plan node and wires
-  /// a bounded channel per edge, then runs the dataflow to completion.
-  /// Mirrors RunAttempt's recovery semantics (resume, corruption fallback,
-  /// per-cut persistence) with stages instead of phases.
-  Status RunAttemptStreaming(int attempt, int resume_cut,
-                             std::vector<Row>* out) {
+  /// One attempt: spawns a stage per plan node and wires a channel per
+  /// edge, then runs the dataflow to completion — concurrently for
+  /// streaming plans, staged for phased ones. Resumes from the newest
+  /// verifiable recovery point and persists at every barrier cut.
+  Status RunDataflow(int attempt, int resume_cut, std::vector<Row>* out) {
     attempt_start_micros_ = NowMicros();
     durable_elapsed_micros_ = 0;
+    // Resume from the newest complete recovery point. A point whose
+    // checksum fails verification is dropped and resume falls back to the
+    // next older complete one (ultimately from scratch) instead of failing
+    // the run on its own persisted state.
     std::vector<Row> resume_rows;
     QOX_ASSIGN_OR_RETURN(const int resumed_cut,
                          ResumeFromRp(resume_cut, &resume_rows));
     size_t current_cut =
         resumed_cut >= 0 ? static_cast<size_t>(resumed_cut) : 0;
-    // Failure fractions and pipeline sizing need a row-count denominator
-    // before any rows flow; the source size (or the replayed cut's size)
-    // is the best available estimate.
-    QOX_ASSIGN_OR_RETURN(const size_t source_rows, flow_.source->NumRows());
-    const size_t expected_rows =
-        resumed_cut >= 0 ? resume_rows.size() : source_rows;
+    // Streaming stages start before their input exists, so their failure
+    // fractions need a row-count estimate up front: the source size, or
+    // the replayed cut's size. Staged stages count their actual input
+    // instead (InputRows).
+    size_t expected_rows = resume_rows.size();
+    if (config_.streaming && resumed_cut < 0) {
+      QOX_ASSIGN_OR_RETURN(expected_rows, flow_.source->NumRows());
+    }
 
-    StageSet stages(exec_);
+    const bool staged = !config_.streaming;
+    StageSet stages(exec_, staged);
     BatchChannelPtr cursor = stages.MakeChannel(config_.channel_capacity);
     if (resumed_cut >= 0) {
       SpawnReplayStage(&stages, cursor, std::move(resume_rows), current_cut);
@@ -1178,6 +932,7 @@ class FlowRunner {
     // A resume cut is always a section boundary; skip completed sections.
     for (const PlanSection& section : plan_.sections()) {
       if (section.end_cut <= current_cut) continue;
+      const StopWatch section_timer;
       for (const PlanUnit& unit : section.units) {
         if (unit.parallel) {
           QOX_ASSIGN_OR_RETURN(cursor,
@@ -1187,6 +942,12 @@ class FlowRunner {
           cursor = SpawnTransformStage(&stages, cursor, unit.begin, unit.end,
                                        attempt, expected_rows, unit.node);
         }
+      }
+      // Staged units ran inside the calls above, so the section's wall
+      // time (router, branch fan-out, and merge included) is its exclusive
+      // transform phase; a failed section's time is lost work instead.
+      if (staged && !stages.failed()) {
+        metrics_.transform_micros += section_timer.ElapsedMicros();
       }
       current_cut = section.end_cut;
       if (section.rp_at_end) {
@@ -1202,14 +963,18 @@ class FlowRunner {
     std::vector<StageStats> stage_stats;
     const Status st = stages.Join(&stage_stats);
     AttributeStagePhases(stage_stats);
+    size_t input_rows = 0;  // rows the source stage fed into the dataflow
     for (StageStats& s : stage_stats) {
+      if (s.node_id == static_cast<int64_t>(plan_.extract_node())) {
+        input_rows = s.rows;
+      }
       metrics_.stage_stats.push_back(std::move(s));
     }
     QOX_RETURN_IF_ERROR(st);
-    // The fractional budget check runs at the same logical point as phased
-    // mode (transforms drained); with an inline-load sink the rows are
-    // already durable by now — a caveat EXPERIMENTS.md documents.
-    return budget_state_.CheckFraction(expected_rows);
+    // Transforms have drained: enforce the budget's fractional ceiling
+    // before the output leaves the attempt. With an inline-load sink the
+    // rows are already durable by now — a caveat EXPERIMENTS.md documents.
+    return budget_state_.CheckFraction(input_rows);
   }
 
   const FlowSpec& flow_;
@@ -1246,8 +1011,8 @@ class FlowRunner {
   int64_t attempt_start_micros_ = 0;
   int64_t durable_elapsed_micros_ = 0;
   int64_t attempt_deadline_micros_ = 0;
-  /// Streaming only: serializes metrics_ (and WriteRp's durable-progress
-  /// bookkeeping) across stage threads.
+  /// Serializes metrics_ (and WriteRp's durable-progress bookkeeping)
+  /// across stage threads.
   std::mutex stage_mu_;
   /// Streaming inline load: target row count before the first attempt.
   size_t load_base_rows_ = 0;
@@ -1383,7 +1148,6 @@ PlanInput MakePlanInput(const FlowSpec& flow, const ExecutionConfig& config) {
   input.redundancy = config.redundancy;
   input.streaming = config.streaming;
   input.channel_capacity = config.channel_capacity;
-  input.ordered_merge = config.ordered_merge;
   input.error_policies = config.error_policies;
   input.error_budget = config.error_budget;
   input.journaled = config.journal != nullptr;
@@ -1394,7 +1158,7 @@ PlanInput MakePlanInput(const FlowSpec& flow, const ExecutionConfig& config) {
   return input;
 }
 
-/// Scheduler dispatch, redundancy 1: a single FlowRunner with retries.
+/// Instance dispatch, redundancy 1: a single FlowRunner with retries.
 Status RunSingleInstance(const FlowSpec& flow, const ExecutionConfig& config,
                          const ExecutionPlan& plan,
                          const std::vector<Schema>& cut_schemas,
@@ -1410,7 +1174,7 @@ Status RunSingleInstance(const FlowSpec& flow, const ExecutionConfig& config,
   return Status::OK();
 }
 
-/// Scheduler dispatch, n-modular redundancy: k instances race over the
+/// Instance dispatch, n-modular redundancy: k instances race over the
 /// same plan; a majority vote over the output fingerprints accepts a
 /// result and cancels the stragglers.
 Status RunRedundantInstances(const FlowSpec& flow,
@@ -1615,8 +1379,8 @@ Result<RunMetrics> Executor::Run(const FlowSpec& flow,
   }
   const size_t rp_bytes_before =
       config.rp_store != nullptr ? config.rp_store->total_bytes_written() : 0;
-  // Validate, lower to the shared ExecutionPlan IR, then dispatch the plan
-  // to the per-instance schedulers (phased or streaming, per config).
+  // Validate, lower to the shared ExecutionPlan IR, then run the plan on
+  // one FlowRunner per instance.
   QOX_ASSIGN_OR_RETURN(const std::vector<Schema> cut_schemas,
                        BindChain(flow, config));
   QOX_ASSIGN_OR_RETURN(const ExecutionPlan plan,

@@ -13,9 +13,12 @@
 //
 // Execution model. The transform chain of n operators defines cut
 // positions 0..n: cut 0 is "after extraction", cut i is "after transform
-// operator i". Recovery points live at cut positions. An attempt runs
-// segment by segment between cuts; a recovery point at a cut durably saves
-// the rows crossing it. On a TRANSIENT failure (injected system failure,
+// operator i". Recovery points live at cut positions. Every attempt runs
+// the lowered ExecutionPlan through one scheduler: a stage per plan node,
+// a channel per edge (engine/streaming.h). A phased plan runs its stages
+// one after another, each to completion; a streaming plan runs them
+// concurrently over bounded channels. A recovery point at a cut durably
+// saves the rows crossing it. On a TRANSIENT failure (injected system failure,
 // unavailable storage, expired watchdog deadline — see IsTransient in
 // common/status) the attempt aborts, the executor waits out the
 // RetryPolicy's backoff, and the next attempt resumes from the latest
@@ -107,10 +110,6 @@ struct ExecutionConfig {
   /// (see IsTransient in common/status) fail fast regardless. Redundant
   /// instances get a single attempt: redundancy replaces recovery.
   RetryPolicy retry;
-  /// Re-establish a global order after merging partitioned branches (sort
-  /// by first column). This is the "merging back the partitioned data is
-  /// not cheap" cost of Sec. 2.2 and is on by default.
-  bool ordered_merge = true;
   /// Optional audit sink: rows rejected by quality operators (NULL
   /// filters, unresolved lookups) are appended here with provenance
   /// (flow id, instance, attempt, serialized row) — the auditability
@@ -123,18 +122,19 @@ struct ExecutionConfig {
   /// full materialization except at blocking operators and recovery-point
   /// cuts. With redundancy == 1 the load runs inline as the dataflow sink
   /// (a failed load consumes a flow attempt and the next attempt skips
-  /// rows already durable in the target). Output and metrics semantics
-  /// match phased mode; phase timings become per-stage busy-time
-  /// aggregates (stages overlap, so they no longer sum to total).
+  /// rows already durable in the target). Off (phased), the same stages
+  /// run one at a time and the collected output is loaded afterwards.
+  /// Output and metrics semantics match; streaming phase timings become
+  /// per-stage busy-time aggregates (stages overlap, so they no longer sum
+  /// to total).
   bool streaming = false;
   /// Bounded capacity, in batches, of every streaming channel (the
   /// backpressure window between adjacent stages). Values < 1 act as 1.
   size_t channel_capacity = 8;
   /// Row-level containment policy per transform op (by global index).
   /// Empty, or shorter than the chain, means kFailFast for the uncovered
-  /// ops — the historical all-or-nothing behaviour. Both schedulers
-  /// enforce identical semantics (containment lives in the shared
-  /// Pipeline).
+  /// ops — the historical all-or-nothing behaviour. Both modes enforce
+  /// identical semantics (containment lives in the shared Pipeline).
   std::vector<ErrorPolicy> error_policies;
   /// Flow-level ceiling on contained rows. Exceeding it aborts the run
   /// with the PERMANENT status kErrorBudgetExceeded (no retry attempts are
@@ -182,8 +182,7 @@ struct ExecutionConfig {
   /// columnar-capable transform ops execute on ColumnBatches with
   /// vectorized kernels; the row path remains for everything else. Output
   /// is byte-identical with the flag off (the default, the seed behavior);
-  /// both schedulers honor it (the fast path lives in the shared
-  /// Pipeline).
+  /// both modes honor it (the fast path lives in the shared Pipeline).
   bool columnar = false;
 };
 
@@ -195,8 +194,8 @@ class Executor {
  public:
   /// Runs the flow to completion (including retries / voting). On success
   /// the target contains the flow output and metrics describe the run.
-  /// Internally: validate (BindChain), lower to an ExecutionPlan, then
-  /// dispatch the plan to the phased or streaming scheduler.
+  /// Internally: validate (BindChain), lower to an ExecutionPlan, then run
+  /// the plan's stages, staged (phased) or streaming.
   static Result<RunMetrics> Run(const FlowSpec& flow,
                                 const ExecutionConfig& config);
 
@@ -207,7 +206,7 @@ class Executor {
                                                const ExecutionConfig& config);
 
   /// Validates and lowers the flow + config into the ExecutionPlan the
-  /// schedulers (and plan dumps / tests) consume. Blocking flags are
+  /// scheduler (and plan dumps / tests) consume. Blocking flags are
   /// derived from the bound operators, so the plan's soft barriers match
   /// what actually executes.
   static Result<ExecutionPlan> LowerPlan(const FlowSpec& flow,

@@ -8,11 +8,11 @@
 // with channel edges and barrier/section annotations. One plan serves
 // every consumer:
 //
-//   * the PHASED executor schedules it section by section ("run the
-//     section's units in order, materialize at the recovery-point barrier
-//     ending it"),
-//   * the STREAMING executor spawns one stage thread per node and wires a
-//     bounded channel per edge,
+//   * the EXECUTOR's one scheduler spawns one stage per node and wires a
+//     channel per edge. The plan's `streaming` property picks how the
+//     stages run: concurrently over bounded channels, or — for a phased
+//     plan — staged, each stage to completion before the next, which puts
+//     a materialization barrier on every edge,
 //   * the COST MODEL prices streaming overlap from the plan's drain
 //     structure (CostChunks) and recovery cost from the plan's RP cuts,
 //   * plan_io exports/imports the node/edge structure as XML metadata,
@@ -26,7 +26,7 @@
 //
 // Terminology. The transform chain of n operators defines CUT positions
 // 0..n (cut 0 = after extraction, cut i = after op i). A recovery point
-// at a cut is a HARD barrier: both executors fully materialize there and
+// at a cut is a HARD barrier: both modes fully materialize there and
 // persist the rows. A blocking operator (sort/group/delta) is a SOFT
 // barrier: execution does not split there (the operator buffers inside
 // its pipeline stage), but the streaming dataflow drains there, which is
@@ -78,12 +78,11 @@ struct PlanInput {
   size_t redundancy = 1;
   bool streaming = false;
   size_t channel_capacity = 8;
-  bool ordered_merge = true;
   /// Per-op row-error containment policy (by global index). Empty or
   /// shorter than the chain = kFailFast for the uncovered ops. Longer than
   /// the chain is a lowering error. Carried on the plan so dumps, the XML
   /// interchange format, and the cost model all see the same containment
-  /// configuration the schedulers enforce.
+  /// configuration the executor enforces.
   std::vector<ErrorPolicy> error_policies;
   /// Flow-level ceiling on contained (skipped + quarantined) rows.
   ErrorBudget error_budget;
@@ -107,7 +106,7 @@ enum class PlanNodeKind {
   kTransform,        ///< sequential pipeline over ops [begin, end)
   kPartitionRouter,  ///< routes rows into per-partition channels
   kPartitionBranch,  ///< one partition's pipeline over ops [begin, end)
-  kMerge,            ///< reunifies partition branches (ordered or RR)
+  kMerge,            ///< reunifies partition branches (k-way, column 0)
   kRpBarrier,        ///< recovery-point cut: materialize + persist + re-emit
   kCollect,          ///< materializes output for the redundancy voter
   kReplicaGroup,     ///< NMR majority vote over `partition` = k replicas
@@ -164,9 +163,9 @@ struct PlanUnit {
   std::vector<size_t> branches;
 };
 
-/// A run of ops between hard (recovery-point) barriers. The phased
-/// executor runs sections in order, materializing and persisting at each
-/// rp_at_end; the streaming executor inserts a kRpBarrier stage there.
+/// A run of ops between hard (recovery-point) barriers. The executor
+/// wires sections in order and inserts a kRpBarrier stage (materialize +
+/// persist) at each rp_at_end.
 struct PlanSection {
   size_t begin_cut = 0;  ///< ops [begin_cut, end_cut)
   size_t end_cut = 0;
@@ -220,8 +219,9 @@ class ExecutionPlan {
   size_t collect_node() const { return collect_node_; }
   size_t replica_group_node() const { return replica_group_node_; }
   size_t load_node() const { return load_node_; }
-  /// The dataflow's terminal per-instance stage: kLoad for inline-load
-  /// plans (streaming, redundancy 1), else kCollect feeding the voter.
+  /// The dataflow's terminal per-instance stage: kCollect feeding the
+  /// voter with redundancy, else kLoad (inline in streaming runs; a phased
+  /// run's collect stage reports under it).
   size_t sink_node() const {
     return collect_node_ != kNoNode ? collect_node_ : load_node_;
   }

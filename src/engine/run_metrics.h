@@ -35,11 +35,12 @@ struct OpStats {
   }
 };
 
-/// Timing breakdown of one partitioned (parallel) execution unit: the ops
-/// range it covered and each partition clone's measured duration. When the
-/// executor runs with one worker thread these durations are clean CPU
-/// times, which the benchmark harness schedules onto an N-CPU virtual
-/// machine (the multi-core hardware substitution documented in DESIGN.md).
+/// Timing breakdown of one partitioned (parallel) execution unit, filled
+/// by its branch and merge stages: the ops range it covered and each
+/// partition branch's busy time. In a phased run with one worker thread
+/// these durations are clean CPU times, which the benchmark harness
+/// schedules onto an N-CPU virtual machine (the multi-core hardware
+/// substitution documented in DESIGN.md).
 struct ParallelUnitStats {
   size_t range_begin = 0;
   size_t range_end = 0;
@@ -53,11 +54,11 @@ struct ParallelUnitStats {
   int64_t merge_micros = 0;
 };
 
-/// Accounting of one stage of a streaming (pipelined) execution: a thread
-/// running extract, a transform pipeline, a partition branch, a merge, a
-/// recovery-point barrier, or the load, connected to its neighbors by
-/// bounded channels. busy + stall + backpressure ≈ the stage's wall time;
-/// the stall/backpressure split shows which neighbor was the bottleneck.
+/// Accounting of one dataflow stage: extract, a transform pipeline, a
+/// partition branch, a merge, a recovery-point barrier, or the load or
+/// collect sink, connected to its neighbors by channels. busy + stall +
+/// backpressure ≈ the stage's wall time; the stall/backpressure split shows
+/// which neighbor was the bottleneck (both are 0 in a staged run).
 struct StageStats {
   std::string name;                ///< "extract", "transform[0,3)", "load", ...
   /// Id of the ExecutionPlan node this stage executed (see engine/plan.h),
@@ -191,7 +192,7 @@ struct RunMetrics {
   std::vector<OpStats> op_stats;
   /// One entry per executed parallel unit (across attempts).
   std::vector<ParallelUnitStats> parallel_units;
-  /// Streaming mode only: one entry per dataflow stage (across attempts).
+  /// One entry per dataflow stage (across attempts), in either mode.
   std::vector<StageStats> stage_stats;
   /// Sharded CDC ingestion only: one entry per shard worker, in shard
   /// order (empty for ordinary flow runs).

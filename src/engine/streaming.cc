@@ -60,8 +60,8 @@ bool StageSet::IsPoisonEcho(const Status& status) {
          status.message().rfind(kPoisonEchoPrefix, 0) == 0;
 }
 
-StageSet::StageSet(const ExecContext& ctx)
-    : ctx_(ctx), group_(ctx.pool()) {}
+StageSet::StageSet(const ExecContext& ctx, bool staged)
+    : ctx_(ctx), staged_(staged), group_(ctx.pool()) {}
 
 StageSet::~StageSet() {
   if (joined_) return;
@@ -72,57 +72,86 @@ StageSet::~StageSet() {
 }
 
 BatchChannelPtr StageSet::MakeChannel(size_t capacity) {
-  auto channel = std::make_shared<BatchChannel>(capacity);
+  auto channel = std::make_shared<BatchChannel>(
+      staged_ ? static_cast<size_t>(-1) : capacity);
   std::lock_guard<std::mutex> lock(mu_);
   if (!first_failure_.ok()) channel->Poison(PoisonEcho(first_failure_));
   channels_.push_back(channel);
   return channel;
 }
 
-void StageSet::Spawn(std::string name, std::function<Status(StageStats*)> body) {
-  size_t slot;
+void StageSet::Spawn(std::string name, Body body) {
+  std::vector<Stage> group;
+  group.push_back({std::move(name), std::move(body)});
+  SpawnGroup(std::move(group));
+}
+
+void StageSet::SpawnGroup(std::vector<Stage> group) {
+  std::vector<size_t> slots;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    slot = outcomes_.size();
-    outcomes_.emplace_back();
-    outcomes_[slot].stats.name = std::move(name);
+    // A staged dataflow stops at its first failure: nothing downstream of
+    // it runs.
+    if (staged_ && !first_failure_.ok()) return;
+    for (Stage& stage : group) {
+      slots.push_back(outcomes_.size());
+      outcomes_.emplace_back();
+      outcomes_.back().stats.name = std::move(stage.name);
+    }
   }
   const int64_t posted_micros = NowMicros();
-  ctx_.Post(
-      [this, slot, posted_micros, body = std::move(body)] {
-        StageStats local;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          local.name = outcomes_[slot].stats.name;
-        }
-        // Under a shared pool a stage may sit queued behind other flows'
-        // work before an expansion worker picks it up; that wait belongs
-        // to scheduling, not to the stage's busy time.
-        local.queue_wait_us = NowMicros() - posted_micros;
-        StopWatch watch;
-        Status status = body(&local);
-        const int64_t wall = watch.ElapsedMicros();
-        local.busy_micros =
-            wall - local.stall_micros - local.backpressure_micros;
-        if (local.busy_micros < 0) local.busy_micros = 0;
-        if (ctx_.tag().deadline_micros > 0) {
-          local.deadline_slack_us = ctx_.tag().deadline_micros - NowMicros();
-        }
-        bool primary = false;
-        if (!status.ok()) {
-          // A stage that failed on its own is primary; one that merely
-          // returned the tagged poison it popped from a channel is an echo.
-          // The explicit tag (not message comparison) keeps two independent
-          // failures with identical messages both classified as primary.
-          primary = !IsPoisonEcho(status);
-          FailAll(status);
-        }
-        std::lock_guard<std::mutex> lock(mu_);
-        outcomes_[slot].status = std::move(status);
-        outcomes_[slot].stats = std::move(local);
-        outcomes_[slot].primary = primary;
-      },
-      &group_, /*blocking=*/true);
+  if (!staged_) {
+    for (size_t i = 0; i < group.size(); ++i) {
+      ctx_.Post(
+          [this, slot = slots[i], posted_micros,
+           body = std::move(group[i].body)] {
+            RunStage(slot, posted_micros, body);
+          },
+          &group_, /*blocking=*/true);
+    }
+    return;
+  }
+  if (group.size() == 1) {
+    RunStage(slots[0], posted_micros, group[0].body);
+    return;
+  }
+  ctx_.BulkExecute(group.size(), [&](size_t i) {
+    RunStage(slots[i], posted_micros, group[i].body);
+  });
+}
+
+void StageSet::RunStage(size_t slot, int64_t posted_micros,
+                        const Body& body) {
+  StageStats local;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    local.name = outcomes_[slot].stats.name;
+  }
+  // Under a shared pool a stage may sit queued behind other flows' work
+  // before a worker picks it up; that wait belongs to scheduling, not to
+  // the stage's busy time.
+  local.queue_wait_us = NowMicros() - posted_micros;
+  StopWatch watch;
+  Status status = body(&local);
+  const int64_t wall = watch.ElapsedMicros();
+  local.busy_micros = wall - local.stall_micros - local.backpressure_micros;
+  if (local.busy_micros < 0) local.busy_micros = 0;
+  if (ctx_.tag().deadline_micros > 0) {
+    local.deadline_slack_us = ctx_.tag().deadline_micros - NowMicros();
+  }
+  bool primary = false;
+  if (!status.ok()) {
+    // A stage that failed on its own is primary; one that merely returned
+    // the tagged poison it popped from a channel is an echo. The explicit
+    // tag (not message comparison) keeps two independent failures with
+    // identical messages both classified as primary.
+    primary = !IsPoisonEcho(status);
+    FailAll(status);
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  outcomes_[slot].status = std::move(status);
+  outcomes_[slot].stats = std::move(local);
+  outcomes_[slot].primary = primary;
 }
 
 void StageSet::FailAll(const Status& status) {
@@ -136,6 +165,11 @@ void StageSet::FailAll(const Status& status) {
   // the poison return a status recognizable as secondary.
   const Status echo = PoisonEcho(status);
   for (const BatchChannelPtr& channel : channels) channel->Poison(echo);
+}
+
+bool StageSet::failed() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return !first_failure_.ok();
 }
 
 Status StageSet::Join(std::vector<StageStats>* stats) {

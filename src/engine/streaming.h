@@ -1,17 +1,27 @@
-// StageSet: task + channel coordination for streaming (pipelined)
-// execution.
+// StageSet: task + channel coordination for the executor's one dataflow
+// scheduler.
 //
-// A streaming dataflow is a set of stages (extract, transform pipelines,
-// partition branches, merges, recovery-point barriers, load) running as
-// BLOCKING tasks on the shared executor substrate (engine/worker_pool.h —
-// stage bodies park on channel edges, so they run on the pool's cached
-// expansion workers, never occupying core workers), connected by bounded
-// Channel<RowBatch> edges. The StageSet owns the wiring: it creates the
-// channels, submits the stage tasks through its ExecContext, and
-// guarantees clean unwinding when any stage fails. The context's tag
-// (flow deadline, predicted cost) rides on every stage submission, which
-// is how a whole streaming dataflow competes EDF against other flows on
-// one shared pool.
+// Every flow attempt is a set of stages (extract, transform pipelines,
+// partition branches, merges, recovery-point barriers, load or collect)
+// connected by Channel<RowBatch> edges. The StageSet owns the wiring: it
+// creates the channels, runs the stage bodies through its ExecContext, and
+// guarantees clean unwinding when any stage fails. It has two modes,
+// picked from the plan's `streaming` property:
+//
+//   * STREAMING: stages run concurrently as BLOCKING tasks on the shared
+//     executor substrate (engine/worker_pool.h — stage bodies park on
+//     channel edges, so they run on the pool's cached expansion workers,
+//     never occupying core workers), joined by bounded channels. The
+//     context's tag (flow deadline, predicted cost) rides on every stage
+//     submission, which is how a whole streaming dataflow competes EDF
+//     against other flows on one shared pool.
+//   * STAGED (phased plans): Spawn runs the stage to completion on the
+//     calling thread before returning, writing into unbounded channels, so
+//     every edge is a materialization barrier and a stage knows its whole
+//     input when it starts. SpawnGroup runs sibling stages (a partitioned
+//     unit's branches) together as one ExecContext::BulkExecute fan-out of
+//     CPU tasks on the pool's core workers. Once a stage fails, later
+//     spawns are skipped.
 //
 // Error protocol: a stage body returns a Status. The first non-OK outcome
 // poisons EVERY channel in the set with an explicitly tagged *echo* of the
@@ -26,7 +36,8 @@
 // Accounting: each stage gets a StageStats slot. The stage body records
 // rows/batches and its channel waits (Push/Pop expose their blocked time);
 // the set derives busy time as wall − stall − backpressure when the body
-// finishes. Join() appends all slots to the caller's RunMetrics stage list.
+// finishes (staged stages never wait, so busy == wall). Join() appends all
+// slots to the caller's RunMetrics stage list.
 
 #ifndef QOX_ENGINE_STREAMING_H_
 #define QOX_ENGINE_STREAMING_H_
@@ -63,8 +74,8 @@ using BatchChannelPtr = std::shared_ptr<BatchChannel>;
 ///
 /// The local buffers are unbounded: under total skew the feed can buffer a
 /// hot partition's entire output while waiting for a starved partition's
-/// end-of-stream — the same worst case as the phased executor's
-/// materialized merge. Channel capacity still bounds memory whenever the
+/// end-of-stream — the same worst case as a staged merge, whose inputs are
+/// fully materialized. Channel capacity still bounds memory whenever the
 /// consumer keeps up.
 class PartitionFeed {
  public:
@@ -92,10 +103,17 @@ class PartitionFeed {
 
 class StageSet {
  public:
-  /// Stages run as blocking tasks of `ctx`'s WorkerPool under its tag.
-  /// The context must carry a pool: stage bodies block on bounded channels,
-  /// so inline (pool-less) execution would deadlock the dataflow.
-  explicit StageSet(const ExecContext& ctx);
+  using Body = std::function<Status(StageStats*)>;
+  struct Stage {
+    std::string name;
+    Body body;
+  };
+
+  /// Streaming (`staged` false): stages run as blocking tasks of `ctx`'s
+  /// WorkerPool under its tag; the context must carry a pool, since stage
+  /// bodies block on bounded channels and inline execution would deadlock
+  /// the dataflow. Staged: see the file comment.
+  explicit StageSet(const ExecContext& ctx, bool staged = false);
   /// Waits out any stages still running (after poisoning, so this cannot
   /// hang).
   ~StageSet();
@@ -103,17 +121,26 @@ class StageSet {
   StageSet(const StageSet&) = delete;
   StageSet& operator=(const StageSet&) = delete;
 
-  /// Creates a channel registered for poison-on-failure. If a stage has
-  /// already failed, the channel is born poisoned, so stages wired after a
-  /// failure unwind immediately instead of processing data nobody reads.
+  /// Creates a channel registered for poison-on-failure; staged sets ignore
+  /// `capacity` and make it unbounded. If a stage has already failed, the
+  /// channel is born poisoned, so stages wired after a failure unwind
+  /// immediately instead of processing data nobody reads.
   BatchChannelPtr MakeChannel(size_t capacity);
 
-  /// Submits `body` as a blocking task on the substrate. The body fills
-  /// its StageStats (rows, batches, waits); wall and busy time — plus the
-  /// time the task waited queued before a worker picked it up and the
-  /// stage's slack against the context's deadline — are measured here. A
-  /// non-OK return poisons every channel in the set.
-  void Spawn(std::string name, std::function<Status(StageStats*)> body);
+  /// Submits `body` as a blocking task on the substrate (staged: runs it
+  /// here). The body fills its StageStats (rows, batches, waits); wall and
+  /// busy time — plus the time the task waited queued before a worker
+  /// picked it up and the stage's slack against the context's deadline —
+  /// are measured here. A non-OK return poisons every channel in the set.
+  void Spawn(std::string name, Body body);
+
+  /// Spawns sibling stages: each as Spawn does when streaming; staged, all
+  /// of them at once as one BulkExecute fan-out, returning when every one
+  /// has finished.
+  void SpawnGroup(std::vector<Stage> group);
+
+  /// True once any stage has failed (a staged set then runs nothing more).
+  bool failed() const;
 
   /// Waits for every spawned stage and appends their stats to `*stats`
   /// (may be null). Returns the winning status per the error protocol.
@@ -130,6 +157,10 @@ class StageSet {
   static bool IsPoisonEcho(const Status& status);
 
  private:
+  /// Runs one stage body on the calling thread and records its outcome in
+  /// `slot`.
+  void RunStage(size_t slot, int64_t posted_micros, const Body& body);
+
   /// Poisons every registered channel with `status` (first failure wins).
   void FailAll(const Status& status);
 
@@ -140,10 +171,11 @@ class StageSet {
   };
 
   ExecContext ctx_;
+  const bool staged_;
   /// Completion guard over every spawned stage task (replaces the old
   /// per-stage std::thread joins).
   TaskGroup group_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::vector<BatchChannelPtr> channels_;
   std::vector<Outcome> outcomes_;
   Status first_failure_ = Status::OK();

@@ -1,6 +1,6 @@
-// WorkerPool: the unified executor substrate both schedulers run on.
+// WorkerPool: the unified executor substrate the dataflow scheduler runs on.
 //
-// One pool multiplexes every kind of engine work — phased partition
+// One pool multiplexes every kind of engine work — staged partition
 // branches, redundant flow instances, streaming dataflow stages, and whole
 // flows admitted by the FlowService — so a single machine's cores can be
 // shared across many concurrent flows instead of each flow owning threads.

@@ -63,8 +63,8 @@ Result<Row> DecodeQuarantinePayload(const std::string& payload,
 
 /// The canonical, mode-independent view of a ledger: one line per distinct
 /// (op_index, op_name, status_code, payload), sorted. Attempt, instance and
-/// row_index legitimately differ between the phased and streaming executors
-/// and across retries (a retried attempt re-quarantines the same rows), so
+/// row_index legitimately differ between phased and streaming runs and
+/// across retries (a retried attempt re-quarantines the same rows), so
 /// ledger equality and replay deduplication are defined over this
 /// projection.
 std::vector<std::string> CanonicalLedger(

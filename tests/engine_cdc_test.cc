@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -90,6 +92,7 @@ class CdcSweepTest : public ::testing::Test {
  protected:
   void SetUp() override {
     root_ = ::testing::TempDir() + "/cdc_sweep_" +
+            std::to_string(::getpid()) + "_" +
             std::to_string(reinterpret_cast<uintptr_t>(this));
   }
   void TearDown() override {

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -248,6 +250,7 @@ class CrashSweepTest : public ::testing::Test {
  protected:
   void SetUp() override {
     root_ = ::testing::TempDir() + "/crash_sweep_" +
+            std::to_string(::getpid()) + "_" +
             std::to_string(reinterpret_cast<uintptr_t>(this));
   }
   void TearDown() override {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -32,6 +34,7 @@ class FaultToleranceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "/ft_test_" +
+           std::to_string(::getpid()) + "_" +
            std::to_string(reinterpret_cast<uintptr_t>(this));
     rp_store_ = RecoveryPointStore::Open(dir_).value();
   }

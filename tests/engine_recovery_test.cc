@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 
 #include "engine/executor.h"
@@ -24,6 +26,7 @@ class RecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "/recovery_test_" +
+           std::to_string(::getpid()) + "_" +
            std::to_string(reinterpret_cast<uintptr_t>(this));
     rp_store_ = RecoveryPointStore::Open(dir_).value();
   }
@@ -182,6 +185,50 @@ INSTANTIATE_TEST_SUITE_P(
         // Failure during the load, resumed incrementally.
         FailurePoint{FailureSpec::kAtLoad, 0.5, {}},
         FailurePoint{FailureSpec::kAtLoad, 0.5, {0, 3}}));
+
+// A phased run counts the rows that actually enter each stage: behind a
+// recovery-point cut after the filter, a failure fraction of the next op
+// is relative to the filter's survivors, not to the source size. The spec
+// must fire at the first batch boundary at or past that fraction.
+TEST_F(RecoveryTest, FailureFractionBehindCutCountsSurvivingRows) {
+  constexpr size_t kBatch = 32;
+  constexpr double kFraction = 0.75;
+  const std::vector<Row> input = SimpleRows(800);
+  size_t survivors = 0;
+  for (const Row& row : input) {
+    if (!row.value(2).is_null()) ++survivors;
+  }
+  size_t fire_at = 0;
+  while (static_cast<double>(fire_at) / static_cast<double>(survivors) +
+             1e-12 <
+         kFraction) {
+    fire_at += kBatch;
+  }
+  const DataStorePtr source = testing_util::MakeSource(SimpleSchema(), input);
+  auto target = std::make_shared<MemTable>("tgt", BoundSchema());
+  FailureInjector injector;
+  FailureSpec spec;
+  spec.at_op = 1;
+  spec.at_fraction = kFraction;
+  injector.AddFailure(spec);
+  ExecutionConfig config;
+  config.batch_size = kBatch;
+  config.recovery_points = {1};
+  config.rp_store = rp_store_;
+  config.injector = &injector;
+  config.retry.max_attempts = 1;
+  const Result<RunMetrics> metrics =
+      Executor::Run(MakeFlow(source, target), config);
+  ASSERT_FALSE(metrics.ok());
+  EXPECT_TRUE(metrics.status().IsInjectedFailure()) << metrics.status();
+  const std::string position =
+      std::to_string(static_cast<double>(fire_at) /
+                     static_cast<double>(survivors) * 100.0) +
+      "%";
+  EXPECT_NE(metrics.status().message().find("transform op 1 at " + position),
+            std::string::npos)
+      << metrics.status();
+}
 
 TEST_F(RecoveryTest, MultipleSuccessiveFailures) {
   const DataStorePtr source =

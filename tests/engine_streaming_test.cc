@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <thread>
 
 #include "engine/executor.h"
@@ -19,7 +21,6 @@
 namespace qox {
 namespace {
 
-using testing_util::SameMultiset;
 using testing_util::SimpleRows;
 using testing_util::SimpleSchema;
 
@@ -66,7 +67,6 @@ struct StreamingCase {
   PartitionScheme scheme;
   size_t range_begin;
   size_t range_end;
-  bool ordered_merge;
   size_t channel_capacity;
   size_t batch_size;
 };
@@ -87,7 +87,6 @@ TEST_P(StreamingEquivalenceTest, MatchesPhasedOutput) {
   config.parallel.hash_column = "id";
   config.parallel.range_begin = c.range_begin;
   config.parallel.range_end = c.range_end;
-  config.ordered_merge = c.ordered_merge;
   const std::vector<Row> expected = RunPhased(source, config);
 
   auto target = std::make_shared<MemTable>("tgt", BoundSchema());
@@ -98,38 +97,34 @@ TEST_P(StreamingEquivalenceTest, MatchesPhasedOutput) {
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_TRUE(metrics.value().streaming);
   EXPECT_FALSE(metrics.value().stage_stats.empty());
-  const std::vector<Row> got = target->ReadAll().value().rows();
-  if (c.ordered_merge) {
-    // Ordered merges reproduce the phased order exactly (k-way merge with
-    // partition-index tie-break == stable sort of the concatenation).
-    EXPECT_EQ(expected, got);
-  } else {
-    EXPECT_TRUE(SameMultiset(expected, got));
-  }
+  // Both modes run the same stages, so the order matches exactly.
+  EXPECT_EQ(expected, target->ReadAll().value().rows());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Configurations, StreamingEquivalenceTest,
     ::testing::Values(
         // Purely sequential dataflow, default batches.
-        StreamingCase{1, PartitionScheme::kRoundRobin, 0, 3, true, 4, 128},
+        StreamingCase{1, PartitionScheme::kRoundRobin, 0, 3, 4, 128},
         // Tiny channel + tiny batches: heavy backpressure exercise.
-        StreamingCase{1, PartitionScheme::kRoundRobin, 0, 3, true, 1, 7},
+        StreamingCase{1, PartitionScheme::kRoundRobin, 0, 3, 1, 7},
         // Round-robin partitioned, full range.
-        StreamingCase{4, PartitionScheme::kRoundRobin, 0, 3, true, 4, 64},
-        StreamingCase{4, PartitionScheme::kRoundRobin, 0, 3, false, 4, 64},
+        StreamingCase{4, PartitionScheme::kRoundRobin, 0, 3, 4, 64},
+        // Round-robin partitioned around the blocking sort only.
+        StreamingCase{4, PartitionScheme::kRoundRobin, 2, 3, 1, 16},
         // Hash partitioned, full range.
-        StreamingCase{4, PartitionScheme::kHash, 0, 3, true, 4, 64},
+        StreamingCase{4, PartitionScheme::kHash, 0, 3, 4, 64},
         // Partial parallel range: sequential prefix + partitioned suffix.
-        StreamingCase{3, PartitionScheme::kRoundRobin, 1, 3, true, 2, 32},
-        StreamingCase{3, PartitionScheme::kHash, 1, 2, false, 2, 32},
+        StreamingCase{3, PartitionScheme::kRoundRobin, 1, 3, 2, 32},
+        StreamingCase{3, PartitionScheme::kHash, 1, 2, 2, 32},
         // More partitions than a typical core count.
-        StreamingCase{8, PartitionScheme::kRoundRobin, 0, 3, true, 2, 16}));
+        StreamingCase{8, PartitionScheme::kRoundRobin, 0, 3, 2, 16}));
 
 class StreamingRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "/streaming_rp_" +
+           std::to_string(::getpid()) + "_" +
            std::to_string(reinterpret_cast<uintptr_t>(this));
     rp_store_ = RecoveryPointStore::Open(dir_).value();
   }
@@ -367,6 +362,50 @@ TEST(StreamingExecutorTest, StageStatsCoverTheDataflow) {
   EXPECT_EQ(m.rows_loaded, target->NumRows().value());
   // The Summary line advertises the mode.
   EXPECT_NE(m.Summary().find("streaming"), std::string::npos);
+
+  // A phased run goes through the same stage builders, staged: every
+  // stage reports its plan node, none ever waits on a channel, and each
+  // parallel unit leaves one ParallelUnitStats per attempt. The sort
+  // behind the partitioned [0, 2) unit fails once, so the unit runs twice.
+  FailureInjector injector;
+  FailureSpec spec;
+  spec.at_op = 2;
+  spec.at_fraction = 0.5;
+  injector.AddFailure(spec);
+  auto phased_target = std::make_shared<MemTable>("tgt", BoundSchema());
+  config.streaming = false;
+  config.parallel.range_end = 2;
+  config.injector = &injector;
+  config.retry.max_attempts = 2;
+  config.retry.initial_backoff_micros = 0;
+  const FlowSpec phased_flow = MakeFlow(source, phased_target);
+  const Result<ExecutionPlan> plan = Executor::LowerPlan(phased_flow, config);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const Result<RunMetrics> phased = Executor::Run(phased_flow, config);
+  ASSERT_TRUE(phased.ok()) << phased.status();
+  const RunMetrics& pm = phased.value();
+  EXPECT_FALSE(pm.streaming);
+  EXPECT_EQ(pm.attempts, 2u);
+  // Attempt 1 stops at the failed sort: extract, partition, 2 branches,
+  // merge, sort = 6 stages. Attempt 2 adds the collector feeding the load.
+  EXPECT_EQ(pm.stage_stats.size(), 6u + 7u);
+  for (const StageStats& s : pm.stage_stats) {
+    ASSERT_GE(s.node_id, 0) << s.name;
+    ASSERT_LT(static_cast<size_t>(s.node_id), plan.value().nodes().size());
+    EXPECT_EQ(s.name == "collect" ? "load" : s.name,
+              plan.value().nodes()[static_cast<size_t>(s.node_id)].label);
+    EXPECT_EQ(s.stall_micros, 0) << s.name;
+    EXPECT_EQ(s.backpressure_micros, 0) << s.name;
+  }
+  ASSERT_EQ(pm.parallel_units.size(), 2u);
+  for (const ParallelUnitStats& unit : pm.parallel_units) {
+    EXPECT_EQ(unit.range_begin, 0u);
+    EXPECT_EQ(unit.range_end, 2u);
+    EXPECT_EQ(unit.partition_micros.size(), 2u);
+    EXPECT_EQ(unit.serialized_micros.size(), 2u);
+  }
+  EXPECT_EQ(phased_target->ReadAll().value().rows(),
+            target->ReadAll().value().rows());
 }
 
 TEST(StreamingExecutorTest, FullySkewedHashPartitionsDoNotDeadlock) {
@@ -386,31 +425,23 @@ TEST(StreamingExecutorTest, FullySkewedHashPartitionsDoNotDeadlock) {
   }
   const DataStorePtr source = testing_util::MakeSource(SimpleSchema(), rows);
 
-  for (const bool ordered : {false, true}) {
-    ExecutionConfig config;
-    config.num_threads = 4;
-    config.batch_size = 16;
-    config.parallel.partitions = 4;
-    config.parallel.scheme = PartitionScheme::kHash;
-    config.parallel.hash_column = "id";
-    config.parallel.range_begin = 0;
-    config.parallel.range_end = 2;
-    config.ordered_merge = ordered;
-    const std::vector<Row> expected = RunPhased(source, config);
+  ExecutionConfig config;
+  config.num_threads = 4;
+  config.batch_size = 16;
+  config.parallel.partitions = 4;
+  config.parallel.scheme = PartitionScheme::kHash;
+  config.parallel.hash_column = "id";
+  config.parallel.range_begin = 0;
+  config.parallel.range_end = 2;
+  const std::vector<Row> expected = RunPhased(source, config);
 
-    auto target = std::make_shared<MemTable>("tgt", BoundSchema());
-    config.streaming = true;
-    config.channel_capacity = 2;
-    const Result<RunMetrics> metrics =
-        Executor::Run(MakeFlow(source, target), config);
-    ASSERT_TRUE(metrics.ok()) << metrics.status();
-    const std::vector<Row> got = target->ReadAll().value().rows();
-    if (ordered) {
-      EXPECT_EQ(expected, got);
-    } else {
-      EXPECT_TRUE(SameMultiset(expected, got));
-    }
-  }
+  auto target = std::make_shared<MemTable>("tgt", BoundSchema());
+  config.streaming = true;
+  config.channel_capacity = 2;
+  const Result<RunMetrics> metrics =
+      Executor::Run(MakeFlow(source, target), config);
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  EXPECT_EQ(expected, target->ReadAll().value().rows());
 }
 
 TEST(PartitionFeedTest, AnyReadyDrainAvoidsHeadOfLineDeadlock) {

@@ -24,6 +24,7 @@ class SupervisorTest : public ::testing::Test {
  protected:
   void SetUp() override {
     scratch_ = ::testing::TempDir() + "/supervisor_test_" +
+               std::to_string(::getpid()) + "_" +
                std::to_string(reinterpret_cast<uintptr_t>(this));
     std::filesystem::create_directories(scratch_);
     options_.scratch_dir = scratch_;

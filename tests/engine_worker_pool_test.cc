@@ -240,16 +240,25 @@ TEST(WorkerPoolTest, EdfOrdersExternallyQueuedTasks) {
   WorkerPool pool(1);
   std::mutex mu;
   std::condition_variable cv;
+  bool started = false;
   bool release = false;
   std::vector<int> order;
   TaskGroup group(&pool);
   // Occupy the worker so subsequent posts pile up in the injection queue.
   pool.Post(
-      [&mu, &cv, &release] {
+      [&mu, &cv, &started, &release] {
         std::unique_lock<std::mutex> lock(mu);
+        started = true;
+        cv.notify_all();
         cv.wait(lock, [&release] { return release; });
       },
       TaskTag(), &group);
+  {
+    // Queue the rest only once the worker is inside the blocker: a task
+    // queued beside the untagged blocker would legitimately run first.
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&started] { return started; });
+  }
   const auto post_with_deadline = [&](int id, int64_t deadline) {
     TaskTag tag;
     tag.deadline_micros = deadline;

@@ -1,11 +1,12 @@
 // Planner equivalence sweep.
 //
-// (a) The phased and streaming schedulers execute the SAME lowered
-//     ExecutionPlan, so across the paper's Fig. 4-8 configurations
-//     (1PF / 4PF-p / 4PF-f / 8PF-p, recovery-point placements, NMR 3-5)
-//     both modes must produce byte-identical warehouse contents — and
-//     every configuration must agree with the sequential baseline as a
-//     row multiset (partitioned configs reorder; ordered_merge re-sorts).
+// (a) Phased (staged) and streaming runs execute the SAME lowered
+//     ExecutionPlan through the same stage builders, so across the
+//     paper's Fig. 4-8 configurations (1PF / 4PF-p / 4PF-f / 8PF-p,
+//     recovery-point placements, NMR 3-5) both modes must produce
+//     byte-identical warehouse contents — and every configuration must
+//     agree with the sequential baseline as a row multiset (partitioned
+//     configs reorder: the merge orders by the first column).
 //
 // (b) The planner's section/chunk boundaries must exactly match the cost
 //     model's historical section split (barriers at recovery cuts, after
@@ -118,7 +119,7 @@ TEST_F(PlannerSweepTest, PhasedAndStreamingLoadIdenticalWarehouses) {
     SCOPED_TRACE(c.name);
     const std::vector<Row> phased = RunBottom(ConfigFor(c, false));
     const std::vector<Row> streaming = RunBottom(ConfigFor(c, true));
-    // Same plan, two schedulers: contents must match byte for byte.
+    // Same plan, two modes: contents must match byte for byte.
     ASSERT_EQ(phased.size(), streaming.size());
     for (size_t i = 0; i < phased.size(); ++i) {
       ASSERT_TRUE(phased[i] == streaming[i])
@@ -131,7 +132,7 @@ TEST_F(PlannerSweepTest, PhasedAndStreamingLoadIdenticalWarehouses) {
 
 // The columnar fast path is an execution-mode change, not a plan change:
 // across the whole sweep (parallelism, recovery points, redundancy, both
-// schedulers) turning it on must leave the warehouse byte-identical.
+// modes) turning it on must leave the warehouse byte-identical.
 TEST_F(PlannerSweepTest, ColumnarOnMatchesColumnarOffByteForByte) {
   for (const SweepCase& c : SweepCases()) {
     for (const bool streaming : {false, true}) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 
 namespace qox {
@@ -11,6 +13,7 @@ class FlatFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "/flat_file_test_" +
+           std::to_string(::getpid()) + "_" +
            std::to_string(reinterpret_cast<uintptr_t>(this));
     std::filesystem::create_directories(dir_);
   }

@@ -26,6 +26,7 @@ class JournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "/journal_test_" +
+           std::to_string(::getpid()) + "_" +
            std::to_string(reinterpret_cast<uintptr_t>(this));
     std::filesystem::create_directories(dir_);
   }

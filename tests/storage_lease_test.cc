@@ -23,6 +23,7 @@ class LeaseFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "/lease_" +
+           std::to_string(::getpid()) + "_" +
            std::to_string(reinterpret_cast<uintptr_t>(this));
     std::filesystem::create_directories(dir_);
     path_ = dir_ + "/flow.lease";
