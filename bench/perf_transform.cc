@@ -1,24 +1,28 @@
-// Transform throughput: columnar fast path vs row-at-a-time kernels.
+// Transform throughput of the per-row kernels.
 //
 // Runs two flows of the Fig. 3 scenario for real with in-memory sources
-// (so the transform segment, not extraction, is the subject) under
-// ExecutionConfig::columnar off and on, across batch sizes and worker
-// counts, and reports rows/sec of the transform phase for each combination:
+// (so the transform segment, not extraction, is the subject) across batch
+// sizes and worker counts, and reports rows/sec of the transform phase for
+// each combination:
 //
 //   * click_top (S3 -> Flt -> Func -> SK -> DW3): the whole chain is
-//     per-row and columnar-capable, so the entire transform segment runs
-//     vectorized — the headline speedup.
+//     per-row, so the entire transform segment is one kernel run.
 //   * sales_bottom (S1 -> Δ -> Lkp x2 -> Flt -> Func -> SK x2 -> DW1): the
-//     blocking Δ stays on the row path; the six ops behind it form one
-//     columnar run (shared-dimension flat probes included).
+//     blocking Δ takes row batches; the six ops behind it form one kernel
+//     run (shared-dimension flat probes included).
 //
-// Every combination also byte-compares the two warehouses: the fast path
-// must be a pure throughput change. Like perf_streaming this measures real
-// wall time, so it skips the virtual N-CPU scheduler and the
-// google-benchmark harness. Results go to stdout AND BENCH_transform.json.
+// Every cell byte-compares its warehouse with the 1-worker run of the same
+// flow at the first batch size, as a multiset of rows (the ordered merge
+// emits partitioned output in first-column order): batch size and
+// partitioning must be pure throughput changes. (That first run assigns
+// every surrogate key, so the racing branches of later runs only look keys
+// up.) Like perf_streaming this measures real wall time, so it skips the
+// virtual N-CPU scheduler and the google-benchmark harness. Results go to
+// stdout AND BENCH_transform.json.
 //
 // Usage: perf_transform [--quick]   (--quick: small sweep for ctest smoke)
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -36,11 +40,11 @@ constexpr int kRepeats = 3;  // best-of, to shed cold-cache noise
 struct Sweep {
   size_t rows = 120000;
   std::vector<size_t> batch_sizes = {256, kDefaultBatchSize, 4096};
-  std::vector<size_t> worker_counts = {1, 4};
+  std::vector<size_t> worker_counts = {1, 2, 4};
   int repeats = kRepeats;
 };
 
-ExecutionConfig MakeConfig(size_t batch_size, size_t workers, bool columnar,
+ExecutionConfig MakeConfig(size_t batch_size, size_t workers,
                            bool has_delta) {
   ExecutionConfig config;
   config.batch_size = batch_size;
@@ -50,16 +54,16 @@ ExecutionConfig MakeConfig(size_t batch_size, size_t workers, bool columnar,
     // The Δ serializes on the shared snapshot: partition the chain behind it.
     if (has_delta) config.parallel.range_begin = 1;
   }
-  config.columnar = columnar;
   return config;
 }
 
 /// Best-of-repeats transform time for one configuration, plus the first
-/// run's warehouse contents (for the byte-identity check across modes).
+/// run's warehouse contents, sorted (for the byte-identity check across
+/// cells).
 struct Sample {
   int64_t transform_micros = 0;
-  int64_t total_micros = 0;
   int64_t rows_loaded = 0;
+  size_t rows_extracted = 0;
   size_t columnar_batches = 0;
   size_t columnar_rows = 0;
   std::vector<Row> warehouse;
@@ -68,27 +72,26 @@ struct Sample {
 
 Sample Measure(SalesScenario* scenario, const LogicalFlow& flow,
                const DataStorePtr& warehouse, size_t batch_size,
-               size_t workers, bool columnar, bool has_delta, int repeats) {
+               size_t workers, bool has_delta, int repeats) {
   Sample best;
   for (int repeat = 0; repeat < repeats; ++repeat) {
     if (!scenario->ResetWarehouse().ok()) return best;
     const Result<RunMetrics> metrics = Executor::Run(
-        flow.ToFlowSpec(), MakeConfig(batch_size, workers, columnar,
-                                      has_delta));
+        flow.ToFlowSpec(), MakeConfig(batch_size, workers, has_delta));
     if (!metrics.ok()) {
       std::cerr << "perf_transform run failed (flow=" << flow.id()
                 << " batch=" << batch_size << " workers=" << workers
-                << " columnar=" << columnar << "): " << metrics.status()
-                << "\n";
+                << "): " << metrics.status() << "\n";
       return best;
     }
     if (repeat == 0) {
       best.warehouse = warehouse->ReadAll().value().rows();
+      std::sort(best.warehouse.begin(), best.warehouse.end());
     }
     if (!best.ok || metrics.value().transform_micros < best.transform_micros) {
       best.transform_micros = metrics.value().transform_micros;
-      best.total_micros = metrics.value().total_micros;
       best.rows_loaded = static_cast<int64_t>(metrics.value().rows_loaded);
+      best.rows_extracted = metrics.value().rows_extracted;
       best.columnar_batches = metrics.value().columnar_batches;
       best.columnar_rows = metrics.value().columnar_rows;
       best.ok = true;
@@ -129,45 +132,54 @@ int RunBench(const Sweep& sweep) {
     first_flow = false;
     json << "{\"flow\":\"" << flow.id() << "\",\"results\":[";
     bool first = true;
+    std::vector<Row> reference;
+    bool have_reference = false;
     for (const size_t batch_size : sweep.batch_sizes) {
+      double one_worker_rows_per_s = 0.0;
       for (const size_t workers : sweep.worker_counts) {
-        const Sample row_mode =
+        const Sample sample =
             Measure(scenario.value().get(), flow, warehouse, batch_size,
-                    workers, /*columnar=*/false, has_delta, sweep.repeats);
-        const Sample col_mode =
-            Measure(scenario.value().get(), flow, warehouse, batch_size,
-                    workers, /*columnar=*/true, has_delta, sweep.repeats);
-        if (!row_mode.ok || !col_mode.ok) return 1;
-        const bool identical = row_mode.warehouse == col_mode.warehouse;
+                    workers, has_delta, sweep.repeats);
+        if (!sample.ok) return 1;
+        if (!have_reference) {
+          // The first cell is the 1-worker run (worker_counts starts at 1).
+          reference = sample.warehouse;
+          have_reference = true;
+        }
+        bool identical = sample.warehouse.size() == reference.size();
+        for (size_t i = 0; identical && i < reference.size(); ++i) {
+          identical =
+              sample.warehouse[i].ToString() == reference[i].ToString();
+        }
         if (!identical) {
           std::cerr << "BYTE-IDENTITY VIOLATION: flow=" << flow.id()
                     << " batch=" << batch_size << " workers=" << workers
                     << "\n";
           ++failures;
         }
-        if (col_mode.columnar_batches == 0) {
-          std::cerr << "fast path never engaged: flow=" << flow.id()
+        // Without a leading Δ every extracted row enters the kernel run.
+        if (!has_delta && sample.columnar_rows != sample.rows_extracted) {
+          std::cerr << "kernel run saw " << sample.columnar_rows << " of "
+                    << sample.rows_extracted
+                    << " extracted rows: flow=" << flow.id()
                     << " batch=" << batch_size << " workers=" << workers
                     << "\n";
           ++failures;
         }
-        const double speedup =
-            col_mode.transform_micros > 0
-                ? static_cast<double>(row_mode.transform_micros) /
-                      static_cast<double>(col_mode.transform_micros)
-                : 0.0;
+        const double rows_per_s = TransformRowsPerSec(sample);
+        if (workers == 1) one_worker_rows_per_s = rows_per_s;
         if (!first) json << ",";
         first = false;
         json << "{\"batch_size\":" << batch_size << ",\"workers\":" << workers
-             << ",\"row_transform_us\":" << row_mode.transform_micros
-             << ",\"columnar_transform_us\":" << col_mode.transform_micros
-             << ",\"row_rows_per_s\":"
-             << static_cast<int64_t>(TransformRowsPerSec(row_mode))
-             << ",\"columnar_rows_per_s\":"
-             << static_cast<int64_t>(TransformRowsPerSec(col_mode))
-             << ",\"transform_speedup\":" << speedup
-             << ",\"columnar_batches\":" << col_mode.columnar_batches
-             << ",\"columnar_rows\":" << col_mode.columnar_rows
+             << ",\"transform_us\":" << sample.transform_micros
+             << ",\"rows_per_s\":" << static_cast<int64_t>(rows_per_s)
+             << ",\"speedup_vs_1_worker\":"
+             << (one_worker_rows_per_s > 0.0
+                     ? rows_per_s / one_worker_rows_per_s
+                     : 0.0)
+             << ",\"rows_extracted\":" << sample.rows_extracted
+             << ",\"columnar_batches\":" << sample.columnar_batches
+             << ",\"columnar_rows\":" << sample.columnar_rows
              << ",\"identical_output\":" << (identical ? "true" : "false")
              << "}";
       }
@@ -188,11 +200,11 @@ int main(int argc, char** argv) {
   qox::Sweep sweep;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--quick") {
-      // ctest smoke: one batch size, one worker count, small input — checks
-      // engagement + byte identity, not the headline throughput numbers.
+      // ctest smoke: one batch size, 1 and 2 workers, small input — checks
+      // byte identity and kernel-run coverage, not the throughput numbers.
       sweep.rows = 20000;
       sweep.batch_sizes = {qox::kDefaultBatchSize};
-      sweep.worker_counts = {1};
+      sweep.worker_counts = {1, 2};
       sweep.repeats = 2;
     }
   }

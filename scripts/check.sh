@@ -19,8 +19,9 @@
 #            QOX_CDC_SEEDS=2 instead of 8)
 #            — the quick pre-commit loop; the full gate stays the default.
 #            The unfiltered ctest pass includes the perf-labeled smoke
-#            (perf_transform --quick: columnar fast-path engagement and
-#            byte-identical output; see bench/CMakeLists.txt).
+#            (perf_transform --quick: byte-identical warehouses across
+#            worker counts, every click_top row through the per-row
+#            kernels; see bench/CMakeLists.txt).
 #
 # Build trees land in build-asan/ and build-tsan/ next to build/ so the
 # regular (unsanitized) tree stays untouched. Exits non-zero on the first

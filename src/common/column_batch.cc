@@ -56,6 +56,10 @@ void AppendValueKeyBytes(const Value& v, std::string* out) {
 
 void Column::Reserve(size_t n) {
   validity_.reserve((n + 63) / 64);
+  if (boxed_) {
+    values_.reserve(n);
+    return;
+  }
   switch (type_) {
     case DataType::kInt64:
     case DataType::kTimestamp:
@@ -76,6 +80,7 @@ void Column::Reserve(size_t n) {
 }
 
 Value Column::ValueAt(size_t i) const {
+  if (boxed_) return values_[i];
   if (!IsValid(i)) return Value::Null();
   switch (type_) {
     case DataType::kInt64:
@@ -94,35 +99,55 @@ Value Column::ValueAt(size_t i) const {
   return Value::Null();
 }
 
-bool Column::AppendValue(const Value& v) {
+void Column::Box() {
+  std::vector<Value> values;
+  values.reserve(size_);
+  for (size_t i = 0; i < size_; ++i) values.push_back(ValueAt(i));
+  values_ = std::move(values);
+  boxed_ = true;
+  i64_ = {};
+  f64_ = {};
+  b8_ = {};
+  arena_ = {};
+  offsets_ = {};
+}
+
+void Column::AppendValue(const Value& v) {
   if (v.is_null()) {
     AppendNull();
-    return true;
+    return;
   }
-  if (v.type() != type_) return false;
+  if (!boxed_ && v.type() != type_) Box();
+  if (boxed_) {
+    Grow(true);
+    values_.push_back(v);
+    ++size_;
+    return;
+  }
   switch (type_) {
     case DataType::kInt64:
-      AppendInt64(v.int64_value());
-      return true;
     case DataType::kTimestamp:
-      AppendInt64(v.timestamp_micros());
-      return true;
+      AppendInt64(v.int64_value());
+      break;
     case DataType::kDouble:
       AppendDouble(v.double_value());
-      return true;
+      break;
     case DataType::kBool:
       AppendBool(v.bool_value());
-      return true;
+      break;
     case DataType::kString:
       AppendString(v.string_value());
-      return true;
+      break;
     case DataType::kNull:
-      return false;
+      break;  // unreachable: a non-NULL cell boxes a kNull column
   }
-  return false;
 }
 
 void Column::AppendKeyBytes(size_t i, std::string* out) const {
+  if (boxed_) {
+    AppendValueKeyBytes(values_[i], out);
+    return;
+  }
   switch (type_) {
     case DataType::kBool:
       out->push_back(kTagBool);
@@ -155,17 +180,44 @@ void Column::UpperInPlaceAscii() {
 }
 
 size_t Column::ByteSize() const {
+  size_t boxed_bytes = 0;
+  for (const Value& v : values_) boxed_bytes += v.ByteSize();
   return validity_.size() * sizeof(uint64_t) + i64_.size() * sizeof(int64_t) +
          f64_.size() * sizeof(double) + b8_.size() +
-         offsets_.size() * sizeof(uint32_t) + arena_.size();
+         offsets_.size() * sizeof(uint32_t) + arena_.size() + boxed_bytes;
 }
+
+namespace {
+
+// Fills `col` from column `c` of `rows`: one tight typed loop while every
+// cell is NULL or matches (`is_type`), then boxed appends from the first
+// mismatching cell on.
+template <typename IsType, typename AppendTyped>
+void FillColumn(const RowBatch& rows, size_t c, Column* col, IsType is_type,
+                AppendTyped append_typed) {
+  const size_t n = rows.num_rows();
+  size_t r = 0;
+  for (; r < n; ++r) {
+    const Value& v = rows.row(r).value(c);
+    if (v.is_null()) {
+      col->AppendNull();
+    } else if (is_type(v)) {
+      append_typed(v);
+    } else {
+      break;
+    }
+  }
+  for (; r < n; ++r) col->AppendValue(rows.row(r).value(c));
+}
+
+}  // namespace
 
 std::optional<ColumnBatch> ColumnBatch::FromRowBatch(const RowBatch& rows,
                                                      SchemaPtr schema) {
-  const Schema& s = rows.schema();
   ColumnBatch batch;
   batch.schema_ = schema != nullptr ? std::move(schema) : rows.schema_ptr();
   if (batch.schema_ == nullptr) return std::nullopt;
+  const Schema& s = *batch.schema_;
   const size_t n_cols = s.num_fields();
   const size_t n_rows = rows.num_rows();
   for (size_t r = 0; r < n_rows; ++r) {
@@ -174,77 +226,40 @@ std::optional<ColumnBatch> ColumnBatch::FromRowBatch(const RowBatch& rows,
   batch.columns_.reserve(n_cols);
   // Column-major with the type switch hoisted out of the row loop: each
   // column fills as one tight typed loop (inline null/type tests per cell)
-  // instead of a per-cell AppendValue dispatch. Purity semantics are
-  // unchanged — any runtime/declared type mismatch still yields nullopt.
+  // instead of a per-cell AppendValue dispatch.
   for (size_t c = 0; c < n_cols; ++c) {
     Column col(s.field(c).type);
     col.Reserve(n_rows);
     switch (col.type()) {
       case DataType::kInt64:
-        for (size_t r = 0; r < n_rows; ++r) {
-          const Value& v = rows.row(r).value(c);
-          if (v.is_null()) {
-            col.AppendNull();
-          } else if (v.is_int64()) {
-            col.AppendInt64(v.int64_value());
-          } else {
-            return std::nullopt;
-          }
-        }
+        FillColumn(
+            rows, c, &col, [](const Value& v) { return v.is_int64(); },
+            [&col](const Value& v) { col.AppendInt64(v.int64_value()); });
         break;
       case DataType::kTimestamp:
-        for (size_t r = 0; r < n_rows; ++r) {
-          const Value& v = rows.row(r).value(c);
-          if (v.is_null()) {
-            col.AppendNull();
-          } else if (v.is_timestamp()) {
-            col.AppendInt64(v.timestamp_micros());
-          } else {
-            return std::nullopt;
-          }
-        }
+        FillColumn(
+            rows, c, &col, [](const Value& v) { return v.is_timestamp(); },
+            [&col](const Value& v) { col.AppendInt64(v.timestamp_micros()); });
         break;
       case DataType::kDouble:
-        for (size_t r = 0; r < n_rows; ++r) {
-          const Value& v = rows.row(r).value(c);
-          if (v.is_null()) {
-            col.AppendNull();
-          } else if (v.is_double()) {
-            col.AppendDouble(v.double_value());
-          } else {
-            return std::nullopt;
-          }
-        }
+        FillColumn(
+            rows, c, &col, [](const Value& v) { return v.is_double(); },
+            [&col](const Value& v) { col.AppendDouble(v.double_value()); });
         break;
       case DataType::kBool:
-        for (size_t r = 0; r < n_rows; ++r) {
-          const Value& v = rows.row(r).value(c);
-          if (v.is_null()) {
-            col.AppendNull();
-          } else if (v.is_bool()) {
-            col.AppendBool(v.bool_value());
-          } else {
-            return std::nullopt;
-          }
-        }
+        FillColumn(
+            rows, c, &col, [](const Value& v) { return v.is_bool(); },
+            [&col](const Value& v) { col.AppendBool(v.bool_value()); });
         break;
       case DataType::kString:
-        for (size_t r = 0; r < n_rows; ++r) {
-          const Value& v = rows.row(r).value(c);
-          if (v.is_null()) {
-            col.AppendNull();
-          } else if (v.is_string()) {
-            col.AppendString(v.string_value());
-          } else {
-            return std::nullopt;
-          }
-        }
+        FillColumn(
+            rows, c, &col, [](const Value& v) { return v.is_string(); },
+            [&col](const Value& v) { col.AppendString(v.string_value()); });
         break;
       case DataType::kNull:
-        for (size_t r = 0; r < n_rows; ++r) {
-          if (!rows.row(r).value(c).is_null()) return std::nullopt;
-          col.AppendNull();
-        }
+        FillColumn(
+            rows, c, &col, [](const Value&) { return false; },
+            [](const Value&) {});
         break;
     }
     batch.columns_.push_back(std::move(col));
@@ -278,6 +293,12 @@ RowBatch ColumnBatch::ToRowBatch() const {
   for (size_t i = 0; i < n; ++i) out.emplace_back(std::vector<Value>(n_cols));
   for (size_t c = 0; c < n_cols; ++c) {
     const Column& col = columns_[c];
+    if (col.boxed()) {
+      for (size_t i = 0; i < n; ++i) {
+        out[i].value(c) = col.BoxedAt(selection_[i]);
+      }
+      continue;
+    }
     const bool nulls = col.has_nulls();
     switch (col.type()) {
       case DataType::kInt64: {

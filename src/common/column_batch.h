@@ -1,16 +1,18 @@
-// ColumnBatch: the columnar twin of RowBatch for the transform fast path.
+// ColumnBatch: the columnar form every per-row transform kernel runs on.
 //
 // A ColumnBatch stores one contiguous typed array per schema column
 // (int64/timestamp, double, bool, arena-backed strings) plus a validity
-// bitmap, and a selection vector of live physical rows. Vectorized kernels
-// (filter evaluation, function application, hash-probe, surrogate-key
-// assignment) iterate flat arrays instead of boxed `Value` variants; rows
-// dropped by filters or contained by error policies simply leave the
-// selection vector, so quarantine/skip semantics are identical to the row
-// path. Batches convert to/from RowBatch at segment boundaries: conversion
-// succeeds only when every cell's runtime type matches the declared column
-// type (or is NULL), which is precisely the invariant the kernels exploit —
-// a batch that violates it falls back to the row path unchanged.
+// bitmap, and a selection vector of live physical rows. Kernels (filter
+// evaluation, function application, hash-probe, surrogate-key assignment)
+// iterate flat arrays instead of boxed `Value` variants; rows dropped by
+// filters or contained by error policies simply leave the selection
+// vector. Batches convert to/from RowBatch around each run of per-row ops.
+//
+// A cell whose runtime type differs from its column's declared type makes
+// that column *boxed*: it then holds all of its cells as `Value`s, so the
+// conversion never fails and every runtime type survives the round trip.
+// Kernels check Column::boxed() and evaluate boxed inputs with `Value`
+// semantics; typed reads and raw arrays are valid on unboxed columns only.
 
 #ifndef QOX_COMMON_COLUMN_BATCH_H_
 #define QOX_COMMON_COLUMN_BATCH_H_
@@ -41,6 +43,7 @@ void AppendValueKeyBytes(const Value& v, std::string* out);
 /// One typed column: contiguous values plus a validity bitmap. Entries for
 /// rows outside the owning batch's selection vector are physically present
 /// but semantically dead (kernels may write arbitrary typed values there).
+/// The validity bitmap is kept for boxed columns too.
 class Column {
  public:
   explicit Column(DataType type) : type_(type) {
@@ -49,8 +52,14 @@ class Column {
     if (type_ == DataType::kString) offsets_.push_back(0);
   }
 
+  /// The declared type (what typed reads and boxing back produce).
   DataType type() const { return type_; }
   size_t size() const { return size_; }
+
+  /// True once a cell's runtime type differed from the declared type: the
+  /// column then holds every cell as a Value (read them with BoxedAt).
+  bool boxed() const { return boxed_; }
+  const Value& BoxedAt(size_t i) const { return values_[i]; }
 
   bool IsValid(size_t i) const {
     return (validity_[i >> 6] >> (i & 63)) & 1;
@@ -60,7 +69,8 @@ class Column {
   /// bitmap test (NULLs only ever enter via AppendNull).
   bool has_nulls() const { return null_count_ > 0; }
 
-  /// Typed reads. Preconditions: IsValid(i) and the matching type.
+  /// Typed reads. Preconditions: !boxed(), IsValid(i) and the matching
+  /// type.
   int64_t Int64At(size_t i) const { return i64_[i]; }  // int64 + timestamp
   double DoubleAt(size_t i) const { return f64_[i]; }
   bool BoolAt(size_t i) const { return b8_[i] != 0; }
@@ -69,7 +79,7 @@ class Column {
                             offsets_[i + 1] - offsets_[i]);
   }
 
-  /// Raw array access for kernels (valid for the matching type only).
+  /// Raw array access for kernels (unboxed, matching type only).
   const int64_t* i64_data() const { return i64_.data(); }
   const double* f64_data() const { return f64_.data(); }
   const uint8_t* b8_data() const { return b8_.data(); }
@@ -77,6 +87,11 @@ class Column {
   void AppendNull() {
     Grow(false);
     ++null_count_;
+    if (boxed_) {
+      values_.emplace_back();
+      ++size_;
+      return;
+    }
     switch (type_) {
       case DataType::kInt64:
       case DataType::kTimestamp:
@@ -96,6 +111,7 @@ class Column {
     }
     ++size_;
   }
+  /// Typed appends. Precondition: !boxed() and the matching type.
   void AppendInt64(int64_t v) {
     Grow(true);
     i64_.push_back(v);
@@ -120,20 +136,22 @@ class Column {
 
   void Reserve(size_t n);
 
-  /// Boxes entry `i` back into a Value (timestamp flag reconstructed from
-  /// the declared column type).
+  /// Entry `i` as a Value: the stored cell of a boxed column, otherwise
+  /// the typed payload (timestamp flag reconstructed from the declared
+  /// column type).
   Value ValueAt(size_t i) const;
 
-  /// Appends a boxed cell. Returns false (column unchanged) when the
-  /// value's runtime type does not match the declared column type.
-  bool AppendValue(const Value& v);
+  /// Appends a cell of any runtime type. The first non-NULL cell whose
+  /// type differs from the declared type boxes the column.
+  void AppendValue(const Value& v);
 
   /// Appends the probe-key encoding of entry `i` (same bytes as
   /// AppendValueKeyBytes on the boxed value). Precondition: IsValid(i).
   void AppendKeyBytes(size_t i, std::string* out) const;
 
   /// In-place ASCII uppercasing of every string payload (kUpper kernel;
-  /// lengths are unchanged so offsets stay valid). String columns only.
+  /// lengths are unchanged so offsets stay valid). Unboxed string columns
+  /// only.
   void UpperInPlaceAscii();
 
   /// Approximate heap footprint of the column's arrays.
@@ -145,7 +163,11 @@ class Column {
     if (valid) validity_[size_ >> 6] |= uint64_t{1} << (size_ & 63);
   }
 
+  /// Moves every entry into values_ and drops the typed arrays.
+  void Box();
+
   DataType type_;
+  bool boxed_ = false;
   size_t size_ = 0;
   size_t null_count_ = 0;
   std::vector<uint64_t> validity_;  // bit i set = row i non-NULL
@@ -154,18 +176,19 @@ class Column {
   std::vector<uint8_t> b8_;
   std::string arena_;               // concatenated string payloads
   std::vector<uint32_t> offsets_;   // size_+1 boundaries into arena_
+  std::vector<Value> values_;       // every entry, once boxed_
 };
 
 /// A columnar batch: one Column per schema field plus a selection vector of
 /// live physical row indices (ascending — row order is preserved through
-/// every kernel, so output order matches the row path exactly).
+/// every kernel, so output order is input order minus dropped rows).
 class ColumnBatch {
  public:
-  /// Converts a row batch. Returns nullopt when any cell's runtime type
-  /// differs from its declared column type (the caller then keeps the row
-  /// path — semantics are preserved by not converting). `schema` overrides
-  /// the batch's own handle when provided (lets the pipeline share one
-  /// Schema allocation per cut).
+  /// Converts a row batch; a column with a cell of another runtime type is
+  /// boxed. `schema`, when provided, replaces the batch's own handle as the
+  /// source of column types (lets the pipeline share one Schema allocation
+  /// per cut). Returns nullopt only when there is no schema or a row's
+  /// width differs from it.
   static std::optional<ColumnBatch> FromRowBatch(const RowBatch& rows,
                                                  SchemaPtr schema = nullptr);
 

@@ -102,11 +102,6 @@ struct CostModelParams {
   /// on the working-set overflow of every blocking op when the design sets
   /// a finite memory_budget_bytes.
   double spill_ns_per_byte = 30.0;
-  /// Columnar fast-path throughput multiplier on per-row (non-blocking)
-  /// transform ops when the design sets `columnar` (the vectorized-kernel
-  /// speedup bench/perf_transform measures; 1.0 would price the flag as
-  /// free).
-  double columnar_speedup = 2.5;
 };
 
 /// Workload context a prediction is made for.

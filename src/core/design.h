@@ -219,11 +219,10 @@ struct PhysicalDesign {
   /// target ENOSPC): fail fast, pause-and-retry with backoff, or shed the
   /// unloadable remainder to the dead-letter ledger.
   ResourcePolicy resource_policy = ResourcePolicy::kFailFlow;
-  /// Columnar batch fast path (ExecutionConfig::columnar): contiguous runs
-  /// of columnar-capable per-row transforms execute vectorized on
-  /// ColumnBatches. Output is byte-identical with the flag off (the
-  /// default); the cost model prices it as a transform throughput
-  /// multiplier (cost_model.h columnar_speedup).
+  /// Read by nothing: per-row transforms always run their columnar kernels,
+  /// so the design carries no kernel choice (no config tag, no plan XML
+  /// attribute, no cost-model term). The field stays only because the
+  /// repository benchmark (perfbench/harness) still assigns it.
   bool columnar = false;
   /// Freshness SLA expressed as an execution deadline, seconds (0 = none,
   /// the seed behaviour). Maps to ExecutionConfig::sla.deadline_micros: a

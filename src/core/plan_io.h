@@ -95,8 +95,6 @@ struct DesignSpec {
   /// (ResourcePolicyName: "fail_flow", "pause_retry", "shed").
   size_t memory_budget_bytes = 0;
   std::string resource_policy = "fail_flow";
-  /// Columnar batch fast path (PhysicalDesign::columnar).
-  bool columnar = false;
   /// Freshness SLA expressed as an execution deadline, seconds
   /// (PhysicalDesign::sla_deadline_s). 0 = none; the attribute appears in
   /// the document only when set, so pre-SLA documents stay byte-stable

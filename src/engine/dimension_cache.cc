@@ -95,14 +95,6 @@ const Row* DimensionTable::Probe(std::string_view key_bytes) const {
   return nullptr;
 }
 
-const Row* DimensionTable::ProbeValue(const Value& key,
-                                      std::string* scratch) const {
-  if (key.is_null()) return nullptr;
-  scratch->clear();
-  AppendValueKeyBytes(key, scratch);
-  return Probe(*scratch);
-}
-
 DimensionCache& DimensionCache::Instance() {
   static DimensionCache* cache = new DimensionCache();
   return *cache;

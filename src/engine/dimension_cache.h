@@ -12,8 +12,10 @@
 // The table itself is a flat open-addressing hash table over raw key bytes
 // (common/column_batch.h's probe-key encoding): probing compares a cached
 // 64-bit hash then memcmp's the encoded key, with no `Value` boxing on the
-// path — the columnar lookup kernel encodes keys straight from column
-// storage.
+// path — the lookup kernel encodes keys straight from column storage
+// (boxed key cells through AppendValueKeyBytes). Appended dimension cells
+// are copied as they are: one whose runtime type differs from its declared
+// type boxes the kernel's output column.
 //
 // Invariants:
 //  - Tables are immutable after Build; sharing needs no further locking.
@@ -47,7 +49,7 @@ class DimensionTable {
  public:
   /// Scans `dimension` once and indexes it by `key_index`. First occurrence
   /// of a key wins (the same dedup an unordered_map build keeps); NULL keys
-  /// are skipped (they are unreachable by probe on the row path too).
+  /// are skipped (NULL probe keys never probe).
   static Result<std::shared_ptr<const DimensionTable>> Build(
       const DataStore& dimension, size_t key_index);
 
@@ -55,15 +57,7 @@ class DimensionTable {
   /// Returns the matching dimension row or nullptr.
   const Row* Probe(std::string_view key_bytes) const;
 
-  /// Convenience probe for the row path: encodes `key` into `*scratch`
-  /// (cleared first) and probes. NULL keys return nullptr.
-  const Row* ProbeValue(const Value& key, std::string* scratch) const;
-
   size_t num_rows() const { return rows_.size(); }
-
-  /// The deduplicated dimension rows (lookup ops scan them once at Open to
-  /// verify type purity for the columnar append path).
-  const std::vector<Row>& rows() const { return rows_; }
 
   /// Approximate heap footprint (what acquirers charge to their budget).
   size_t ByteSize() const { return bytes_; }

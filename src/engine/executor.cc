@@ -399,7 +399,6 @@ class FlowRunner {
     pc.error_policies = &config_.error_policies;
     pc.error_budget = &budget_state_;
     pc.quarantine_sink = quarantine_sink_;
-    pc.columnar = config_.columnar;
     return Pipeline::Create(cut_schemas_[begin], std::move(ops), &ctx_, pc);
   }
 
@@ -989,7 +988,7 @@ class FlowRunner {
   OperatorContext ctx_;
   RunMetrics metrics_;
   std::atomic<size_t> rejected_{0};
-  /// Shared-dimension-cache and columnar fast-path accounting, bumped by
+  /// Shared-dimension-cache and kernel-run accounting, bumped by
   /// operators/pipelines across all attempts of this instance.
   std::atomic<size_t> dim_cache_builds_{0};
   std::atomic<size_t> dim_cache_hits_{0};

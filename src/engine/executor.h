@@ -178,11 +178,9 @@ struct ExecutionConfig {
   /// (the disk-pressure analogue of FailureInjector, which covers store
   /// boundaries but not operator-internal spill I/O). May be empty.
   std::function<Status()> spill_write_fault;
-  /// Columnar batch fast path (engine/pipeline.h): contiguous runs of
-  /// columnar-capable transform ops execute on ColumnBatches with
-  /// vectorized kernels; the row path remains for everything else. Output
-  /// is byte-identical with the flag off (the default, the seed behavior);
-  /// both modes honor it (the fast path lives in the shared Pipeline).
+  /// Read by nothing: every per-row transform op runs its columnar kernel
+  /// (engine/pipeline.h). The field stays only because the repository
+  /// benchmark (perfbench/harness) still assigns it.
   bool columnar = false;
 };
 

@@ -1,10 +1,13 @@
 // Operator: the unit of transformation in a flow.
 //
-// Operators are push-based and vectorized: the pipeline calls Push() with
-// input batches and the operator appends produced rows to the output batch;
-// Finish() flushes state buffered by blocking operators (sort, group,
-// delta). Bind() performs schema inference/validation before any data
-// flows, so mis-wired flows fail at plan time.
+// Operators are push-based and vectorized, with one kernel each. Per-row
+// (non-blocking) operators — filter, function, lookup, surrogate key —
+// implement PushColumnar only: the pipeline runs each maximal run of them
+// on one ColumnBatch. Blocking operators (sort, group, delta) implement
+// Push only: they take row batches and append produced rows to the output
+// batch; Finish() flushes the state they buffer. Bind() performs schema
+// inference/validation before any data flows, so mis-wired flows fail at
+// plan time.
 //
 // Operators are single-use: partitioned and redundant execution construct a
 // fresh clone per branch via OperatorFactory.
@@ -48,8 +51,8 @@ struct OperatorContext {
   std::atomic<size_t>* dim_cache_builds = nullptr;
   std::atomic<size_t>* dim_cache_hits = nullptr;
 
-  /// Columnar fast-path accounting: batches that entered a columnar run
-  /// and the live rows they carried. May be null.
+  /// Kernel-run accounting: batches that entered a run of per-row ops and
+  /// the live rows they carried. May be null.
   std::atomic<size_t>* columnar_batches = nullptr;
   std::atomic<size_t>* columnar_rows = nullptr;
 
@@ -89,11 +92,11 @@ struct ColumnarPushContext {
   /// kQuarantine): rows that fail with a containable error must then be
   /// dropped from the selection and reported in `contained` instead of
   /// failing the push. When false the op returns its first containable
-  /// error directly (the fail-fast contract of the row path).
+  /// error directly (fail fast).
   bool contain = false;
   /// Rows dropped from the selection with a containable error, boxed as
-  /// they entered the op, in selection order. The pipeline routes them
-  /// through the same containment path as the row-mode replay.
+  /// they entered the op, in selection order. The pipeline contains each
+  /// one per the op's ErrorPolicy.
   std::vector<std::pair<Row, Status>> contained;
 };
 
@@ -120,48 +123,32 @@ class Operator {
     return Status::OK();
   }
 
-  /// Consumes `input`, appending any produced rows to `*output`. `*output`
-  /// carries the Bind() output schema. Blocking operators buffer here.
-  ///
-  /// Row-error contract: an operator that can fail on *individual* rows
-  /// (returning a containable status — kInvalidArgument, kNotFound,
-  /// kOutOfRange) must be stateless across Push calls and must leave no
-  /// side effects behind a failed Push: the pipeline discards the failed
-  /// call's output and replays the batch row by row when the op's
-  /// ErrorPolicy allows containment. Blocking operators (which buffer
-  /// state) must never report row-scoped errors from Push.
-  virtual Status Push(const RowBatch& input, RowBatch* output) = 0;
-
-  /// Move-aware push: the caller hands over ownership of `input`, letting
-  /// pass-through operators move rows into `*output` instead of deep-
-  /// copying every cell. The default forwards to the const-ref overload
-  /// (copy semantics), so operators opt in individually. Callers must only
-  /// use this overload when they will not read `input` afterwards — in
-  /// particular the pipeline keeps the copying path whenever a containable
-  /// failure could require replaying the input row by row.
-  virtual Status Push(RowBatch&& input, RowBatch* output) {
-    return Push(static_cast<const RowBatch&>(input), output);
+  /// Blocking operators only: consumes `input`, buffering it, and appends
+  /// any produced rows to `*output` (which carries the Bind() output
+  /// schema). Blocking operators never report row-scoped errors (a
+  /// containable status — kInvalidArgument, kNotFound, kOutOfRange) from
+  /// Push: a Push error fails the attempt.
+  virtual Status Push(const RowBatch& input, RowBatch* output) {
+    (void)input;
+    (void)output;
+    return Status::Internal("operator '" + name() +
+                            "' is per-row and has no row push");
   }
 
-  /// Columnar capability: true when the operator (as currently bound and
-  /// opened) implements PushColumnar. Queried by the pipeline after Open()
-  /// — capability may depend on execution-time state (e.g. a lookup that
-  /// spilled its build side is row-only).
-  virtual bool CanPushColumnar() const { return false; }
-
-  /// Vectorized push: transforms `*batch` in place — filtering edits the
-  /// selection vector, schema-changing ops append/erase/replace whole
-  /// columns so the columns match the Bind() output schema (the pipeline
-  /// re-points the batch's schema handle afterwards). Kernels must process
-  /// side effects (rejects, surrogate assignment, containment) for
-  /// SELECTED rows only, in selection order, to match the row path; pure
-  /// compute may cover all physical rows. Only called when
-  /// CanPushColumnar(); never called on blocking operators.
+  /// Per-row operators only: transforms `*batch` in place — filtering
+  /// edits the selection vector, schema-changing ops append/erase/replace
+  /// whole columns so the columns match the Bind() output schema (the
+  /// pipeline re-points the batch's schema handle afterwards). Any column
+  /// may be boxed (Column::boxed()); kernels evaluate boxed cells with
+  /// `Value` semantics. Kernels must process side effects (rejects,
+  /// surrogate assignment, containment) for SELECTED rows only, in
+  /// selection order; pure compute may cover all physical rows. A row that
+  /// fails with a containable error is reported through `cctx`.
   virtual Status PushColumnar(ColumnBatch* batch, ColumnarPushContext* cctx) {
     (void)batch;
     (void)cctx;
     return Status::Internal("operator '" + name() +
-                            "' does not support columnar push");
+                            "' is blocking and has no columnar push");
   }
 
   /// Emits rows buffered by blocking operators. Called exactly once, after

@@ -42,32 +42,15 @@ bool PassesCmp(Predicate::CmpOp op, int c) {
 
 }  // namespace
 
-bool Predicate::Matches(const Row& row, size_t index) const {
-  const Value& v = row.value(index);
+bool Predicate::Matches(const Value& v) const {
   switch (kind) {
     case Kind::kNotNull:
       return !v.is_null();
     case Kind::kIsNull:
       return v.is_null();
-    case Kind::kCompare: {
+    case Kind::kCompare:
       if (v.is_null()) return false;  // SQL-style: NULL fails comparisons
-      const int c = v.Compare(literal);
-      switch (op) {
-        case CmpOp::kEq:
-          return c == 0;
-        case CmpOp::kNe:
-          return c != 0;
-        case CmpOp::kLt:
-          return c < 0;
-        case CmpOp::kLe:
-          return c <= 0;
-        case CmpOp::kGt:
-          return c > 0;
-        case CmpOp::kGe:
-          return c >= 0;
-      }
-      return false;
-    }
+      return PassesCmp(op, v.Compare(literal));
   }
   return false;
 }
@@ -127,52 +110,20 @@ Status FilterOp::Open(OperatorContext* ctx) {
   return Status::OK();
 }
 
-Status FilterOp::Push(const RowBatch& input, RowBatch* output) {
-  for (const Row& row : input.rows()) {
-    bool pass = true;
-    for (size_t i = 0; i < conjuncts_.size(); ++i) {
-      if (!conjuncts_[i].Matches(row, indices_[i])) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) {
-      output->Append(row);
-    } else if (ctx_ != nullptr) {
-      QOX_RETURN_IF_ERROR(ctx_->Reject(row));
-    }
-  }
-  return Status::OK();
-}
-
-Status FilterOp::Push(RowBatch&& input, RowBatch* output) {
-  for (Row& row : input.rows()) {
-    bool pass = true;
-    for (size_t i = 0; i < conjuncts_.size(); ++i) {
-      if (!conjuncts_[i].Matches(row, indices_[i])) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) {
-      output->Append(std::move(row));
-    } else if (ctx_ != nullptr) {
-      QOX_RETURN_IF_ERROR(ctx_->Reject(row));
-    }
-  }
-  return Status::OK();
-}
-
 Status FilterOp::PushColumnar(ColumnBatch* batch, ColumnarPushContext* cctx) {
   (void)cctx;  // filtering never fails per row; rejects are not errors
 
-  // Each conjunct compiles to one typed mode against its column. The type
-  // purity invariant (every non-NULL cell matches the declared type) lets
+  // Each conjunct compiles to one typed mode against its column. On an
+  // unboxed column every non-NULL cell has the declared type, which lets
   // cross-type-group comparisons against the literal collapse to a constant
-  // sign, exactly as Value::Compare would produce per row.
+  // sign, exactly as Value::Compare would produce per row. A boxed column
+  // compares through Predicate::Matches.
   struct Compiled {
-    enum class Mode { kNonNull, kIsNull, kFalse, kI64, kF64, kBool, kStr };
+    enum class Mode {
+      kNonNull, kIsNull, kFalse, kI64, kF64, kBool, kStr, kBoxed
+    };
     Mode mode = Mode::kNonNull;
+    const Predicate* pred = nullptr;
     const Column* col = nullptr;
     Predicate::CmpOp op = Predicate::CmpOp::kEq;
     bool cast_col = false;  // kF64 with an int64/timestamp column
@@ -187,6 +138,7 @@ Status FilterOp::PushColumnar(ColumnBatch* batch, ColumnarPushContext* cctx) {
   for (size_t i = 0; i < conjuncts_.size(); ++i) {
     const Predicate& p = conjuncts_[i];
     Compiled c;
+    c.pred = &p;
     c.col = &batch->column(indices_[i]);
     c.op = p.op;
     const DataType col_type = c.col->type();
@@ -194,6 +146,8 @@ Status FilterOp::PushColumnar(ColumnBatch* batch, ColumnarPushContext* cctx) {
       c.mode = Mode::kNonNull;
     } else if (p.kind == Predicate::Kind::kIsNull) {
       c.mode = Mode::kIsNull;
+    } else if (c.col->boxed()) {
+      c.mode = Mode::kBoxed;
     } else {
       const DataType lit_type = p.literal.type();
       const int vg = TypeGroup(col_type);
@@ -283,6 +237,9 @@ Status FilterOp::PushColumnar(ColumnBatch* batch, ColumnarPushContext* cctx) {
           pass = PassesCmp(c.op, cmp);
           break;
         }
+        case Mode::kBoxed:
+          pass = c.pred->Matches(c.col->BoxedAt(r));
+          break;
       }
       if (!pass) break;
     }

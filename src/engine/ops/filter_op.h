@@ -51,8 +51,8 @@ struct Predicate {
     return p;
   }
 
-  /// Evaluates against a bound row. `index` is the resolved column index.
-  bool Matches(const Row& row, size_t index) const;
+  /// Evaluates against one cell of the predicate's column.
+  bool Matches(const Value& v) const;
 
   std::string ToString() const;
 };
@@ -70,11 +70,9 @@ class FilterOp : public Operator {
   const std::string& name() const override { return name_; }
   Result<Schema> Bind(const Schema& input) override;
   Status Open(OperatorContext* ctx) override;
-  Status Push(const RowBatch& input, RowBatch* output) override;
-  Status Push(RowBatch&& input, RowBatch* output) override;
-  bool CanPushColumnar() const override { return true; }
-  /// Selection-vector evaluation: conjuncts run over typed columns and
-  /// non-passing rows leave the selection (rejects routed as in row mode).
+  /// Selection-vector evaluation: conjuncts run over typed columns (boxed
+  /// columns through Predicate::Matches) and non-passing rows leave the
+  /// selection, routed to the reject sink in selection order.
   Status PushColumnar(ColumnBatch* batch, ColumnarPushContext* cctx) override;
   double CostPerRow() const override { return 0.6; }
   double Selectivity() const override { return estimated_selectivity_; }

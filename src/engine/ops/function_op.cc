@@ -124,7 +124,6 @@ FunctionOp::FunctionOp(std::string name,
 
 Result<Schema> FunctionOp::Bind(const Schema& input) {
   bound_.clear();
-  columnar_ok_ = true;
   Schema schema = input;
   for (const ColumnTransform& t : transforms_) {
     BoundStep step;
@@ -141,44 +140,26 @@ Result<Schema> FunctionOp::Bind(const Schema& input) {
         break;
       }
       case ColumnTransform::Kind::kArith:
-      case ColumnTransform::Kind::kConcat: {
-        QOX_ASSIGN_OR_RETURN(step.a_index, schema.FieldIndex(t.a));
-        QOX_ASSIGN_OR_RETURN(step.b_index, schema.FieldIndex(t.b));
-        step.a_type = schema.field(step.a_index).type;
-        step.b_type = schema.field(step.b_index).type;
-        const DataType produced = t.kind == ColumnTransform::Kind::kArith
-                                      ? DataType::kDouble
-                                      : DataType::kString;
-        if (schema.HasField(t.out)) {
-          QOX_ASSIGN_OR_RETURN(step.out_index, schema.FieldIndex(t.out));
-          // Writing into an existing column of another declared type would
-          // break type purity mid-run; keep the row path for that.
-          if (schema.field(step.out_index).type != produced) {
-            columnar_ok_ = false;
-          }
-        } else {
-          step.out_is_new = true;
-          step.out_index = schema.num_fields();
-          QOX_ASSIGN_OR_RETURN(schema,
-                               schema.AddField({t.out, t.out_type, true}));
-          if (t.out_type != produced) columnar_ok_ = false;
-        }
-        break;
-      }
+      case ColumnTransform::Kind::kConcat:
       case ColumnTransform::Kind::kScale: {
         QOX_ASSIGN_OR_RETURN(step.a_index, schema.FieldIndex(t.a));
         step.a_type = schema.field(step.a_index).type;
+        if (t.kind != ColumnTransform::Kind::kScale) {
+          QOX_ASSIGN_OR_RETURN(step.b_index, schema.FieldIndex(t.b));
+          step.b_type = schema.field(step.b_index).type;
+        }
         if (schema.HasField(t.out)) {
           QOX_ASSIGN_OR_RETURN(step.out_index, schema.FieldIndex(t.out));
-          if (schema.field(step.out_index).type != DataType::kDouble) {
-            columnar_ok_ = false;
-          }
         } else {
           step.out_is_new = true;
           step.out_index = schema.num_fields();
-          QOX_ASSIGN_OR_RETURN(
-              schema, schema.AddField({t.out, DataType::kDouble, true}));
+          const DataType declared = t.kind == ColumnTransform::Kind::kScale
+                                        ? DataType::kDouble
+                                        : t.out_type;
+          QOX_ASSIGN_OR_RETURN(schema,
+                               schema.AddField({t.out, declared, true}));
         }
+        step.out_type = schema.field(step.out_index).type;
         break;
       }
       case ColumnTransform::Kind::kUpper:
@@ -186,10 +167,7 @@ Result<Schema> FunctionOp::Bind(const Schema& input) {
         QOX_ASSIGN_OR_RETURN(step.a_index, schema.FieldIndex(t.a));
         step.out_index = step.a_index;
         step.a_type = schema.field(step.a_index).type;
-        if (t.kind == ColumnTransform::Kind::kCoalesce &&
-            !t.literal.is_null() && t.literal.type() != step.a_type) {
-          columnar_ok_ = false;
-        }
+        step.out_type = step.a_type;
         break;
       }
       case ColumnTransform::Kind::kConstant: {
@@ -199,9 +177,9 @@ Result<Schema> FunctionOp::Bind(const Schema& input) {
         }
         step.out_is_new = true;
         step.out_index = schema.num_fields();
+        step.out_type = t.out_type;
         QOX_ASSIGN_OR_RETURN(schema,
                              schema.AddField({t.out, t.out_type, true}));
-        if (t.literal.is_null()) columnar_ok_ = false;
         break;
       }
     }
@@ -233,157 +211,11 @@ Value ApplyArith(const Value& a, const Value& b,
   return Value::Null();
 }
 
-}  // namespace
-
-Status FunctionOp::Push(const RowBatch& input, RowBatch* output) {
-  for (const Row& in_row : input.rows()) {
-    std::vector<Value> cells(in_row.values().begin(), in_row.values().end());
-    for (const BoundStep& step : bound_) {
-      const ColumnTransform& t = step.transform;
-      switch (t.kind) {
-        case ColumnTransform::Kind::kRename:
-          break;  // metadata only
-        case ColumnTransform::Kind::kDrop:
-          cells.erase(cells.begin() + static_cast<ptrdiff_t>(step.a_index));
-          break;
-        case ColumnTransform::Kind::kArith: {
-          Value v = ApplyArith(cells[step.a_index], cells[step.b_index],
-                               t.arith_op);
-          if (step.out_is_new) {
-            cells.push_back(std::move(v));
-          } else {
-            cells[step.out_index] = std::move(v);
-          }
-          break;
-        }
-        case ColumnTransform::Kind::kScale: {
-          const Value& a = cells[step.a_index];
-          Value v = Value::Null();
-          if (!a.is_null()) {
-            const Result<double> da = a.AsDouble();
-            if (da.ok()) v = Value::Double(da.value() * t.scale);
-          }
-          if (step.out_is_new) {
-            cells.push_back(std::move(v));
-          } else {
-            cells[step.out_index] = std::move(v);
-          }
-          break;
-        }
-        case ColumnTransform::Kind::kConcat: {
-          Value v = Value::String(cells[step.a_index].ToString() +
-                                  t.separator +
-                                  cells[step.b_index].ToString());
-          if (step.out_is_new) {
-            cells.push_back(std::move(v));
-          } else {
-            cells[step.out_index] = std::move(v);
-          }
-          break;
-        }
-        case ColumnTransform::Kind::kUpper: {
-          Value& v = cells[step.a_index];
-          if (!v.is_null() && v.type() == DataType::kString) {
-            std::string s = v.string_value();
-            std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-              return static_cast<char>(std::toupper(c));
-            });
-            v = Value::String(std::move(s));
-          }
-          break;
-        }
-        case ColumnTransform::Kind::kConstant:
-          cells.push_back(t.literal);
-          break;
-        case ColumnTransform::Kind::kCoalesce: {
-          Value& v = cells[step.a_index];
-          if (v.is_null()) v = t.literal;
-          break;
-        }
-      }
-    }
-    output->Append(Row(std::move(cells)));
-  }
-  return Status::OK();
+Value ApplyScale(const Value& a, double factor) {
+  if (a.is_null()) return Value::Null();
+  const Result<double> da = a.AsDouble();
+  return da.ok() ? Value::Double(da.value() * factor) : Value::Null();
 }
-
-Status FunctionOp::Push(RowBatch&& input, RowBatch* output) {
-  for (Row& in_row : input.rows()) {
-    std::vector<Value> cells;
-    cells.reserve(in_row.num_values() + bound_.size());
-    for (size_t i = 0; i < in_row.num_values(); ++i) {
-      cells.push_back(std::move(in_row.value(i)));
-    }
-    for (const BoundStep& step : bound_) {
-      const ColumnTransform& t = step.transform;
-      switch (t.kind) {
-        case ColumnTransform::Kind::kRename:
-          break;
-        case ColumnTransform::Kind::kDrop:
-          cells.erase(cells.begin() + static_cast<ptrdiff_t>(step.a_index));
-          break;
-        case ColumnTransform::Kind::kArith: {
-          Value v = ApplyArith(cells[step.a_index], cells[step.b_index],
-                               t.arith_op);
-          if (step.out_is_new) {
-            cells.push_back(std::move(v));
-          } else {
-            cells[step.out_index] = std::move(v);
-          }
-          break;
-        }
-        case ColumnTransform::Kind::kScale: {
-          const Value& a = cells[step.a_index];
-          Value v = Value::Null();
-          if (!a.is_null()) {
-            const Result<double> da = a.AsDouble();
-            if (da.ok()) v = Value::Double(da.value() * t.scale);
-          }
-          if (step.out_is_new) {
-            cells.push_back(std::move(v));
-          } else {
-            cells[step.out_index] = std::move(v);
-          }
-          break;
-        }
-        case ColumnTransform::Kind::kConcat: {
-          Value v = Value::String(cells[step.a_index].ToString() +
-                                  t.separator +
-                                  cells[step.b_index].ToString());
-          if (step.out_is_new) {
-            cells.push_back(std::move(v));
-          } else {
-            cells[step.out_index] = std::move(v);
-          }
-          break;
-        }
-        case ColumnTransform::Kind::kUpper: {
-          Value& v = cells[step.a_index];
-          if (!v.is_null() && v.type() == DataType::kString) {
-            std::string s = v.string_value();
-            std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-              return static_cast<char>(std::toupper(c));
-            });
-            v = Value::String(std::move(s));
-          }
-          break;
-        }
-        case ColumnTransform::Kind::kConstant:
-          cells.push_back(t.literal);
-          break;
-        case ColumnTransform::Kind::kCoalesce: {
-          Value& v = cells[step.a_index];
-          if (v.is_null()) v = t.literal;
-          break;
-        }
-      }
-    }
-    output->Append(Row(std::move(cells)));
-  }
-  return Status::OK();
-}
-
-namespace {
 
 // How a declared column type reads as a number, mirroring Value::AsDouble
 // (bool -> 0/1; int64/timestamp -> cast; string/null -> no numeric view).
@@ -420,8 +252,15 @@ double NumAt(const Column& c, NumKind k, size_t r) {
 }  // namespace
 
 Status FunctionOp::PushColumnar(ColumnBatch* batch, ColumnarPushContext* cctx) {
-  (void)cctx;  // under type purity no step can fail on a row
+  (void)cctx;  // no step fails on a row
   const size_t n = batch->num_physical_rows();
+  const auto place = [batch](const BoundStep& step, Column out) {
+    if (step.out_is_new) {
+      batch->AppendColumn(std::move(out));
+    } else {
+      batch->ReplaceColumn(step.out_index, std::move(out));
+    }
+  };
   for (const BoundStep& step : bound_) {
     const ColumnTransform& t = step.transform;
     switch (t.kind) {
@@ -435,10 +274,15 @@ Status FunctionOp::PushColumnar(ColumnBatch* batch, ColumnarPushContext* cctx) {
         const Column& b = batch->column(step.b_index);
         const NumKind ka = NumKindOf(step.a_type);
         const NumKind kb = NumKindOf(step.b_type);
-        Column out(DataType::kDouble);
+        Column out(step.out_type);
         out.Reserve(n);
-        if (ka == NumKind::kNone || kb == NumKind::kNone) {
-          // Non-numeric operand: the row path yields NULL for every row.
+        if (a.boxed() || b.boxed() || step.out_type != DataType::kDouble) {
+          for (size_t r = 0; r < n; ++r) {
+            out.AppendValue(ApplyArith(a.ValueAt(r), b.ValueAt(r),
+                                       t.arith_op));
+          }
+        } else if (ka == NumKind::kNone || kb == NumKind::kNone) {
+          // A non-numeric operand column yields NULL for every row.
           for (size_t r = 0; r < n; ++r) out.AppendNull();
         } else {
           for (size_t r = 0; r < n; ++r) {
@@ -468,69 +312,81 @@ Status FunctionOp::PushColumnar(ColumnBatch* batch, ColumnarPushContext* cctx) {
             }
           }
         }
-        if (step.out_is_new) {
-          batch->AppendColumn(std::move(out));
-        } else {
-          batch->ReplaceColumn(step.out_index, std::move(out));
-        }
+        place(step, std::move(out));
         break;
       }
       case ColumnTransform::Kind::kScale: {
         const Column& a = batch->column(step.a_index);
         const NumKind ka = NumKindOf(step.a_type);
-        Column out(DataType::kDouble);
+        Column out(step.out_type);
         out.Reserve(n);
-        for (size_t r = 0; r < n; ++r) {
-          if (ka == NumKind::kNone || !a.IsValid(r)) {
-            out.AppendNull();
-          } else {
-            out.AppendDouble(NumAt(a, ka, r) * t.scale);
+        if (a.boxed() || step.out_type != DataType::kDouble) {
+          for (size_t r = 0; r < n; ++r) {
+            out.AppendValue(ApplyScale(a.ValueAt(r), t.scale));
+          }
+        } else {
+          for (size_t r = 0; r < n; ++r) {
+            if (ka == NumKind::kNone || !a.IsValid(r)) {
+              out.AppendNull();
+            } else {
+              out.AppendDouble(NumAt(a, ka, r) * t.scale);
+            }
           }
         }
-        if (step.out_is_new) {
-          batch->AppendColumn(std::move(out));
-        } else {
-          batch->ReplaceColumn(step.out_index, std::move(out));
-        }
+        place(step, std::move(out));
         break;
       }
       case ColumnTransform::Kind::kConcat: {
         const Column& a = batch->column(step.a_index);
         const Column& b = batch->column(step.b_index);
-        Column out(DataType::kString);
+        Column out(step.out_type);
         out.Reserve(n);
         // Boxed ToString keeps formatting (double precision, bool words)
-        // bit-identical with the row path.
+        // identical to Value rendering.
         for (size_t r = 0; r < n; ++r) {
-          out.AppendString(a.ValueAt(r).ToString() + t.separator +
-                           b.ValueAt(r).ToString());
+          out.AppendValue(Value::String(a.ValueAt(r).ToString() + t.separator +
+                                        b.ValueAt(r).ToString()));
         }
-        if (step.out_is_new) {
-          batch->AppendColumn(std::move(out));
-        } else {
-          batch->ReplaceColumn(step.out_index, std::move(out));
-        }
+        place(step, std::move(out));
         break;
       }
-      case ColumnTransform::Kind::kUpper:
-        // Type purity: on a declared-string column every non-NULL cell is a
-        // string; on any other column no cell is, so the row path would not
-        // touch it. Dead (unselected) payloads are uppercased too, which is
-        // unobservable.
-        if (step.a_type == DataType::kString) {
-          batch->column(step.a_index).UpperInPlaceAscii();
+      case ColumnTransform::Kind::kUpper: {
+        Column& a = batch->column(step.a_index);
+        if (!a.boxed()) {
+          // Only string cells are uppercased, and an unboxed column holds
+          // them only when declared kString. Dead (unselected) payloads
+          // are uppercased too, which is unobservable.
+          if (a.type() == DataType::kString) a.UpperInPlaceAscii();
+          break;
         }
+        Column out(a.type());
+        out.Reserve(n);
+        for (size_t r = 0; r < n; ++r) {
+          const Value& v = a.BoxedAt(r);
+          if (!v.is_string()) {
+            out.AppendValue(v);
+            continue;
+          }
+          std::string upper = v.string_value();
+          std::transform(upper.begin(), upper.end(), upper.begin(),
+                         [](unsigned char c) {
+                           return static_cast<char>(std::toupper(c));
+                         });
+          out.AppendValue(Value::String(std::move(upper)));
+        }
+        batch->ReplaceColumn(step.a_index, std::move(out));
         break;
+      }
       case ColumnTransform::Kind::kConstant: {
-        Column out(t.literal.type());
+        Column out(step.out_type);
         out.Reserve(n);
         for (size_t r = 0; r < n; ++r) out.AppendValue(t.literal);
         batch->AppendColumn(std::move(out));
         break;
       }
       case ColumnTransform::Kind::kCoalesce: {
-        if (t.literal.is_null()) break;  // no-op either way
-        Column& a = batch->column(step.a_index);
+        const Column& a = batch->column(step.a_index);
+        if (t.literal.is_null() || !a.has_nulls()) break;  // nothing to fill
         Column out(a.type());
         out.Reserve(n);
         for (size_t r = 0; r < n; ++r) {

@@ -61,14 +61,11 @@ class FunctionOp : public Operator {
   const char* kind() const override { return "function"; }
   const std::string& name() const override { return name_; }
   Result<Schema> Bind(const Schema& input) override;
-  Status Push(const RowBatch& input, RowBatch* output) override;
-  Status Push(RowBatch&& input, RowBatch* output) override;
-  /// Computed at Bind time: every step has a columnar kernel whose result
-  /// matches the row path under the type-purity invariant. Steps that could
-  /// leave a cell whose runtime type differs from the declared column type
-  /// (coalesce with a mismatched literal, arith/scale/concat writing into an
-  /// existing column of another type, NULL constants) keep the row path.
-  bool CanPushColumnar() const override { return columnar_ok_; }
+  /// Applies the steps column by column. Steps whose inputs are boxed, or
+  /// whose result type differs from the declared type of their output
+  /// column (coalesce with a mismatched literal, arith/scale/concat writing
+  /// into an existing column of another type), compute per cell with
+  /// `Value` semantics; a result of another type boxes its column.
   Status PushColumnar(ColumnBatch* batch, ColumnarPushContext* cctx) override;
   double CostPerRow() const override {
     return 0.5 + 0.4 * static_cast<double>(transforms_.size());
@@ -91,16 +88,16 @@ class FunctionOp : public Operator {
     size_t b_index = 0;
     size_t out_index = 0;  // target slot (existing or appended)
     bool out_is_new = false;
-    // Declared input types at this point of the schema evolution (drive the
-    // typed columnar kernels).
+    // Declared types at this point of the schema evolution (drive the typed
+    // kernels): the inputs, and the target slot once the step has run.
     DataType a_type = DataType::kNull;
     DataType b_type = DataType::kNull;
+    DataType out_type = DataType::kNull;
   };
 
   const std::string name_;
   const std::vector<ColumnTransform> transforms_;
   std::vector<BoundStep> bound_;
-  bool columnar_ok_ = false;
   Schema output_schema_;
 };
 

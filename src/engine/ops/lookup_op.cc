@@ -56,7 +56,6 @@ Status LookupOp::Open(OperatorContext* ctx) {
   partitioned_ = false;
   charged_ = 0;
   flat_table_.reset();
-  columnar_probe_ok_ = false;
   const bool enforce = ctx != nullptr && ctx->BudgetEnforced();
   MemoryBudget* budget = ctx != nullptr ? ctx->memory_budget : nullptr;
 
@@ -103,28 +102,12 @@ Status LookupOp::Open(OperatorContext* ctx) {
       }
     }
   } else if (!enforce) {
-    // Uncacheable store: build the flat table locally so row probing and
-    // the columnar kernel still skip per-probe Value boxing.
+    // Uncacheable store: build the flat table locally so the kernel still
+    // probes encoded key bytes without per-probe Value boxing.
     QOX_ASSIGN_OR_RETURN(flat_table_,
                          DimensionTable::Build(*dimension_, dim_key_index_));
   }
-  if (flat_table_ != nullptr) {
-    // Columnar appends copy dimension cells into typed columns; verify the
-    // build side is type-pure once so the kernel never hits a mismatch.
-    columnar_probe_ok_ = true;
-    const Schema& dim_schema = dimension_->schema();
-    for (const Row& row : flat_table_->rows()) {
-      for (const size_t idx : append_indices_) {
-        const Value& v = row.value(idx);
-        if (!v.is_null() && v.type() != dim_schema.field(idx).type) {
-          columnar_probe_ok_ = false;
-          break;
-        }
-      }
-      if (!columnar_probe_ok_) break;
-    }
-    return Status::OK();
-  }
+  if (flat_table_ != nullptr) return Status::OK();
 
   // The dimension is streamed, never materialized whole: rows build the
   // in-memory table while the budget admits them; the first refused
@@ -239,10 +222,6 @@ Status LookupOp::EnsurePartition(size_t p) {
 }
 
 Result<const Row*> LookupOp::Probe(const Value& key) {
-  if (key.is_null()) return static_cast<const Row*>(nullptr);
-  if (flat_table_ != nullptr) {
-    return flat_table_->ProbeValue(key, &probe_scratch_);
-  }
   if (!partitioned_) {
     const auto it = table_.find(key);
     return it == table_.end() ? nullptr : &it->second;
@@ -252,68 +231,6 @@ Result<const Row*> LookupOp::Probe(const Value& key) {
   const Table& table = partitions_[p].table;
   const auto it = table.find(key);
   return it == table.end() ? nullptr : &it->second;
-}
-
-Status LookupOp::Push(const RowBatch& input, RowBatch* output) {
-  for (const Row& row : input.rows()) {
-    const Value& key = row.value(input_key_index_);
-    QOX_ASSIGN_OR_RETURN(const Row* match, Probe(key));
-    if (match == nullptr) {
-      switch (miss_policy_) {
-        case LookupMissPolicy::kReject:
-          if (ctx_ != nullptr) QOX_RETURN_IF_ERROR(ctx_->Reject(row));
-          continue;
-        case LookupMissPolicy::kNull: {
-          Row out = row;
-          for (size_t i = 0; i < append_indices_.size(); ++i) {
-            out.Append(Value::Null());
-          }
-          output->Append(std::move(out));
-          continue;
-        }
-        case LookupMissPolicy::kError:
-          return Status::NotFound("lookup '" + name_ +
-                                  "': unresolved key " + key.ToString());
-      }
-    }
-    Row out = row;
-    for (const size_t idx : append_indices_) {
-      out.Append(match->value(idx));
-    }
-    output->Append(std::move(out));
-  }
-  return Status::OK();
-}
-
-Status LookupOp::Push(RowBatch&& input, RowBatch* output) {
-  for (Row& row : input.rows()) {
-    const Value& key = row.value(input_key_index_);
-    QOX_ASSIGN_OR_RETURN(const Row* match, Probe(key));
-    if (match == nullptr) {
-      switch (miss_policy_) {
-        case LookupMissPolicy::kReject:
-          if (ctx_ != nullptr) QOX_RETURN_IF_ERROR(ctx_->Reject(row));
-          continue;
-        case LookupMissPolicy::kNull: {
-          Row out = std::move(row);
-          for (size_t i = 0; i < append_indices_.size(); ++i) {
-            out.Append(Value::Null());
-          }
-          output->Append(std::move(out));
-          continue;
-        }
-        case LookupMissPolicy::kError:
-          return Status::NotFound("lookup '" + name_ +
-                                  "': unresolved key " + key.ToString());
-      }
-    }
-    Row out = std::move(row);
-    for (const size_t idx : append_indices_) {
-      out.Append(match->value(idx));
-    }
-    output->Append(std::move(out));
-  }
-  return Status::OK();
 }
 
 Status LookupOp::PushColumnar(ColumnBatch* batch, ColumnarPushContext* cctx) {
@@ -330,8 +247,8 @@ Status LookupOp::PushColumnar(ColumnBatch* batch, ColumnarPushContext* cctx) {
   }
 
   // One pass over physical rows: selected rows probe (misses handled per
-  // policy, in selection order, exactly as the row path); dead rows get
-  // NULL placeholders so the new columns stay aligned.
+  // policy, in selection order; NULL keys never probe); dead rows get NULL
+  // placeholders so the new columns stay aligned.
   std::vector<uint32_t> kept;
   kept.reserve(sel.size());
   size_t sel_pos = 0;
@@ -345,9 +262,13 @@ Status LookupOp::PushColumnar(ColumnBatch* batch, ColumnarPushContext* cctx) {
     }
     const Row* match = nullptr;
     if (key_col.IsValid(r)) {
-      scratch.clear();
-      key_col.AppendKeyBytes(r, &scratch);
-      match = flat_table_->Probe(scratch);
+      if (flat_table_ != nullptr) {
+        scratch.clear();
+        key_col.AppendKeyBytes(r, &scratch);
+        match = flat_table_->Probe(scratch);
+      } else {
+        QOX_ASSIGN_OR_RETURN(match, Probe(key_col.ValueAt(r)));
+      }
     }
     if (match == nullptr) {
       switch (miss_policy_) {
@@ -388,7 +309,6 @@ Status LookupOp::Finish(RowBatch* output) {
   (void)output;
   table_.clear();
   flat_table_.reset();
-  columnar_probe_ok_ = false;
   for (Partition& part : partitions_) {
     part.table.clear();
     part.loaded = false;

@@ -54,13 +54,10 @@ class LookupOp : public Operator {
   const std::string& name() const override { return name_; }
   Result<Schema> Bind(const Schema& input) override;
   Status Open(OperatorContext* ctx) override;
-  Status Push(const RowBatch& input, RowBatch* output) override;
-  Status Push(RowBatch&& input, RowBatch* output) override;
-  /// Columnar probing needs the flat shared/local table (a spilled build is
-  /// row-only) and a type-pure build side for the appended columns.
-  bool CanPushColumnar() const override {
-    return flat_table_ != nullptr && columnar_probe_ok_;
-  }
+  /// Probes the flat table with encoded key bytes, or the streamed/spilled
+  /// build side through Probe(); misses are handled per the miss policy,
+  /// in selection order. Appended columns box when a dimension cell's
+  /// runtime type differs from its declared type.
   Status PushColumnar(ColumnBatch* batch, ColumnarPushContext* cctx) override;
   Status Finish(RowBatch* output) override;
   double CostPerRow() const override { return 2.0; }
@@ -95,8 +92,9 @@ class LookupOp : public Operator {
   Status StartPartitions(size_t rows_seen,
                          std::vector<std::unique_ptr<SpillWriter>>* writers);
   Status EnsurePartition(size_t p);
-  /// Probes `key` in the (possibly partitioned) build side; the returned
-  /// pointer is valid until the next EnsurePartition call.
+  /// Probes `key` in the streamed or spilled build side (flat_table_ is
+  /// null); the returned pointer is valid until the next EnsurePartition
+  /// call.
   Result<const Row*> Probe(const Value& key);
 
   const std::string name_;
@@ -116,11 +114,9 @@ class LookupOp : public Operator {
   bool partitioned_ = false;
   std::vector<Partition> partitions_;
   /// Flat probe table (shared via DimensionCache or built locally) used
-  /// when the budget admits the whole build side; the legacy streamed/
-  /// partitioned build above remains the budget-enforced path.
+  /// when the budget admits the whole build side; the streamed/partitioned
+  /// build above remains the budget-enforced path.
   DimensionTablePtr flat_table_;
-  bool columnar_probe_ok_ = false;
-  std::string probe_scratch_;
   OperatorContext* ctx_ = nullptr;
 };
 

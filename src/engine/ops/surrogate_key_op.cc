@@ -2,21 +2,25 @@
 
 namespace qox {
 
-int64_t SurrogateKeyRegistry::AssignLocked(const Value& natural) {
-  const int64_t key = next_key_++;
+int64_t SurrogateKeyRegistry::GetOrAssignI64Locked(int64_t natural) {
+  const auto [it, inserted] = i64_map_.try_emplace(natural, next_key_);
+  if (inserted) ++next_key_;
+  return it->second;
+}
+
+int64_t SurrogateKeyRegistry::GetOrAssignLocked(const Value& natural) {
   if (natural.is_int64() || natural.is_timestamp()) {
-    i64_index_.emplace(natural.int64_value(), key);
+    return GetOrAssignI64Locked(natural.int64_value());
   }
-  map_.emplace(natural, key);
-  return key;
+  const auto [it, inserted] = boxed_map_.try_emplace(natural, next_key_);
+  if (inserted) ++next_key_;
+  return it->second;
 }
 
 int64_t SurrogateKeyRegistry::GetOrAssign(const Value& natural) {
   if (natural.is_null()) return 0;
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = map_.find(natural);
-  if (it != map_.end()) return it->second;
-  return AssignLocked(natural);
+  return GetOrAssignLocked(natural);
 }
 
 void SurrogateKeyRegistry::GetOrAssignBatch(const std::vector<Value>& naturals,
@@ -25,16 +29,7 @@ void SurrogateKeyRegistry::GetOrAssignBatch(const std::vector<Value>& naturals,
   out->reserve(naturals.size());
   std::lock_guard<std::mutex> lock(mu_);
   for (const Value& natural : naturals) {
-    if (natural.is_null()) {
-      out->push_back(0);
-      continue;
-    }
-    const auto it = map_.find(natural);
-    if (it != map_.end()) {
-      out->push_back(it->second);
-      continue;
-    }
-    out->push_back(AssignLocked(natural));
+    out->push_back(natural.is_null() ? 0 : GetOrAssignLocked(natural));
   }
 }
 
@@ -45,32 +40,28 @@ void SurrogateKeyRegistry::GetOrAssignI64Batch(const int64_t* keys,
   out->resize(n);
   std::lock_guard<std::mutex> lock(mu_);
   for (size_t i = 0; i < n; ++i) {
-    if (nulls != nullptr && nulls[i] != 0) {
-      (*out)[i] = 0;
-      continue;
-    }
-    const auto it = i64_index_.find(keys[i]);
-    if (it != i64_index_.end()) {
-      (*out)[i] = it->second;
-      continue;
-    }
-    (*out)[i] = AssignLocked(Value::Int64(keys[i]));
+    (*out)[i] = nulls != nullptr && nulls[i] != 0
+                    ? 0
+                    : GetOrAssignI64Locked(keys[i]);
   }
 }
 
 Result<int64_t> SurrogateKeyRegistry::Get(const Value& natural) const {
   if (natural.is_null()) return static_cast<int64_t>(0);
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = map_.find(natural);
-  if (it == map_.end()) {
-    return Status::NotFound("no surrogate assigned for " + natural.ToString());
+  if (natural.is_int64() || natural.is_timestamp()) {
+    const auto it = i64_map_.find(natural.int64_value());
+    if (it != i64_map_.end()) return it->second;
+  } else {
+    const auto it = boxed_map_.find(natural);
+    if (it != boxed_map_.end()) return it->second;
   }
-  return it->second;
+  return Status::NotFound("no surrogate assigned for " + natural.ToString());
 }
 
 size_t SurrogateKeyRegistry::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return map_.size();
+  return i64_map_.size() + boxed_map_.size();
 }
 
 SurrogateKeyOp::SurrogateKeyOp(std::string name,
@@ -98,40 +89,6 @@ Result<Schema> SurrogateKeyOp::Bind(const Schema& input) {
   return schema;
 }
 
-Status SurrogateKeyOp::Push(const RowBatch& input, RowBatch* output) {
-  for (const Row& row : input.rows()) {
-    const int64_t surrogate = registry_->GetOrAssign(row.value(natural_index_));
-    Row out = row;
-    out.Append(Value::Int64(surrogate));
-    if (drop_natural_) {
-      std::vector<Value> cells(out.values().begin(), out.values().end());
-      cells.erase(cells.begin() + static_cast<ptrdiff_t>(natural_index_));
-      out = Row(std::move(cells));
-    }
-    output->Append(std::move(out));
-  }
-  return Status::OK();
-}
-
-Status SurrogateKeyOp::Push(RowBatch&& input, RowBatch* output) {
-  for (Row& row : input.rows()) {
-    const int64_t surrogate = registry_->GetOrAssign(row.value(natural_index_));
-    Row out = std::move(row);
-    out.Append(Value::Int64(surrogate));
-    if (drop_natural_) {
-      std::vector<Value> cells;
-      cells.reserve(out.num_values() - 1);
-      for (size_t i = 0; i < out.num_values(); ++i) {
-        if (i == natural_index_) continue;
-        cells.push_back(std::move(out.value(i)));
-      }
-      out = Row(std::move(cells));
-    }
-    output->Append(std::move(out));
-  }
-  return Status::OK();
-}
-
 Status SurrogateKeyOp::PushColumnar(ColumnBatch* batch,
                                     ColumnarPushContext* cctx) {
   (void)cctx;  // assignment never fails per row
@@ -139,10 +96,10 @@ Status SurrogateKeyOp::PushColumnar(ColumnBatch* batch,
   const std::vector<uint32_t>& sel = batch->selection();
 
   std::vector<int64_t> surrogates;
-  if (natural.type() == DataType::kInt64 ||
-      natural.type() == DataType::kTimestamp) {
+  if (!natural.boxed() && (natural.type() == DataType::kInt64 ||
+                           natural.type() == DataType::kTimestamp)) {
     // Unboxed probe: gather raw payloads for the selected rows and hit the
-    // registry's int64 mirror index directly.
+    // registry's int64 map directly.
     std::vector<int64_t> raw(sel.size());
     const int64_t* data = natural.i64_data();
     if (!natural.has_nulls()) {

@@ -20,7 +20,10 @@
 namespace qox {
 
 /// Thread-safe natural-key -> surrogate-key mapping for one target
-/// dimension. Surrogates are dense int64s starting at `first_key`.
+/// dimension. Surrogates are dense int64s starting at `first_key`. Int64 and
+/// timestamp naturals (one equality group: they hash and compare alike) live
+/// only in an int64-keyed map, every other natural only in a boxed map, so
+/// no key is stored twice.
 class SurrogateKeyRegistry {
  public:
   explicit SurrogateKeyRegistry(int64_t first_key = 1)
@@ -36,11 +39,10 @@ class SurrogateKeyRegistry {
   void GetOrAssignBatch(const std::vector<Value>& naturals,
                         std::vector<int64_t>* out);
 
-  /// Unboxed batch form for int64/timestamp natural keys (they share one
-  /// equality group, so raw payloads probe exactly like boxed Values): one
-  /// lock, flat int64 probes, no Value construction. `nulls`, when non-null,
-  /// flags entries that map to the unknown surrogate 0. Assignment order —
-  /// and therefore the key sequence — matches the boxed paths.
+  /// Unboxed batch form for int64/timestamp natural keys: one lock, flat
+  /// int64 probes, no Value construction. `nulls`, when non-null, flags
+  /// entries that map to the unknown surrogate 0. Assignment order — and
+  /// therefore the key sequence — matches the boxed forms.
   void GetOrAssignI64Batch(const int64_t* keys, const uint8_t* nulls,
                            size_t n, std::vector<int64_t>* out);
 
@@ -50,17 +52,16 @@ class SurrogateKeyRegistry {
   size_t size() const;
 
  private:
-  /// Assigns the next key to an unseen natural (mu_ held). Keeps the
-  /// int64-group mirror index in sync with the boxed map.
-  int64_t AssignLocked(const Value& natural);
+  /// Returns the surrogate of a non-NULL natural, assigning the next key
+  /// on first sight (mu_ held).
+  int64_t GetOrAssignLocked(const Value& natural);
+  int64_t GetOrAssignI64Locked(int64_t natural);
 
   mutable std::mutex mu_;
-  std::unordered_map<Value, int64_t, ValueHash> map_;
-  /// Mirror of map_'s int64/timestamp entries keyed by raw payload: the
-  /// columnar probe path hits this with inline integer hashing instead of
-  /// boxing every key. Every assignment site maintains both, so either
-  /// path sees keys first assigned by the other.
-  std::unordered_map<int64_t, int64_t> i64_index_;
+  /// Int64 and timestamp naturals, keyed by raw payload.
+  std::unordered_map<int64_t, int64_t> i64_map_;
+  /// Every other natural.
+  std::unordered_map<Value, int64_t, ValueHash> boxed_map_;
   int64_t next_key_;
 };
 
@@ -78,12 +79,9 @@ class SurrogateKeyOp : public Operator {
   const char* kind() const override { return "surrogate_key"; }
   const std::string& name() const override { return name_; }
   Result<Schema> Bind(const Schema& input) override;
-  Status Push(const RowBatch& input, RowBatch* output) override;
-  Status Push(RowBatch&& input, RowBatch* output) override;
-  bool CanPushColumnar() const override { return true; }
   /// Batch surrogate assignment: keys for SELECTED rows only, in selection
-  /// order, under one registry lock — the registry's next_key_ sequence
-  /// stays identical to the row path's.
+  /// order, under one registry lock, so the registry's key sequence follows
+  /// row order.
   Status PushColumnar(ColumnBatch* batch, ColumnarPushContext* cctx) override;
   double CostPerRow() const override { return 1.8; }
 

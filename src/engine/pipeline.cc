@@ -19,15 +19,6 @@ Result<std::unique_ptr<Pipeline>> Pipeline::Create(
   for (const OperatorPtr& op : pipeline->ops_) {
     QOX_RETURN_IF_ERROR(op->Open(ctx));
   }
-  // Columnar capability is queried after Open: it may depend on execution
-  // state (a lookup that spilled its build side is row-only).
-  pipeline->columnar_ok_.assign(pipeline->ops_.size(), false);
-  if (config.columnar) {
-    for (size_t i = 0; i < pipeline->ops_.size(); ++i) {
-      pipeline->columnar_ok_[i] = !pipeline->ops_[i]->IsBlocking() &&
-                                  pipeline->ops_[i]->CanPushColumnar();
-    }
-  }
   return pipeline;
 }
 
@@ -95,52 +86,32 @@ Status Pipeline::Contain(size_t op_ordinal, const Row& row,
   return Status::OK();
 }
 
-Status Pipeline::ApplyOp(size_t op_ordinal, const RowBatch& input,
-                         bool input_owned, RowBatch* out) {
-  // Ownership is only exploited under kFailFast: the containable-replay
-  // path below must re-read the input row by row.
-  const bool move_input =
-      input_owned && PolicyFor(op_ordinal) == ErrorPolicy::kFailFast;
-  const size_t rows_in = input.num_rows();
-  const StopWatch timer;
-  Status st =
-      move_input
-          ? ops_[op_ordinal]->Push(std::move(const_cast<RowBatch&>(input)),
-                                   out)
-          : ops_[op_ordinal]->Push(input, out);
-  if (!st.ok() && IsRowContainable(st) &&
-      PolicyFor(op_ordinal) != ErrorPolicy::kFailFast) {
-    // A containable batch failure is replayed row by row so only the
-    // failing rows are contained. Safe because the failed Push's output
-    // batch is discarded here (nothing reached downstream) and operators
-    // that report row-scoped errors are stateless per the Push contract
-    // (blocking operators never row-error).
-    *out = RowBatch(schema_ptrs_[op_ordinal + 1]);
-    st = Status::OK();
-    RowBatch one(schema_ptrs_[op_ordinal]);
-    for (const Row& row : input.rows()) {
-      one.Clear();
-      one.Append(row);
-      RowBatch row_out(schema_ptrs_[op_ordinal + 1]);
-      const Status row_st = ops_[op_ordinal]->Push(one, &row_out);
-      if (row_st.ok()) {
-        for (Row& emitted : row_out.rows()) out->Append(std::move(emitted));
-      } else if (IsRowContainable(row_st)) {
-        QOX_RETURN_IF_ERROR(Contain(op_ordinal, row, row_st));
-      } else {
-        st = row_st;
-        break;
-      }
+Status Pipeline::ScreenPoison(size_t op_ordinal, RowBatch* batch) {
+  const int global_op = config_.op_index_offset + static_cast<int>(op_ordinal);
+  bool any_poisoned = false;
+  for (const Row& row : batch->rows()) {
+    if (!config_.injector->CheckRow(global_op, row).ok()) {
+      any_poisoned = true;
+      break;
     }
   }
-  op_stats_[op_ordinal].micros += timer.ElapsedMicros();
-  op_stats_[op_ordinal].rows_in += rows_in;
-  QOX_RETURN_IF_ERROR(st);
-  op_stats_[op_ordinal].rows_out += out->num_rows();
+  if (!any_poisoned) return Status::OK();
+  RowBatch kept(schema_ptrs_[op_ordinal]);
+  kept.Reserve(batch->num_rows());
+  for (Row& row : batch->rows()) {
+    const Status row_st = config_.injector->CheckRow(global_op, row);
+    if (row_st.ok()) {
+      kept.Append(std::move(row));
+      continue;
+    }
+    if (PolicyFor(op_ordinal) == ErrorPolicy::kFailFast) return row_st;
+    QOX_RETURN_IF_ERROR(Contain(op_ordinal, row, row_st));
+  }
+  *batch = std::move(kept);
   return Status::OK();
 }
 
-Status Pipeline::RunColumnar(size_t begin, size_t end, ColumnBatch* batch) {
+Status Pipeline::RunKernels(size_t begin, size_t end, ColumnBatch* batch) {
   if (ctx_ != nullptr) {
     if (ctx_->columnar_batches != nullptr) {
       ctx_->columnar_batches->fetch_add(1, std::memory_order_relaxed);
@@ -151,7 +122,8 @@ Status Pipeline::RunColumnar(size_t begin, size_t end, ColumnBatch* batch) {
     }
   }
   for (size_t i = begin; i < end; ++i) {
-    if (batch->num_rows() == 0) return Status::OK();
+    // A batch emptied by an earlier op of the run goes no further.
+    if (i > begin && batch->num_rows() == 0) return Status::OK();
     rows_entered_[i] += batch->num_rows();
     QOX_RETURN_IF_ERROR(CheckInterrupts(i, rows_entered_[i]));
     const size_t rows_in = batch->num_rows();
@@ -177,98 +149,52 @@ Status Pipeline::RunColumnar(size_t begin, size_t end, ColumnBatch* batch) {
   return Status::OK();
 }
 
-Status Pipeline::PushFrom(size_t from, const RowBatch& batch,
-                          bool batch_owned) {
-  if (from >= ops_.size()) {
-    output_.insert(output_.end(), batch.rows().begin(), batch.rows().end());
-    return Status::OK();
-  }
-  // `current` points at the caller's batch until the first operator emits;
-  // afterwards it owns the intermediate batch (avoids a deep copy of the
-  // input on every push). `current_owned` tracks whether the chain may
-  // consume *current via the move-aware Push overload.
-  const RowBatch* current = &batch;
-  bool current_owned = batch_owned;
-  RowBatch owned;
-  for (size_t i = from; i < ops_.size(); ++i) {
-    // Poison screening: rows the injector marks poisonous at this op are
-    // contained (or, under kFailFast, abort the attempt) before entering.
-    if (config_.injector != nullptr && config_.injector->HasPoison()) {
-      const int global_op = config_.op_index_offset + static_cast<int>(i);
-      bool any_poisoned = false;
-      for (const Row& row : current->rows()) {
-        if (!config_.injector->CheckRow(global_op, row).ok()) {
-          any_poisoned = true;
-          break;
-        }
-      }
-      if (any_poisoned) {
-        RowBatch kept(schema_ptrs_[i]);
-        kept.Reserve(current->num_rows());
-        for (const Row& row : current->rows()) {
-          const Status row_st = config_.injector->CheckRow(global_op, row);
-          if (row_st.ok()) {
-            kept.Append(row);
-            continue;
-          }
-          if (PolicyFor(i) == ErrorPolicy::kFailFast) return row_st;
-          QOX_RETURN_IF_ERROR(Contain(i, row, row_st));
-        }
-        if (kept.empty()) return Status::OK();  // whole batch contained
-        owned = std::move(kept);
-        current = &owned;
-        current_owned = true;
-      }
+Status Pipeline::PushFrom(size_t from, RowBatch batch) {
+  const bool poison =
+      config_.injector != nullptr && config_.injector->HasPoison();
+  size_t i = from;
+  while (i < ops_.size()) {
+    if (poison) {
+      QOX_RETURN_IF_ERROR(ScreenPoison(i, &batch));
+      if (batch.empty()) return Status::OK();  // whole batch contained
     }
-    // Columnar fast path: execute the maximal capable run starting here on
-    // a column batch. Skipped while poison is armed (per-op row screening
-    // above must keep seeing row batches) and when the batch is not
-    // type-pure (FromRowBatch declines; the row path is always correct).
-    if (columnar_ok_[i] &&
-        (config_.injector == nullptr || !config_.injector->HasPoison())) {
-      size_t end = i + 1;
-      while (end < ops_.size() && columnar_ok_[end]) ++end;
-      std::optional<ColumnBatch> cb =
-          ColumnBatch::FromRowBatch(*current, schema_ptrs_[i]);
-      if (cb.has_value()) {
-        QOX_RETURN_IF_ERROR(RunColumnar(i, end, &*cb));
-        if (cb->num_rows() == 0) return Status::OK();  // fully filtered
-        if (end >= ops_.size()) {
-          RowBatch rows = cb->ToRowBatch();
-          output_.insert(output_.end(),
-                         std::make_move_iterator(rows.rows().begin()),
-                         std::make_move_iterator(rows.rows().end()));
-          return Status::OK();
-        }
-        owned = cb->ToRowBatch();
-        current = &owned;
-        current_owned = true;
-        i = end - 1;  // loop increment moves to the first row-mode op
-        continue;
-      }
+    if (ops_[i]->IsBlocking()) {
+      rows_entered_[i] += batch.num_rows();
+      QOX_RETURN_IF_ERROR(CheckInterrupts(i, rows_entered_[i]));
+      RowBatch out(schema_ptrs_[i + 1]);
+      const StopWatch timer;
+      const Status st = ops_[i]->Push(batch, &out);
+      op_stats_[i].micros += timer.ElapsedMicros();
+      op_stats_[i].rows_in += batch.num_rows();
+      QOX_RETURN_IF_ERROR(st);
+      op_stats_[i].rows_out += out.num_rows();
+      if (out.empty()) return Status::OK();  // buffered
+      batch = std::move(out);
+      ++i;
+      continue;
     }
-    rows_entered_[i] += current->num_rows();
-    QOX_RETURN_IF_ERROR(CheckInterrupts(i, rows_entered_[i]));
-    RowBatch out(schema_ptrs_[i + 1]);
-    QOX_RETURN_IF_ERROR(ApplyOp(i, *current, current_owned, &out));
-    if (out.empty()) return Status::OK();  // blocked or fully filtered
-    owned = std::move(out);
-    current = &owned;
-    current_owned = true;
+    // The maximal run of per-row ops starting here executes on one column
+    // batch; armed poison cuts it to this op alone.
+    size_t end = i + 1;
+    while (!poison && end < ops_.size() && !ops_[end]->IsBlocking()) ++end;
+    std::optional<ColumnBatch> columns =
+        ColumnBatch::FromRowBatch(batch, schema_ptrs_[i]);
+    if (!columns.has_value()) {
+      return Status::Internal("a row entering '" + ops_[i]->name() +
+                              "' does not match its input schema width");
+    }
+    batch = RowBatch();  // the run reads only the columns: free the rows
+    QOX_RETURN_IF_ERROR(RunKernels(i, end, &*columns));
+    if (columns->num_rows() == 0) return Status::OK();  // fully filtered
+    batch = columns->ToRowBatch();
+    i = end;
   }
-  output_.insert(output_.end(), current->rows().begin(),
-                 current->rows().end());
+  output_.insert(output_.end(), std::make_move_iterator(batch.rows().begin()),
+                 std::make_move_iterator(batch.rows().end()));
   return Status::OK();
 }
 
-Status Pipeline::Push(const RowBatch& batch) {
-  return PushFrom(0, batch, /*batch_owned=*/false);
-}
-
-Status Pipeline::Push(RowBatch&& batch) {
-  RowBatch owned = std::move(batch);
-  return PushFrom(0, owned, /*batch_owned=*/true);
-}
+Status Pipeline::Push(RowBatch batch) { return PushFrom(0, std::move(batch)); }
 
 Status Pipeline::Finish() {
   for (size_t i = 0; i < ops_.size(); ++i) {
@@ -279,9 +205,7 @@ Status Pipeline::Finish() {
     op_stats_[i].micros += timer.ElapsedMicros();
     QOX_RETURN_IF_ERROR(st);
     op_stats_[i].rows_out += out.num_rows();
-    if (!out.empty()) {
-      QOX_RETURN_IF_ERROR(PushFrom(i + 1, out, /*batch_owned=*/true));
-    }
+    if (!out.empty()) QOX_RETURN_IF_ERROR(PushFrom(i + 1, std::move(out)));
   }
   return Status::OK();
 }

@@ -1,15 +1,20 @@
 // Pipeline: a bound, executable chain of operators.
 //
 // A pipeline owns its operator instances, binds their schemas at creation,
-// and cascades batches through them on Push. Finish flushes blocking
-// operators in order, cascading each flush through the downstream
-// operators. Output rows accumulate in the pipeline (the executor decides
-// where they go next: the next segment, a recovery point, a merge, or the
-// warehouse load).
+// and cascades batches through them on Push. Each maximal run of per-row
+// (non-blocking) ops runs as FromRowBatch -> PushColumnar... -> ToRowBatch
+// on one ColumnBatch; blocking ops (sort, group, delta) take row batches
+// through Push. Finish flushes blocking operators in order, cascading each
+// flush through the downstream operators. Output rows accumulate in the
+// pipeline (the executor decides where they go next: the next segment, a
+// recovery point, a merge, or the warehouse load).
 //
-// The pipeline is also where failure injection and cancellation are
-// observed: before each operator invocation it reports progress to the
-// FailureInjector and checks the cooperative cancel flag.
+// The pipeline is also where failure injection, cancellation and row
+// containment are observed: before each operator invocation it reports
+// progress to the FailureInjector and checks the cooperative cancel flag;
+// rows a kernel reports as contained are counted, quarantined and charged
+// to the error budget here. While poison is armed every per-row op runs as
+// a one-op run, so the poison screen sees each op's input rows.
 
 #ifndef QOX_ENGINE_PIPELINE_H_
 #define QOX_ENGINE_PIPELINE_H_
@@ -49,12 +54,6 @@ struct PipelineConfig {
   /// be null: quarantined rows are then dropped like kSkip but still
   /// counted as quarantined.
   QuarantineSink quarantine_sink;
-  /// Enables the columnar fast path: a contiguous run of columnar-capable,
-  /// non-blocking operators executes on a ColumnBatch (selection-vector
-  /// filtering, vectorized kernels), converting back to rows at the first
-  /// non-capable op. Off keeps the pure row path (the seed behaviour);
-  /// output is byte-identical either way.
-  bool columnar = false;
 };
 
 class Pipeline {
@@ -70,10 +69,7 @@ class Pipeline {
   const Schema& output_schema() const { return schemas_.back(); }
 
   /// Pushes one input batch through the whole chain.
-  Status Push(const RowBatch& batch);
-  /// Ownership-transferring push: the pipeline may move rows out of
-  /// `batch` (pass-through operators then avoid deep-copying every cell).
-  Status Push(RowBatch&& batch);
+  Status Push(RowBatch batch);
 
   /// Flushes blocking operators. Must be called exactly once, last.
   Status Finish();
@@ -89,13 +85,15 @@ class Pipeline {
            OperatorContext* ctx, const PipelineConfig& config);
 
   /// Pushes `batch` through ops [from, n), appending final rows to output_.
-  /// When `batch_owned`, the caller hands over ownership: the chain may
-  /// move rows out of `batch` (it must not be read after the call).
-  Status PushFrom(size_t from, const RowBatch& batch, bool batch_owned);
+  Status PushFrom(size_t from, RowBatch batch);
 
-  /// Runs ops [begin, end) — a contiguous columnar-capable run — on the
-  /// column batch in place, re-pointing its schema after each op.
-  Status RunColumnar(size_t begin, size_t end, ColumnBatch* batch);
+  /// Runs ops [begin, end) — per-row ops — on the column batch in place,
+  /// re-pointing its schema after each op.
+  Status RunKernels(size_t begin, size_t end, ColumnBatch* batch);
+
+  /// Screens the rows entering op `op_ordinal` against armed poison:
+  /// poisoned rows are contained (or, under kFailFast, fail the push).
+  Status ScreenPoison(size_t op_ordinal, RowBatch* batch);
 
   Status CheckInterrupts(size_t op_ordinal, size_t rows_about_to_enter);
 
@@ -108,24 +106,12 @@ class Pipeline {
   /// Returns non-OK when the budget is exhausted or the sink fails.
   Status Contain(size_t op_ordinal, const Row& row, const Status& cause);
 
-  /// Pushes `input` through op `op_ordinal` into `*out`. A containable
-  /// batch failure under kSkip/kQuarantine is replayed row by row, with
-  /// the failing rows contained instead of aborting. `input_owned` lets the
-  /// op consume `input` via the move overload — exploited only under
-  /// kFailFast, since the replay path must re-read the input.
-  Status ApplyOp(size_t op_ordinal, const RowBatch& input, bool input_owned,
-                 RowBatch* out);
-
   std::vector<OperatorPtr> ops_;
   /// schemas_[i] = input schema of op i; schemas_[n] = output schema.
   std::vector<Schema> schemas_;
   /// Shared handles onto schemas_, built once so per-batch construction on
   /// the hot path never copies a Schema.
   std::vector<SchemaPtr> schema_ptrs_;
-  /// columnar_ok_[i]: op i participates in columnar runs (config enables
-  /// it, the op advertises the capability after Open, and it is
-  /// non-blocking).
-  std::vector<bool> columnar_ok_;
   OperatorContext* ctx_;
   PipelineConfig config_;
   std::vector<OpStats> op_stats_;

@@ -99,7 +99,7 @@ Result<ReplayStats> ReplayQuarantine(const FlowSpec& flow,
     QOX_ASSIGN_OR_RETURN(
         std::unique_ptr<Pipeline> pipeline,
         Pipeline::Create(cut_schemas[op_index], std::move(ops), &ctx, pc));
-    QOX_RETURN_IF_ERROR(pipeline->Push(batch));
+    QOX_RETURN_IF_ERROR(pipeline->Push(std::move(batch)));
     QOX_RETURN_IF_ERROR(pipeline->Finish());
     std::vector<Row> produced = pipeline->TakeOutput();
 

@@ -155,15 +155,15 @@ struct RunMetrics {
   /// ResourcePolicy::kShedToQuarantine (subset of rows_quarantined).
   size_t rows_shed = 0;
 
-  // --- shared caches & columnar fast path ----------------------------------
+  // --- shared caches & per-row kernel runs ---------------------------------
   /// Lookup dimension tables this run built itself vs. took ready-made from
   /// the process-wide DimensionCache (engine/dimension_cache.h). Concurrent
   /// flows against the same dimension snapshot should sum to one build.
   size_t dim_cache_builds = 0;
   size_t dim_cache_hits = 0;
-  /// Batches that entered the pipeline's columnar fast path and the live
-  /// rows they carried (0 when ExecutionConfig::columnar is off or no op
-  /// run qualified).
+  /// Batches that entered a run of per-row kernels (engine/pipeline.h) and
+  /// the live rows they carried. A batch crossing two runs (split by a
+  /// blocking op, or by armed poison) counts once per run.
   size_t columnar_batches = 0;
   size_t columnar_rows = 0;
 

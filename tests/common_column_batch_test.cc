@@ -1,6 +1,7 @@
 // ColumnBatch unit tests: row/column round-trips, validity bitmaps across
-// word boundaries, selection-vector semantics, type-purity rejection, and
-// the probe-key encoding's equivalence with Value hash/compare semantics.
+// word boundaries, selection-vector semantics, boxed columns for cells of
+// another runtime type, and the probe-key encoding's equivalence with Value
+// hash/compare semantics.
 
 #include <gtest/gtest.h>
 
@@ -83,11 +84,43 @@ TEST(ColumnBatchTest, SelectionVectorMaterializesOnlySelectedRowsInOrder) {
   EXPECT_TRUE(cb->RowAt(5) == rows[5]);
 }
 
-TEST(ColumnBatchTest, FromRowBatchRejectsMistypedCells) {
+/// Expects `back` to hold exactly `rows`, runtime cell types included
+/// (Row equality alone is numeric-tolerant).
+void ExpectSameCells(const RowBatch& back, const std::vector<Row>& rows) {
+  ASSERT_EQ(back.num_rows(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE(back.row(i) == rows[i]) << "row " << i;
+    for (size_t c = 0; c < rows[i].num_values(); ++c) {
+      EXPECT_EQ(back.row(i).value(c).type(), rows[i].value(c).type())
+          << "row " << i << " col " << c;
+    }
+  }
+}
+
+TEST(ColumnBatchTest, MistypedCellsBoxTheirColumnAndRoundTrip) {
   const Schema schema = SimpleSchema();
-  std::vector<Row> rows = SimpleRows(4);
+  std::vector<Row> rows = SimpleRows(200);
   rows[2].Set(2, Value::String("not a double"));  // amount declared kDouble
-  EXPECT_FALSE(ColumnBatch::FromRowBatch(RowBatch(schema, rows)).has_value());
+  rows[150].Set(2, Value::Int64(9));
+  std::optional<ColumnBatch> cb =
+      ColumnBatch::FromRowBatch(RowBatch(schema, rows));
+  ASSERT_TRUE(cb.has_value());
+  EXPECT_TRUE(cb->column(2).boxed());
+  EXPECT_FALSE(cb->column(0).boxed());
+  EXPECT_FALSE(cb->column(1).boxed());
+  // Cells before and after the first mismatch keep their runtime types,
+  // NULLs (every 8th amount) stay invalid.
+  EXPECT_EQ(cb->column(2).ValueAt(1).type(), DataType::kDouble);
+  EXPECT_EQ(cb->column(2).ValueAt(2).type(), DataType::kString);
+  EXPECT_EQ(cb->column(2).ValueAt(150).type(), DataType::kInt64);
+  EXPECT_FALSE(cb->column(2).IsValid(7));
+  EXPECT_TRUE(cb->column(2).IsValid(2));
+  ExpectSameCells(cb->ToRowBatch(), rows);
+
+  cb->SetSelection({2, 7, 150});
+  const RowBatch picked = cb->ToRowBatch();
+  ExpectSameCells(picked, {rows[2], rows[7], rows[150]});
+  EXPECT_TRUE(cb->RowAt(2) == rows[2]);
 }
 
 TEST(ColumnBatchTest, TimestampColumnsKeepTheirRuntimeType) {
@@ -98,21 +131,66 @@ TEST(ColumnBatchTest, TimestampColumnsKeepTheirRuntimeType) {
   std::optional<ColumnBatch> cb =
       ColumnBatch::FromRowBatch(RowBatch(schema, rows));
   ASSERT_TRUE(cb.has_value());
+  EXPECT_FALSE(cb->column(0).boxed());
   EXPECT_EQ(cb->column(0).ValueAt(0).type(), DataType::kTimestamp);
   EXPECT_EQ(cb->column(0).ValueAt(0).timestamp_micros(), 1000);
 
-  // A plain Int64 in a timestamp-declared column is a purity violation:
-  // boxing it back would change the runtime type, so conversion refuses.
+  // A plain Int64 in a timestamp-declared column boxes it, so the cell
+  // comes back as an Int64, not as a timestamp.
   rows[1] = Row({Value::Int64(7)});
-  EXPECT_FALSE(ColumnBatch::FromRowBatch(RowBatch(schema, rows)).has_value());
+  cb = ColumnBatch::FromRowBatch(RowBatch(schema, rows));
+  ASSERT_TRUE(cb.has_value());
+  EXPECT_TRUE(cb->column(0).boxed());
+  ExpectSameCells(cb->ToRowBatch(), rows);
+  EXPECT_TRUE(cb->ToRowBatch().row(1).value(0).is_int64());
 }
 
-TEST(ColumnBatchTest, AppendValueEnforcesDeclaredType) {
+TEST(ColumnBatchTest, AppendValueBoxesAtTheFirstMismatch) {
   Column col(DataType::kDouble);
-  EXPECT_TRUE(col.AppendValue(Value::Double(1.5)));
-  EXPECT_TRUE(col.AppendValue(Value::Null()));
-  EXPECT_FALSE(col.AppendValue(Value::Int64(2)));  // runtime type mismatch
-  EXPECT_EQ(col.size(), 2u);
+  col.AppendValue(Value::Double(1.5));
+  col.AppendValue(Value::Null());
+  EXPECT_FALSE(col.boxed());
+  col.AppendValue(Value::Int64(2));  // runtime type mismatch
+  EXPECT_TRUE(col.boxed());
+  col.AppendNull();
+  col.AppendValue(Value::Double(3.0));
+  ASSERT_EQ(col.size(), 5u);
+  EXPECT_EQ(col.ValueAt(0).type(), DataType::kDouble);
+  EXPECT_EQ(col.ValueAt(0).double_value(), 1.5);
+  EXPECT_TRUE(col.ValueAt(1).is_null());
+  EXPECT_TRUE(col.ValueAt(2).is_int64());
+  EXPECT_TRUE(col.ValueAt(3).is_null());
+  EXPECT_EQ(col.ValueAt(4).double_value(), 3.0);
+  EXPECT_TRUE(col.has_nulls());
+  EXPECT_FALSE(col.IsValid(1));
+  EXPECT_FALSE(col.IsValid(3));
+  EXPECT_TRUE(col.IsValid(2));
+
+  // Boxed key bytes are the boxed Value's encoding.
+  std::string from_column;
+  col.AppendKeyBytes(2, &from_column);
+  std::string from_value;
+  AppendValueKeyBytes(Value::Int64(2), &from_value);
+  EXPECT_EQ(from_column, from_value);
+}
+
+TEST(ColumnBatchTest, NullDeclaredColumnBoxesAnyValue) {
+  const Schema schema = Schema({{"nothing", DataType::kNull, true}});
+  const std::vector<Row> rows = {Row({Value::Null()}),
+                                 Row({Value::String("x")}),
+                                 Row({Value::Bool(true)})};
+  std::optional<ColumnBatch> cb =
+      ColumnBatch::FromRowBatch(RowBatch(schema, rows));
+  ASSERT_TRUE(cb.has_value());
+  EXPECT_TRUE(cb->column(0).boxed());
+  ExpectSameCells(cb->ToRowBatch(), rows);
+}
+
+TEST(ColumnBatchTest, RowWidthMismatchIsRefused) {
+  const Schema schema = SimpleSchema();
+  std::vector<Row> rows = SimpleRows(3);
+  rows[1] = Row({Value::Int64(1)});
+  EXPECT_FALSE(ColumnBatch::FromRowBatch(RowBatch(schema, rows)).has_value());
 }
 
 TEST(ColumnBatchTest, KeyBytesMatchBoxedValueEncoding) {

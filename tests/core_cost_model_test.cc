@@ -59,6 +59,17 @@ TEST(CostModelTest, PhasesArePositiveAndSum) {
               1e-9);
 }
 
+// One kernel family: the legacy `columnar` field of a design names no
+// choice, so it neither discounts nor tags the design.
+TEST(CostModelTest, ColumnarFieldChangesNothing) {
+  const CostModel model;
+  PhysicalDesign columnar = BaseDesign();
+  columnar.columnar = true;
+  EXPECT_DOUBLE_EQ(model.EstimatePhases(columnar, 100000).total_s,
+                   model.EstimatePhases(BaseDesign(), 100000).total_s);
+  EXPECT_EQ(columnar.ConfigTag(), BaseDesign().ConfigTag());
+}
+
 TEST(CostModelTest, TimeGrowsWithVolume) {
   const CostModel model;
   const PhysicalDesign design = BaseDesign();

@@ -272,6 +272,24 @@ TEST(PlanIoTest, UnknownElementsIgnoredForCompatibility) {
   EXPECT_EQ(parsed.value().ops.size(), 1u);
 }
 
+// Documents may carry a `columnar` attribute from when designs chose a
+// kernel family. It names nothing now: such a document parses to the same
+// design as without it, and no design writes it.
+TEST(PlanIoTest, LegacyColumnarAttributeParsesToTheSameDesign) {
+  PhysicalDesign design = MakeDesign();
+  design.columnar = true;
+  const DesignSpec original = SpecOf(design);
+  EXPECT_TRUE(original == SpecOf(MakeDesign()));
+  const std::string xml = ExportDesignXml(original);
+  EXPECT_EQ(xml.find("columnar"), std::string::npos);
+  std::string legacy = xml;
+  const std::string root = "<physical_design";
+  legacy.insert(legacy.find(root) + root.size(), " columnar=\"1\"");
+  const Result<DesignSpec> parsed = ParseDesignXml(legacy);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_TRUE(parsed.value() == original);
+}
+
 TEST(PlanIoTest, CommentsAndDeclarationsSkipped) {
   const std::string xml =
       "<?xml version=\"1.0\"?>\n"

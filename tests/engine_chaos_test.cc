@@ -117,7 +117,7 @@ struct ChaosOutcome {
 /// only). `rng` drives fault placement and must be forked per run.
 ChaosOutcome RunOnce(const std::vector<Row>& input,
                      const ChaosSchedule& schedule, bool chaos,
-                     bool streaming, Rng rng, bool columnar = false) {
+                     bool streaming, Rng rng) {
   FailureInjector injector;
   for (const PoisonSpec& spec : schedule.poison) injector.AddPoison(spec);
   if (chaos) {
@@ -144,7 +144,6 @@ ChaosOutcome RunOnce(const std::vector<Row>& input,
   auto dlq = DeadLetterStore::InMemory("dlq");
   ExecutionConfig config;
   config.streaming = streaming;
-  config.columnar = columnar;
   config.batch_size = 32;
   config.injector = &injector;
   config.error_policies = schedule.policies;
@@ -179,28 +178,15 @@ TEST(ChaosSweepTest, WarehouseAndLedgerSurviveRandomFaultSchedules) {
     const ChaosOutcome streaming =
         RunOnce(input, schedule, /*chaos=*/true, /*streaming=*/true,
                 rng.Fork());
-    // The columnar fast path must hold the identical invariant: faults,
-    // poison containment, and retries behave the same whether a run of ops
-    // executed vectorized or row by row (poisoned attempts fall back).
-    const ChaosOutcome columnar_phased =
-        RunOnce(input, schedule, /*chaos=*/true, /*streaming=*/false,
-                rng.Fork(), /*columnar=*/true);
-    const ChaosOutcome columnar_streaming =
-        RunOnce(input, schedule, /*chaos=*/true, /*streaming=*/true,
-                rng.Fork(), /*columnar=*/true);
 
     // Byte-identical warehouse: transient faults, retries, and torn loads
     // leave no trace in the final contents — in either execution mode.
     EXPECT_EQ(phased.warehouse, clean.warehouse);
     EXPECT_EQ(streaming.warehouse, clean.warehouse);
-    EXPECT_EQ(columnar_phased.warehouse, clean.warehouse);
-    EXPECT_EQ(columnar_streaming.warehouse, clean.warehouse);
     // And the canonical quarantine ledger is exactly the data problem's:
     // re-quarantines from retried attempts collapse to the clean ledger.
     EXPECT_EQ(phased.ledger, clean.ledger);
     EXPECT_EQ(streaming.ledger, clean.ledger);
-    EXPECT_EQ(columnar_phased.ledger, clean.ledger);
-    EXPECT_EQ(columnar_streaming.ledger, clean.ledger);
   }
 }
 

@@ -48,15 +48,18 @@ TEST(DimensionTableTest, BuildDedupsAndSkipsNullKeys) {
   EXPECT_EQ(table.value()->num_rows(), 10u);
   EXPECT_GT(table.value()->ByteSize(), 0u);
 
-  std::string scratch;
-  const Row* hit = table.value()->ProbeValue(Value::Int64(0), &scratch);
+  const auto probe = [&](const Value& key) {
+    std::string bytes;
+    AppendValueKeyBytes(key, &bytes);
+    return table.value()->Probe(bytes);
+  };
+  const Row* hit = probe(Value::Int64(0));
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->value(1).string_value(), "label0");  // first wins
-  EXPECT_EQ(table.value()->ProbeValue(Value::Int64(99), &scratch), nullptr);
-  EXPECT_EQ(table.value()->ProbeValue(Value::Null(), &scratch), nullptr);
+  EXPECT_EQ(probe(Value::Int64(99)), nullptr);
   // Numeric near-miss: a double probe must not match an int64 build key
   // (Value::Hash keeps them distinct, and so does the byte encoding).
-  EXPECT_EQ(table.value()->ProbeValue(Value::Double(0.0), &scratch), nullptr);
+  EXPECT_EQ(probe(Value::Double(0.0)), nullptr);
 }
 
 TEST(DimensionCacheTest, SingleFlightBuildsExactlyOnce) {

@@ -114,8 +114,8 @@ class DropColumnsOp : public Operator {
   const char* kind() const override { return "drop_columns"; }
   const std::string& name() const override { return name_; }
   Result<Schema> Bind(const Schema&) override { return Schema(); }
-  Status Push(const RowBatch& input, RowBatch* output) override {
-    for (size_t i = 0; i < input.num_rows(); ++i) output->Append(Row());
+  Status PushColumnar(ColumnBatch* batch, ColumnarPushContext*) override {
+    while (batch->num_columns() > 0) batch->EraseColumn(0);
     return Status::OK();
   }
 

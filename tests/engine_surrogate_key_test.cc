@@ -35,6 +35,36 @@ TEST(SurrogateKeyRegistryTest, GetWithoutAssign) {
   EXPECT_EQ(registry.Get(Value::Null()).value(), 0);
 }
 
+// Int64 and timestamp naturals form one equality group: the same payload is
+// one natural key whichever type and entry point (boxed or unboxed batch)
+// first saw it, and the registry stores it once.
+TEST(SurrogateKeyRegistryTest, Int64AndTimestampShareOneSurrogate) {
+  SurrogateKeyRegistry registry(1);
+  EXPECT_EQ(registry.GetOrAssign(Value::Timestamp(42)), 1);
+  EXPECT_EQ(registry.GetOrAssign(Value::Int64(42)), 1);
+  std::vector<int64_t> out;
+  const int64_t raw[] = {42, 43};
+  registry.GetOrAssignI64Batch(raw, nullptr, 2, &out);
+  EXPECT_EQ(out, (std::vector<int64_t>{1, 2}));
+  registry.GetOrAssignBatch({Value::Timestamp(43), Value::Int64(42),
+                             Value::String("42"), Value::Double(42.0)},
+                            &out);
+  // A string and a double never equal an int64 natural.
+  EXPECT_EQ(out, (std::vector<int64_t>{2, 1, 3, 4}));
+  EXPECT_EQ(registry.Get(Value::Timestamp(42)).value(), 1);
+  EXPECT_EQ(registry.Get(Value::Int64(43)).value(), 2);
+  EXPECT_EQ(registry.Get(Value::String("42")).value(), 3);
+  EXPECT_EQ(registry.size(), 4u);
+
+  // Unboxed first, boxed second: the other direction agrees too.
+  SurrogateKeyRegistry reverse(10);
+  const int64_t seven = 7;
+  reverse.GetOrAssignI64Batch(&seven, nullptr, 1, &out);
+  EXPECT_EQ(out, (std::vector<int64_t>{10}));
+  EXPECT_EQ(reverse.GetOrAssign(Value::Timestamp(7)), 10);
+  EXPECT_EQ(reverse.size(), 1u);
+}
+
 TEST(SurrogateKeyRegistryTest, ConcurrentAssignIsConsistent) {
   SurrogateKeyRegistry registry(1);
   std::vector<std::thread> threads;

@@ -130,26 +130,6 @@ TEST_F(PlannerSweepTest, PhasedAndStreamingLoadIdenticalWarehouses) {
   }
 }
 
-// The columnar fast path is an execution-mode change, not a plan change:
-// across the whole sweep (parallelism, recovery points, redundancy, both
-// modes) turning it on must leave the warehouse byte-identical.
-TEST_F(PlannerSweepTest, ColumnarOnMatchesColumnarOffByteForByte) {
-  for (const SweepCase& c : SweepCases()) {
-    for (const bool streaming : {false, true}) {
-      SCOPED_TRACE(c.name + (streaming ? " streaming" : " phased"));
-      const std::vector<Row> off = RunBottom(ConfigFor(c, streaming));
-      ExecutionConfig columnar_config = ConfigFor(c, streaming);
-      columnar_config.columnar = true;
-      const std::vector<Row> on = RunBottom(columnar_config);
-      ASSERT_EQ(on.size(), off.size());
-      for (size_t i = 0; i < off.size(); ++i) {
-        ASSERT_TRUE(on[i] == off[i])
-            << "row " << i << " differs between columnar on and off";
-      }
-    }
-  }
-}
-
 // The engine's lowering (blocking derived from bound operators) and the
 // cost model's lowering (blocking from LogicalOp metadata) must agree on
 // the whole graph for the scenario flows, or predictions would price a

@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/column_batch.h"
 #include "common/row.h"
 #include "engine/executor.h"
 #include "engine/operator.h"
@@ -54,8 +56,10 @@ inline DataStorePtr MakeSource(const Schema& schema,
   return table;
 }
 
-/// Runs one operator standalone over the rows: Bind + Open + Push (in one
-/// batch) + Finish, returning output rows.
+/// Runs one operator standalone over the rows the way Pipeline does: Bind +
+/// Open, then the rows in one batch through Push (blocking ops) or
+/// FromRowBatch -> PushColumnar -> ToRowBatch (per-row ops), then Finish.
+/// Returns the output rows. Row errors fail fast.
 inline Result<std::vector<Row>> RunOperator(Operator* op, const Schema& input,
                                             const std::vector<Row>& rows,
                                             OperatorContext* ctx = nullptr) {
@@ -63,9 +67,20 @@ inline Result<std::vector<Row>> RunOperator(Operator* op, const Schema& input,
   if (ctx == nullptr) ctx = &local_ctx;
   QOX_ASSIGN_OR_RETURN(const Schema out_schema, op->Bind(input));
   QOX_RETURN_IF_ERROR(op->Open(ctx));
-  RowBatch out(out_schema);
-  QOX_RETURN_IF_ERROR(op->Push(RowBatch(input, rows), &out));
-  RowBatch finished(out_schema);
+  const SchemaPtr out_ptr = MakeSchemaPtr(out_schema);
+  const RowBatch in(input, rows);
+  RowBatch out(out_ptr);
+  if (op->IsBlocking()) {
+    QOX_RETURN_IF_ERROR(op->Push(in, &out));
+  } else {
+    std::optional<ColumnBatch> columns = ColumnBatch::FromRowBatch(in);
+    if (!columns.has_value()) return Status::Invalid("row width mismatch");
+    ColumnarPushContext cctx;
+    QOX_RETURN_IF_ERROR(op->PushColumnar(&*columns, &cctx));
+    columns->set_schema(out_ptr);
+    out = columns->ToRowBatch();
+  }
+  RowBatch finished(out_ptr);
   QOX_RETURN_IF_ERROR(op->Finish(&finished));
   std::vector<Row> result = out.rows();
   result.insert(result.end(), finished.rows().begin(), finished.rows().end());
