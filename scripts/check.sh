@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Sanitizer gate: builds the repo twice via the QOX_SANITIZE CMake knob and
 # runs the tier-1 suite under AddressSanitizer, then the concurrency-heavy
-# engine_* / plan / robustness / crash / resource / service / cdc-labeled tests
-# under ThreadSanitizer (the dataflow scheduler — concurrent streaming stages
-# and staged partition-branch fan-outs — channels, the work-stealing
+# engine_* / plan / robustness / crash / resource / service / cdc /
+# storage_snapshot-labeled tests under ThreadSanitizer (the dataflow
+# scheduler — concurrent streaming stages and staged partition-branch
+# fan-outs — channels, the shared Δ snapshot, the work-stealing
 # WorkerPool substrate and the multi-flow FlowService on top of it, the
 # planner equivalence sweep — which drives both execution modes — the
 # fault-containment suites, whose chaos sweep quarantines concurrently from
@@ -32,6 +33,10 @@ set -euo pipefail
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 MODE="${1:-all}"
+# ctest label regex of the TSan leg: the engine_* binaries plus the shared
+# suite labels, and storage_snapshot (hash-partitioned Δ branches classify
+# against one snapshot concurrently).
+TSAN_LABELS="^engine_|plan|robustness|crash|resource|service|cdc|storage_snapshot"
 
 run_suite() {
   local sanitizer="$1"     # address | thread | none
@@ -59,13 +64,13 @@ case "${MODE}" in
     # suites (the supervisor forks from the single-threaded gtest runner;
     # children thread freely after exec-free fork, which TSan supports).
     run_suite address build-asan ""
-    run_suite thread build-tsan "^engine_|plan|robustness|crash|resource|service|cdc"
+    run_suite thread build-tsan "${TSAN_LABELS}"
     ;;
   --asan-only)
     run_suite address build-asan ""
     ;;
   --tsan-only)
-    run_suite thread build-tsan "^engine_|plan|robustness|crash|resource|service|cdc"
+    run_suite thread build-tsan "${TSAN_LABELS}"
     ;;
   --fast)
     QOX_CHAOS_SEEDS="${QOX_CHAOS_SEEDS:-8}" \

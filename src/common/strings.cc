@@ -50,34 +50,44 @@ std::string CsvEncodeLine(const std::vector<std::string>& cells) {
   return out;
 }
 
-std::vector<std::string> CsvDecodeLine(const std::string& line) {
-  std::vector<std::string> cells;
-  std::string cell;
-  bool in_quotes = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cell += '"';
-          ++i;
+void CsvDecodeLine(const std::string& line, std::vector<std::string>* cells) {
+  const size_t n = line.size();
+  size_t used = 0;
+  size_t i = 0;
+  while (true) {
+    if (used == cells->size()) cells->emplace_back();
+    std::string& cell = (*cells)[used++];
+    cell.clear();
+    bool in_quotes = false;
+    // Copies each run of plain characters in one append; only quotes and
+    // the cell-ending comma are handled one character at a time.
+    while (i < n) {
+      size_t end = i;
+      if (in_quotes) {
+        while (end < n && line[end] != '"') ++end;
+        cell.append(line, i, end - i);
+        if (end == n) {
+          i = n;
+        } else if (end + 1 < n && line[end + 1] == '"') {
+          cell.push_back('"');
+          i = end + 2;
         } else {
           in_quotes = false;
+          i = end + 1;
         }
-      } else {
-        cell += c;
+        continue;
       }
-    } else if (c == '"') {
+      while (end < n && line[end] != ',' && line[end] != '"') ++end;
+      cell.append(line, i, end - i);
+      i = end;
+      if (i == n || line[i] == ',') break;
       in_quotes = true;
-    } else if (c == ',') {
-      cells.push_back(std::move(cell));
-      cell.clear();
-    } else {
-      cell += c;
+      ++i;
     }
+    if (i >= n) break;
+    ++i;  // the comma
   }
-  cells.push_back(std::move(cell));
-  return cells;
+  cells->resize(used);
 }
 
 std::string FormatDouble(double v, int decimals) {

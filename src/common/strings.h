@@ -22,9 +22,12 @@ std::string CsvEscape(const std::string& cell);
 /// Encodes a full CSV line (no trailing newline).
 std::string CsvEncodeLine(const std::vector<std::string>& cells);
 
-/// Decodes one CSV line into cells (RFC 4180 quoting). Malformed trailing
-/// quotes are tolerated by treating the rest of the line as literal.
-std::vector<std::string> CsvDecodeLine(const std::string& line);
+/// Decodes one CSV line into `*cells` (RFC 4180 quoting), replacing its
+/// contents. The vector and its strings are reused, so a caller decoding
+/// line after line into one vector allocates only when a cell outgrows
+/// every earlier one. Malformed trailing quotes are tolerated by treating
+/// the rest of the line as literal.
+void CsvDecodeLine(const std::string& line, std::vector<std::string>* cells);
 
 /// printf-style double formatting with fixed decimals ("12.35").
 std::string FormatDouble(double v, int decimals);

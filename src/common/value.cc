@@ -170,8 +170,18 @@ Result<Value> Value::Parse(const std::string& text, DataType type) {
                                           : Value::Int64(v);
     }
     case DataType::kDouble: {
+      // from_chars is several times faster than strtod and rounds the same
+      // (correctly); strtod still parses what from_chars rejects (leading
+      // '+' or spaces, hex, out-of-range), so the accepted syntax is the
+      // same as before.
+      double v = 0.0;
+      const auto [ptr, ec] =
+          std::from_chars(text.data(), text.data() + text.size(), v);
+      if (ec == std::errc() && ptr == text.data() + text.size()) {
+        return Value::Double(v);
+      }
       char* end = nullptr;
-      const double v = std::strtod(text.c_str(), &end);
+      v = std::strtod(text.c_str(), &end);
       if (end != text.c_str() + text.size()) {
         return Status::Invalid("cannot parse double from '" + text + "'");
       }

@@ -158,8 +158,8 @@ Status SalesScenario::Build(const SalesScenarioConfig& config) {
     const DataStorePtr s1 = s1_raw;
     const SnapshotStorePtr snapshot = sales_snapshot_;
     bottom_flow_.set_post_success([s1, snapshot]() -> Status {
-      QOX_ASSIGN_OR_RETURN(const RowBatch landed, s1->ReadAll());
-      return snapshot->Commit(landed.rows());
+      QOX_ASSIGN_OR_RETURN(RowBatch landed, s1->ReadAll());
+      return snapshot->Commit(std::move(landed.rows()));
     });
   }
 
@@ -180,8 +180,8 @@ Status SalesScenario::Build(const SalesScenarioConfig& config) {
     const DataStorePtr s2 = s2_raw;
     const SnapshotStorePtr snapshot = staff_snapshot_;
     middle_flow_.set_post_success([s2, snapshot]() -> Status {
-      QOX_ASSIGN_OR_RETURN(const RowBatch landed, s2->ReadAll());
-      return snapshot->Commit(landed.rows());
+      QOX_ASSIGN_OR_RETURN(RowBatch landed, s2->ReadAll());
+      return snapshot->Commit(std::move(landed.rows()));
     });
   }
 

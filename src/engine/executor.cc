@@ -408,12 +408,14 @@ class FlowRunner {
   }
 
   /// Source stage: scans the source, streaming batches into `out`.
-  void SpawnExtractStage(StageSet* stages, BatchChannelPtr out, int attempt) {
+  /// `total` is the source's row count, the injector's extraction-fraction
+  /// denominator (unused without an injector).
+  void SpawnExtractStage(StageSet* stages, BatchChannelPtr out, int attempt,
+                         size_t total) {
     const size_t node_id = plan_.extract_node();
-    stages->Spawn("extract", [this, out, attempt,
+    stages->Spawn("extract", [this, out, attempt, total,
                               node_id](StageStats* stats) -> Status {
       stats->node_id = static_cast<int64_t>(node_id);
-      QOX_ASSIGN_OR_RETURN(const size_t total, flow_.source->NumRows());
       if (config_.injector != nullptr) {
         // Report the phase start before scanning: an empty source never
         // invokes the scan consumer, so a failure placed at extraction
@@ -907,14 +909,19 @@ class FlowRunner {
                          ResumeFromRp(resume_cut, &resume_rows));
     size_t current_cut =
         resumed_cut >= 0 ? static_cast<size_t>(resumed_cut) : 0;
+    // The source size only feeds failure-fraction denominators, and
+    // counting a file source reads all of it: count it once, and only when
+    // an injector will read the count.
+    size_t source_rows = 0;
+    if (config_.injector != nullptr && resumed_cut < 0) {
+      QOX_ASSIGN_OR_RETURN(source_rows, flow_.source->NumRows());
+    }
     // Streaming stages start before their input exists, so their failure
     // fractions need a row-count estimate up front: the source size, or
     // the replayed cut's size. Staged stages count their actual input
     // instead (InputRows).
     size_t expected_rows = resume_rows.size();
-    if (config_.streaming && resumed_cut < 0) {
-      QOX_ASSIGN_OR_RETURN(expected_rows, flow_.source->NumRows());
-    }
+    if (config_.streaming && resumed_cut < 0) expected_rows = source_rows;
 
     const bool staged = !config_.streaming;
     StageSet stages(exec_, staged);
@@ -922,7 +929,7 @@ class FlowRunner {
     if (resumed_cut >= 0) {
       SpawnReplayStage(&stages, cursor, std::move(resume_rows), current_cut);
     } else {
-      SpawnExtractStage(&stages, cursor, attempt);
+      SpawnExtractStage(&stages, cursor, attempt, source_rows);
       if (plan_.rp_after_extract()) {
         cursor = SpawnBarrierStage(&stages, cursor, 0,
                                    plan_.rp0_barrier_node());

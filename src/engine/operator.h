@@ -4,10 +4,11 @@
 // (non-blocking) operators — filter, function, lookup, surrogate key —
 // implement PushColumnar only: the pipeline runs each maximal run of them
 // on one ColumnBatch. Blocking operators (sort, group, delta) implement
-// Push only: they take row batches and append produced rows to the output
-// batch; Finish() flushes the state they buffer. Bind() performs schema
-// inference/validation before any data flows, so mis-wired flows fail at
-// plan time.
+// Push only: they take row batches by value — the caller moves each batch
+// in and the op consumes it, moving the rows it keeps into its own buffer
+// — and append produced rows to the output batch; Finish() flushes the
+// state they buffer. Bind() performs schema inference/validation before
+// any data flows, so mis-wired flows fail at plan time.
 //
 // Operators are single-use: partitioned and redundant execution construct a
 // fresh clone per branch via OperatorFactory.
@@ -123,12 +124,14 @@ class Operator {
     return Status::OK();
   }
 
-  /// Blocking operators only: consumes `input`, buffering it, and appends
-  /// any produced rows to `*output` (which carries the Bind() output
-  /// schema). Blocking operators never report row-scoped errors (a
+  /// Blocking operators only: consumes `input`, which the caller hands
+  /// over by value (moved in, never read again), buffering its rows by
+  /// move, and appends any produced rows to `*output` (which carries the
+  /// Bind() output schema). Callers that count the input read its size
+  /// before the push. Blocking operators never report row-scoped errors (a
   /// containable status — kInvalidArgument, kNotFound, kOutOfRange) from
   /// Push: a Push error fails the attempt.
-  virtual Status Push(const RowBatch& input, RowBatch* output) {
+  virtual Status Push(RowBatch input, RowBatch* output) {
     (void)input;
     (void)output;
     return Status::Internal("operator '" + name() +

@@ -1,5 +1,7 @@
 #include "engine/ops/delta_op.h"
 
+#include <iterator>
+
 namespace qox {
 
 DeltaOp::DeltaOp(std::string name, SnapshotStorePtr snapshot,
@@ -21,16 +23,19 @@ Result<Schema> DeltaOp::Bind(const Schema& input) {
   return input.AddField({change_type_column_, DataType::kString, false});
 }
 
-Status DeltaOp::Push(const RowBatch& input, RowBatch* output) {
+Status DeltaOp::Push(RowBatch input, RowBatch* output) {
   (void)output;
-  buffered_.insert(buffered_.end(), input.rows().begin(), input.rows().end());
+  buffered_.insert(buffered_.end(),
+                   std::make_move_iterator(input.rows().begin()),
+                   std::make_move_iterator(input.rows().end()));
   return Status::OK();
 }
 
 Status DeltaOp::Finish(RowBatch* output) {
   QOX_ASSIGN_OR_RETURN(DeltaResult delta,
-                       snapshot_->ComputeDelta(buffered_));
+                       snapshot_->ComputeDelta(std::move(buffered_)));
   buffered_.clear();
+  output->Reserve(delta.inserts.size() + delta.updates.size());
   const bool tag = !change_type_column_.empty();
   for (Row& row : delta.inserts) {
     if (tag) row.Append(Value::String("insert"));

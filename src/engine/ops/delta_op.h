@@ -5,12 +5,14 @@
 // (Δ transformation) against the previous landing (snapshot table) for
 // identifying the changed tuples."
 //
-// DeltaOp is blocking: it buffers its input, classifies it against the
-// SnapshotStore at Finish(), and emits only inserts and updates (optionally
-// tagged with a change-type column). Committing the fresh landing into the
-// snapshot is NOT done here — the executor commits only after the flow
-// loads successfully, so failed/restarted runs see the same delta again
-// (exactly-once semantics; asserted by recovery tests).
+// DeltaOp is blocking: it moves its input rows into its buffer, hands the
+// buffer to the SnapshotStore at Finish(), and emits only inserts and
+// updates (optionally tagged with a change-type column) — inserts first,
+// then updates, each in first-seen key order. No landed row is copied.
+// Committing the fresh landing into the snapshot is NOT done here — the
+// executor commits only after the flow loads successfully, so
+// failed/restarted runs see the same delta again (exactly-once semantics;
+// asserted by recovery tests).
 
 #ifndef QOX_ENGINE_OPS_DELTA_OP_H_
 #define QOX_ENGINE_OPS_DELTA_OP_H_
@@ -36,7 +38,7 @@ class DeltaOp : public Operator {
   const char* kind() const override { return "delta"; }
   const std::string& name() const override { return name_; }
   Result<Schema> Bind(const Schema& input) override;
-  Status Push(const RowBatch& input, RowBatch* output) override;
+  Status Push(RowBatch input, RowBatch* output) override;
   Status Finish(RowBatch* output) override;
   bool IsBlocking() const override { return true; }
   double CostPerRow() const override { return 2.2; }

@@ -108,7 +108,7 @@ void GroupOp::AggregateRow(const Row& row, bool charge_forced) {
   }
 }
 
-Status GroupOp::Push(const RowBatch& input, RowBatch* output) {
+Status GroupOp::Push(RowBatch input, RowBatch* output) {
   (void)output;
   for (const Row& row : input.rows()) {
     if (spilling_) {

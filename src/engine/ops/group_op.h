@@ -57,7 +57,7 @@ class GroupOp : public Operator {
   const std::string& name() const override { return name_; }
   Result<Schema> Bind(const Schema& input) override;
   Status Open(OperatorContext* ctx) override;
-  Status Push(const RowBatch& input, RowBatch* output) override;
+  Status Push(RowBatch input, RowBatch* output) override;
   Status Finish(RowBatch* output) override;
   bool IsBlocking() const override { return true; }
   double CostPerRow() const override { return 2.5; }

@@ -1,6 +1,7 @@
 #include "engine/ops/sort_op.h"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 #include <utility>
 
@@ -37,7 +38,7 @@ bool SortOp::Less(const Row& a, const Row& b) const {
   return false;
 }
 
-Status SortOp::BufferRow(const Row& row) {
+Status SortOp::BufferRow(Row row) {
   if (enforce_) {
     const size_t bytes = row.ByteSize();
     if (!ctx_->memory_budget->TryReserve(bytes)) {
@@ -50,7 +51,7 @@ Status SortOp::BufferRow(const Row& row) {
     }
     charged_ += bytes;
   }
-  buffered_.push_back(row);
+  buffered_.push_back(std::move(row));
   return Status::OK();
 }
 
@@ -70,14 +71,17 @@ Status SortOp::SpillBuffered() {
   return Status::OK();
 }
 
-Status SortOp::Push(const RowBatch& input, RowBatch* output) {
+Status SortOp::Push(RowBatch input, RowBatch* output) {
   (void)output;
   if (!enforce_) {
-    buffered_.insert(buffered_.end(), input.rows().begin(),
-                     input.rows().end());
+    buffered_.insert(buffered_.end(),
+                     std::make_move_iterator(input.rows().begin()),
+                     std::make_move_iterator(input.rows().end()));
     return Status::OK();
   }
-  for (const Row& row : input.rows()) QOX_RETURN_IF_ERROR(BufferRow(row));
+  for (Row& row : input.rows()) {
+    QOX_RETURN_IF_ERROR(BufferRow(std::move(row)));
+  }
   return Status::OK();
 }
 

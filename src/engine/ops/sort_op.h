@@ -37,7 +37,7 @@ class SortOp : public Operator {
   const std::string& name() const override { return name_; }
   Result<Schema> Bind(const Schema& input) override;
   Status Open(OperatorContext* ctx) override;
-  Status Push(const RowBatch& input, RowBatch* output) override;
+  Status Push(RowBatch input, RowBatch* output) override;
   Status Finish(RowBatch* output) override;
   bool IsBlocking() const override { return true; }
   double CostPerRow() const override { return 3.0; }
@@ -47,7 +47,7 @@ class SortOp : public Operator {
 
  private:
   bool Less(const Row& a, const Row& b) const;
-  Status BufferRow(const Row& row);
+  Status BufferRow(Row row);
   Status SpillBuffered();
   Status MergeRuns(RowBatch* output);
 

@@ -159,13 +159,14 @@ Status Pipeline::PushFrom(size_t from, RowBatch batch) {
       if (batch.empty()) return Status::OK();  // whole batch contained
     }
     if (ops_[i]->IsBlocking()) {
-      rows_entered_[i] += batch.num_rows();
+      const size_t rows_in = batch.num_rows();  // the push consumes batch
+      rows_entered_[i] += rows_in;
       QOX_RETURN_IF_ERROR(CheckInterrupts(i, rows_entered_[i]));
       RowBatch out(schema_ptrs_[i + 1]);
       const StopWatch timer;
-      const Status st = ops_[i]->Push(batch, &out);
+      const Status st = ops_[i]->Push(std::move(batch), &out);
       op_stats_[i].micros += timer.ElapsedMicros();
-      op_stats_[i].rows_in += batch.num_rows();
+      op_stats_[i].rows_in += rows_in;
       QOX_RETURN_IF_ERROR(st);
       op_stats_[i].rows_out += out.num_rows();
       if (out.empty()) return Status::OK();  // buffered

@@ -4,10 +4,10 @@
 // and cascades batches through them on Push. Each maximal run of per-row
 // (non-blocking) ops runs as FromRowBatch -> PushColumnar... -> ToRowBatch
 // on one ColumnBatch; blocking ops (sort, group, delta) take row batches
-// through Push. Finish flushes blocking operators in order, cascading each
-// flush through the downstream operators. Output rows accumulate in the
-// pipeline (the executor decides where they go next: the next segment, a
-// recovery point, a merge, or the warehouse load).
+// through Push, by move. Finish flushes blocking operators in order,
+// cascading each flush through the downstream operators. Output rows
+// accumulate in the pipeline (the executor decides where they go next: the
+// next segment, a recovery point, a merge, or the warehouse load).
 //
 // The pipeline is also where failure injection, cancellation and row
 // containment are observed: before each operator invocation it reports

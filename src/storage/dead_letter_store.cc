@@ -115,7 +115,8 @@ std::string EncodeQuarantinePayload(const Row& row) {
 
 Result<Row> DecodeQuarantinePayload(const std::string& payload,
                                     const Schema& schema) {
-  const std::vector<std::string> cells = CsvDecodeLine(payload);
+  std::vector<std::string> cells;
+  CsvDecodeLine(payload, &cells);
   if (cells.size() != schema.num_fields()) {
     return Status::CorruptedData(
         "quarantine payload has " + std::to_string(cells.size()) +

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "common/crash_point.h"
 #include "common/strings.h"
@@ -35,6 +36,77 @@ Status WriteAllBytes(int fd, const std::string& data,
     off += static_cast<size_t>(n);
   }
   return Status::OK();
+}
+
+/// Splits a CSV file into records: lines, continued across line breaks
+/// while a quoted cell is open (CsvEscape quotes a cell that holds a
+/// newline). Reads the file in large blocks and finds line ends and quotes
+/// with memchr. Scan and NumRows both read through it, so they agree on
+/// what a record is.
+class RecordReader {
+ public:
+  explicit RecordReader(const std::string& path)
+      : in_(path, std::ios::binary) {}
+
+  bool is_open() const { return in_.is_open(); }
+
+  /// Number of lines consumed so far.
+  size_t line_no() const { return line_no_; }
+
+  /// Reads the next record, without its final newline, into `*record`.
+  /// False at end of file.
+  bool Next(std::string* record) {
+    record->clear();
+    bool read_any = false;
+    bool quoted = false;
+    while (pos_ < end_ || Fill()) {
+      read_any = true;
+      const char* begin = block_.data() + pos_;
+      const char* stop = block_.data() + end_;
+      const char* newline = static_cast<const char*>(
+          std::memchr(begin, '\n', static_cast<size_t>(stop - begin)));
+      const char* line_end = newline == nullptr ? stop : newline;
+      // Every quote toggles CsvDecodeLine's quoted state, except a doubled
+      // quote inside a quoted cell, which toggles it twice.
+      for (const char* q = begin;
+           (q = static_cast<const char*>(std::memchr(
+                q, '"', static_cast<size_t>(line_end - q)))) != nullptr;
+           ++q) {
+        quoted = !quoted;
+      }
+      record->append(begin, line_end);
+      pos_ = static_cast<size_t>(line_end - block_.data());
+      if (newline == nullptr) continue;  // the line goes on in the next block
+      ++pos_;
+      ++line_no_;
+      if (!quoted) return true;
+      record->push_back('\n');
+    }
+    if (read_any) ++line_no_;  // a last line without a newline
+    return read_any;
+  }
+
+ private:
+  bool Fill() {
+    in_.read(block_.data(), static_cast<std::streamsize>(block_.size()));
+    pos_ = 0;
+    end_ = static_cast<size_t>(in_.gcount());
+    return end_ > 0;
+  }
+
+  std::ifstream in_;
+  std::vector<char> block_ = std::vector<char>(size_t{1} << 16);
+  size_t pos_ = 0;
+  size_t end_ = 0;
+  size_t line_no_ = 0;
+};
+
+/// True when `record` holds a row of a `width`-column schema. Append
+/// writes a one-column row holding NULL or "" as an empty line; a wider
+/// row always holds a comma, so an empty record there is a blank line.
+/// Scan and NumRows both count rows by this rule.
+bool IsRowRecord(const std::string& record, size_t width) {
+  return !record.empty() || width == 1;
 }
 
 }  // namespace
@@ -71,12 +143,17 @@ Status FlatFile::WriteHeader() {
 
 Result<size_t> FlatFile::NumRows() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::ifstream in(path_);
-  if (!in) return Status::IoError("cannot open file '" + path_ + "'");
-  size_t lines = 0;
-  std::string line;
-  while (std::getline(in, line)) ++lines;
-  return lines == 0 ? 0 : lines - 1;  // minus header
+  RecordReader reader(path_);
+  if (!reader.is_open()) {
+    return Status::IoError("cannot open file '" + path_ + "'");
+  }
+  std::string record;
+  if (!reader.Next(&record)) return 0;  // empty file: no header
+  size_t rows = 0;
+  while (reader.Next(&record)) {
+    if (IsRowRecord(record, schema_.num_fields())) ++rows;
+  }
+  return rows;
 }
 
 Status FlatFile::Scan(
@@ -84,33 +161,41 @@ Status FlatFile::Scan(
     const std::function<Status(RowBatch&)>& consumer) const {
   if (batch_size == 0) return Status::Invalid("batch_size must be > 0");
   std::lock_guard<std::mutex> lock(mu_);
-  std::ifstream in(path_);
-  if (!in) return Status::IoError("cannot open file '" + path_ + "'");
-  std::string line;
-  if (!std::getline(in, line)) return Status::OK();  // empty file: no header
+  RecordReader reader(path_);
+  if (!reader.is_open()) {
+    return Status::IoError("cannot open file '" + path_ + "'");
+  }
+  std::string record;
+  if (!reader.Next(&record)) return Status::OK();  // empty file: no header
+  const size_t width = schema_.num_fields();
   RowBatch batch(schema_);
   batch.Reserve(batch_size);
-  size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    const std::vector<std::string> cells = CsvDecodeLine(line);
-    if (cells.size() != schema_.num_fields()) {
+  // Reused for every record, so decoding allocates no cell strings.
+  std::vector<std::string> cells;
+  while (true) {
+    const size_t first_line = reader.line_no() + 1;
+    if (!reader.Next(&record)) break;
+    if (!IsRowRecord(record, width)) continue;
+    CsvDecodeLine(record, &cells);
+    if (cells.size() != width) {
       return Status::Invalid("file '" + path_ + "' line " +
-                             std::to_string(line_no) + ": expected " +
-                             std::to_string(schema_.num_fields()) +
-                             " cells, got " + std::to_string(cells.size()));
+                             std::to_string(first_line) + ": expected " +
+                             std::to_string(width) + " cells, got " +
+                             std::to_string(cells.size()));
     }
-    Row row;
-    for (size_t i = 0; i < cells.size(); ++i) {
+    std::vector<Value> values;
+    values.reserve(width);
+    for (size_t i = 0; i < width; ++i) {
       QOX_ASSIGN_OR_RETURN(Value v,
                            Value::Parse(cells[i], schema_.field(i).type));
-      row.Append(std::move(v));
+      values.push_back(std::move(v));
     }
-    batch.Append(std::move(row));
+    batch.Append(Row(std::move(values)));
     if (batch.num_rows() >= batch_size) {
       QOX_RETURN_IF_ERROR(consumer(batch));
+      // The consumer may have moved the rows (and their storage) out.
       batch.Clear();
+      batch.Reserve(batch_size);
     }
   }
   if (!batch.empty()) QOX_RETURN_IF_ERROR(consumer(batch));

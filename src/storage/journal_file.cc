@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -47,7 +48,8 @@ bool ParseRecord(const std::string& line, uint64_t expected_seq,
       std::strtoull(line.c_str() + comma + 1, &end, 10);
   if (end == nullptr || *end != '\0') return false;
   if (Fnv1a64(body.data(), body.size()) != stored) return false;
-  const std::vector<std::string> cells = CsvDecodeLine(body);
+  std::vector<std::string> cells;
+  CsvDecodeLine(body, &cells);
   if (cells.size() < 2) return false;
   char* seq_end = nullptr;
   const unsigned long long seq = std::strtoull(cells[0].c_str(), &seq_end, 10);
@@ -56,7 +58,8 @@ bool ParseRecord(const std::string& line, uint64_t expected_seq,
   }
   out->seq = seq;
   out->type = cells[1];
-  out->fields.assign(cells.begin() + 2, cells.end());
+  out->fields.assign(std::make_move_iterator(cells.begin() + 2),
+                     std::make_move_iterator(cells.end()));
   return true;
 }
 

@@ -223,8 +223,9 @@ Result<RowBatch> RecoveryPointStore::Load(const RecoveryPointId& id,
         std::to_string(expected_checksum) + ")");
   }
   RowBatch batch(schema);
+  std::vector<std::string> cells;
   for (const std::string& stored : lines) {
-    const std::vector<std::string> cells = CsvDecodeLine(stored);
+    CsvDecodeLine(stored, &cells);
     if (cells.size() != schema.num_fields()) {
       return Status::CorruptedData("recovery point '" + DataPath(id) +
                                    "' row width mismatch");

@@ -7,6 +7,11 @@
 // classifies a fresh landing into inserts and updates; committing the fresh
 // landing makes it the snapshot for the next run.
 //
+// Rows are keyed in place: the snapshot is one set of full rows, hashed and
+// compared on the key columns only, so neither a landing nor a commit
+// builds a separate key row per input row. Both take the landing by value
+// and move its rows into their result.
+//
 // The snapshot lives entirely in memory — there are no file writes here,
 // so the disk-write audit (checked write/fsync/close returns) that covers
 // flat_file / recovery_store / the spill path does not apply.
@@ -16,7 +21,7 @@
 
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/row.h"
@@ -39,35 +44,54 @@ class SnapshotStore {
   /// `key_columns` are positional indexes of the business key within the
   /// landed schema.
   SnapshotStore(std::string name, Schema schema,
-                std::vector<size_t> key_columns)
-      : name_(std::move(name)),
-        schema_(std::move(schema)),
-        key_columns_(std::move(key_columns)) {}
+                std::vector<size_t> key_columns);
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
   const std::vector<size_t>& key_columns() const { return key_columns_; }
 
-  /// Classifies `fresh` against the current snapshot. Duplicate keys within
-  /// `fresh` keep the last occurrence (standard landing semantics).
-  Result<DeltaResult> ComputeDelta(const std::vector<Row>& fresh) const;
+  /// Classifies `fresh` against the current snapshot, moving its rows into
+  /// the result. Duplicate keys within `fresh` keep the last occurrence's
+  /// row (standard landing semantics); inserts and updates each follow the
+  /// order in which their keys first appear in `fresh`. Safe to call from
+  /// several threads at once.
+  Result<DeltaResult> ComputeDelta(std::vector<Row> fresh) const;
 
-  /// Replaces the snapshot with `fresh` (called after a successful load).
-  Status Commit(const std::vector<Row>& fresh);
+  /// Replaces the snapshot with `fresh` (called after a successful load),
+  /// moving its rows in. Duplicate keys keep the last occurrence's row.
+  Status Commit(std::vector<Row> fresh);
 
   size_t snapshot_size() const;
 
   Status Clear();
 
  private:
-  struct KeyOf;
-  Result<Row> ExtractKey(const Row& row) const;
+  /// Hash and equality over the key columns of full rows.
+  struct KeyHash {
+    const std::vector<size_t>* columns;
+    size_t operator()(const Row& row) const {
+      return row.HashColumns(*columns);
+    }
+  };
+  struct KeyEqual {
+    const std::vector<size_t>* columns;
+    bool operator()(const Row& a, const Row& b) const;
+  };
+  using RowSet = std::unordered_set<Row, KeyHash, KeyEqual>;
+
+  /// An empty set keyed on key_columns_, sized for `rows` rows.
+  RowSet MakeSet(size_t rows) const;
+
+  /// Fails when `row` is too narrow to hold every key column.
+  Status CheckKeyColumns(const Row& row) const;
 
   const std::string name_;
   const Schema schema_;
   const std::vector<size_t> key_columns_;
+  /// One past the largest key column: the narrowest row that can be keyed.
+  size_t min_width_ = 0;
   mutable std::mutex mu_;
-  std::unordered_map<Row, Row, RowHash> snapshot_;  // key row -> full row
+  RowSet snapshot_;
 };
 
 }  // namespace qox

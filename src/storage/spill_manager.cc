@@ -151,37 +151,37 @@ Result<std::optional<Row>> SpillReader::Next() {
   if (!opened_ok_) {
     return Status::IoError("cannot open spill run '" + file_.path + "'");
   }
-  std::string line;
-  if (!std::getline(in_, line)) return std::optional<Row>();
+  if (!std::getline(in_, line_)) return std::optional<Row>();
   ++line_no_;
-  const size_t comma = line.rfind(',');
+  const size_t comma = line_.rfind(',');
   if (comma == std::string::npos) {
     return Status::CorruptedData("spill run '" + file_.path + "' line " +
                                  std::to_string(line_no_) +
                                  ": missing checksum");
   }
-  const std::string payload = line.substr(0, comma);
   const uint64_t expected =
-      std::strtoull(line.c_str() + comma + 1, nullptr, 10);
-  if (Fnv1a64(payload.data(), payload.size()) != expected) {
+      std::strtoull(line_.c_str() + comma + 1, nullptr, 10);
+  if (Fnv1a64(line_.data(), comma) != expected) {
     return Status::CorruptedData("spill run '" + file_.path + "' line " +
                                  std::to_string(line_no_) +
                                  " failed checksum verification");
   }
-  const std::vector<std::string> cells = CsvDecodeLine(payload);
-  if (cells.size() != file_.schema.num_fields()) {
+  line_.resize(comma);  // the payload: every cell before the checksum
+  CsvDecodeLine(line_, &cells_);
+  if (cells_.size() != file_.schema.num_fields()) {
     return Status::CorruptedData(
         "spill run '" + file_.path + "' line " + std::to_string(line_no_) +
         ": expected " + std::to_string(file_.schema.num_fields()) +
-        " cells, got " + std::to_string(cells.size()));
+        " cells, got " + std::to_string(cells_.size()));
   }
-  Row row;
-  for (size_t i = 0; i < cells.size(); ++i) {
+  std::vector<Value> values;
+  values.reserve(cells_.size());
+  for (size_t i = 0; i < cells_.size(); ++i) {
     QOX_ASSIGN_OR_RETURN(Value v,
-                         Value::Parse(cells[i], file_.schema.field(i).type));
-    row.Append(std::move(v));
+                         Value::Parse(cells_[i], file_.schema.field(i).type));
+    values.push_back(std::move(v));
   }
-  return std::optional<Row>(std::move(row));
+  return std::optional<Row>(Row(std::move(values)));
 }
 
 // ---------------------------------------------------------------------------

@@ -60,6 +60,9 @@ class SpillReader {
   std::ifstream in_;
   size_t line_no_ = 0;
   bool opened_ok_ = false;
+  // Reused across Next() calls: one line buffer, one decoded cell vector.
+  std::string line_;
+  std::vector<std::string> cells_;
 };
 
 /// Accumulates one spill run. Append buffers rows and flushes to the

@@ -26,6 +26,12 @@ TEST(CsvEscapeTest, QuotesOnlyWhenNeeded) {
   EXPECT_EQ(CsvEscape(""), "");
 }
 
+std::vector<std::string> Decode(const std::string& line) {
+  std::vector<std::string> cells;
+  CsvDecodeLine(line, &cells);
+  return cells;
+}
+
 struct CsvCase {
   std::vector<std::string> cells;
 };
@@ -34,7 +40,12 @@ class CsvRoundTripTest : public ::testing::TestWithParam<CsvCase> {};
 
 TEST_P(CsvRoundTripTest, EncodeDecodeIsIdentity) {
   const std::vector<std::string>& cells = GetParam().cells;
-  EXPECT_EQ(CsvDecodeLine(CsvEncodeLine(cells)), cells);
+  EXPECT_EQ(Decode(CsvEncodeLine(cells)), cells);
+  // A reused vector holding an earlier, wider line's cells is replaced
+  // exactly: no stale cell or stale character survives.
+  std::vector<std::string> reused{"stale,cell", "x", "yy", "zzz", "wwww"};
+  CsvDecodeLine(CsvEncodeLine(cells), &reused);
+  EXPECT_EQ(reused, cells);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -46,15 +57,21 @@ INSTANTIATE_TEST_SUITE_P(
         CsvCase{{"quote\"inside", "tail"}},
         CsvCase{{"multi\nline", "x"}},
         CsvCase{{"all,of\"it\nmixed", "", "end"}},
+        CsvCase{{"\"", ",", "\"\""}},
+        CsvCase{{"trailing", ""}},
         CsvCase{{"solo"}}));
 
 TEST(CsvDecodeTest, HandlesQuotedCommas) {
-  EXPECT_EQ(CsvDecodeLine("a,\"b,c\",d"),
+  EXPECT_EQ(Decode("a,\"b,c\",d"),
             (std::vector<std::string>{"a", "b,c", "d"}));
+  // Quotes toggle quoting anywhere in a cell; an unterminated quoted cell
+  // runs to the end of the line.
+  EXPECT_EQ(Decode("a\"b,c\"d,e"), (std::vector<std::string>{"ab,cd", "e"}));
+  EXPECT_EQ(Decode("a,\"b,c"), (std::vector<std::string>{"a", "b,c"}));
 }
 
 TEST(CsvDecodeTest, HandlesDoubledQuotes) {
-  EXPECT_EQ(CsvDecodeLine("\"he said \"\"hi\"\"\""),
+  EXPECT_EQ(Decode("\"he said \"\"hi\"\"\""),
             (std::vector<std::string>{"he said \"hi\""}));
 }
 

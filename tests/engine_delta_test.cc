@@ -65,6 +65,41 @@ TEST(DeltaOpTest, ChangeTypeColumnTagsRows) {
   EXPECT_EQ(out.row(1).value(0).int64_value(), 1);
 }
 
+TEST(DeltaOpTest, InterleavedDuplicatesEmitInFirstSeenKeyOrder) {
+  // Surrogate keys follow arrival order, so the Δ's output order is part
+  // of its contract: inserts, then updates, each in the order their keys
+  // first appear in the landing, each carrying the key's last row.
+  auto snapshot = MakeSnapshot();
+  ASSERT_TRUE(snapshot
+                  ->Commit({SimpleRow(2, "b", 2.0), SimpleRow(4, "d", 4.0),
+                            SimpleRow(6, "f", 6.0)})
+                  .ok());
+  DeltaOp op("delta", snapshot);
+  const Result<std::vector<Row>> out = RunDelta(
+      &op, {SimpleRow(5, "e", 1.0),    // insert, superseded below
+            SimpleRow(2, "b", 20.0),   // update, reverted below
+            SimpleRow(3, "c", 1.0),    // insert, superseded below
+            SimpleRow(5, "e", 50.0),
+            SimpleRow(4, "d", 4.0),    // unchanged, changed below
+            SimpleRow(6, "f", 60.0),   // update, superseded below
+            SimpleRow(2, "b", 2.0),    // back to the snapshot: unchanged
+            SimpleRow(1, "a", 1.0),    // insert
+            SimpleRow(6, "f", 61.0),
+            SimpleRow(3, "c", 33.0),
+            SimpleRow(4, "d", 44.0)});
+  ASSERT_TRUE(out.ok()) << out.status();
+  const std::vector<Row> expected{SimpleRow(5, "e", 50.0),
+                                  SimpleRow(3, "c", 33.0),
+                                  SimpleRow(1, "a", 1.0),
+                                  SimpleRow(4, "d", 44.0),
+                                  SimpleRow(6, "f", 61.0)};
+  ASSERT_EQ(out.value().size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(out.value()[i], expected[i])
+        << "row " << i << ": " << out.value()[i].ToString();
+  }
+}
+
 TEST(DeltaOpTest, RepeatableWithoutCommit) {
   // The delta must be stable across reruns until the snapshot commits —
   // the property restart-based recovery relies on.

@@ -112,6 +112,27 @@ TEST(PipelineTest, OpStatsCollected) {
   EXPECT_EQ(stats[0].rows_in, 16u);
   EXPECT_EQ(stats[0].rows_out, 14u);
   EXPECT_EQ(stats[1].rows_in, 14u);
+
+  // A blocking op consumes the batch pushed into it: its rows_in is
+  // counted before the move, its rows_out at Finish.
+  std::vector<OperatorPtr> blocking;
+  blocking.push_back(std::make_unique<FilterOp>(
+      "flt", std::vector<Predicate>{Predicate::NotNull("amount")}));
+  blocking.push_back(std::make_unique<SortOp>(
+      "srt", std::vector<SortKey>{{"amount", /*descending=*/true}}));
+  const Result<std::unique_ptr<Pipeline>> sorted = Pipeline::Create(
+      SimpleSchema(), std::move(blocking), &ctx, PipelineConfig{});
+  ASSERT_TRUE(sorted.ok()) << sorted.status();
+  ASSERT_TRUE(
+      sorted.value()->Push(RowBatch(SimpleSchema(), SimpleRows(16))).ok());
+  ASSERT_TRUE(
+      sorted.value()->Push(RowBatch(SimpleSchema(), SimpleRows(8))).ok());
+  ASSERT_TRUE(sorted.value()->Finish().ok());
+  const std::vector<OpStats>& sort_stats = sorted.value()->op_stats();
+  ASSERT_EQ(sort_stats.size(), 2u);
+  EXPECT_EQ(sort_stats[1].rows_in, 21u);  // 14 + 7 non-NULL amounts
+  EXPECT_EQ(sort_stats[1].rows_out, 21u);
+  EXPECT_EQ(sorted.value()->TakeOutput().size(), 21u);
 }
 
 TEST(PipelineTest, BindFailurePropagates) {

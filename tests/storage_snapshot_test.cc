@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 namespace qox {
 namespace {
 
@@ -64,6 +68,17 @@ TEST(SnapshotStoreTest, DuplicateKeysInLandingKeepLast) {
   ASSERT_TRUE(delta.ok());
   ASSERT_EQ(delta.value().inserts.size(), 1u);
   EXPECT_EQ(delta.value().inserts[0].value(1).string_value(), "last");
+
+  // Commit keeps the last row of a duplicated key too.
+  ASSERT_TRUE(store.Commit(fresh).ok());
+  EXPECT_EQ(store.snapshot_size(), 1u);
+  const Result<DeltaResult> last = store.ComputeDelta({MakeRow(1, "last", 2)});
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(last.value().unchanged, 1u);
+  const Result<DeltaResult> first =
+      store.ComputeDelta({MakeRow(1, "first", 1)});
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.value().updates.size(), 1u);
 }
 
 TEST(SnapshotStoreTest, CompositeKeys) {
@@ -73,6 +88,20 @@ TEST(SnapshotStoreTest, CompositeKeys) {
   const Result<DeltaResult> delta = store.ComputeDelta(fresh);
   ASSERT_TRUE(delta.ok());
   EXPECT_EQ(delta.value().inserts.size(), 1u);
+
+  // A non-leading composite key (amount, id): the payload is not part of
+  // it, so a changed payload under the same key is an update.
+  SnapshotStore by_amount("snap", TestSchema(), {2, 0});
+  ASSERT_TRUE(by_amount.Commit({MakeRow(1, "a", 1)}).ok());
+  const Result<DeltaResult> changed = by_amount.ComputeDelta(
+      {MakeRow(1, "b", 1),    // same (amount, id): update
+       MakeRow(1, "a", 2)});  // new (amount, id): insert
+  ASSERT_TRUE(changed.ok());
+  ASSERT_EQ(changed.value().updates.size(), 1u);
+  EXPECT_EQ(changed.value().updates[0], MakeRow(1, "b", 1));
+  ASSERT_EQ(changed.value().inserts.size(), 1u);
+  EXPECT_EQ(changed.value().inserts[0], MakeRow(1, "a", 2));
+  EXPECT_EQ(changed.value().unchanged, 0u);
 }
 
 TEST(SnapshotStoreTest, CommitReplacesSnapshot) {
@@ -95,6 +124,46 @@ TEST(SnapshotStoreTest, ClearEmptiesSnapshot) {
 TEST(SnapshotStoreTest, BadKeyColumnErrors) {
   SnapshotStore store("snap", TestSchema(), {9});
   EXPECT_FALSE(store.ComputeDelta({MakeRow(1, "a", 1)}).ok());
+  EXPECT_FALSE(store.Commit({MakeRow(1, "a", 1)}).ok());
+  EXPECT_EQ(store.snapshot_size(), 0u);
+}
+
+TEST(SnapshotStoreTest, ConcurrentComputeDeltaMatchesSerial) {
+  // Hash-partitioned Δ branches classify their partitions against one
+  // committed snapshot at the same time.
+  SnapshotStore store("snap", TestSchema(), {0});
+  std::vector<Row> committed;
+  for (int64_t id = 0; id < 2000; ++id) {
+    committed.push_back(MakeRow(id, "p" + std::to_string(id % 7), id));
+  }
+  ASSERT_TRUE(store.Commit(committed).ok());
+  std::vector<Row> fresh;
+  for (int64_t id = 1000; id < 3000; ++id) {
+    const double amount = id % 3 == 0 ? -1.0 : static_cast<double>(id);
+    fresh.push_back(MakeRow(id, "p" + std::to_string(id % 7), amount));
+  }
+  const Result<DeltaResult> serial = store.ComputeDelta(fresh);
+  ASSERT_TRUE(serial.ok());
+  EXPECT_EQ(serial.value().inserts.size(), 1000u);
+  EXPECT_GT(serial.value().updates.size(), 0u);
+  EXPECT_GT(serial.value().unchanged, 0u);
+
+  constexpr int kThreads = 4;
+  std::vector<Result<DeltaResult>> results(kThreads,
+                                           Status::Internal("not run"));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&store, &fresh, &results, t] {
+      results[t] = store.ComputeDelta(fresh);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const Result<DeltaResult>& result : results) {
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result.value().inserts, serial.value().inserts);
+    EXPECT_EQ(result.value().updates, serial.value().updates);
+    EXPECT_EQ(result.value().unchanged, serial.value().unchanged);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #define QOX_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -57,9 +58,10 @@ inline DataStorePtr MakeSource(const Schema& schema,
 }
 
 /// Runs one operator standalone over the rows the way Pipeline does: Bind +
-/// Open, then the rows in one batch through Push (blocking ops) or
-/// FromRowBatch -> PushColumnar -> ToRowBatch (per-row ops), then Finish.
-/// Returns the output rows. Row errors fail fast.
+/// Open, then the rows in one batch through Push (blocking ops, which take
+/// the batch by move) or FromRowBatch -> PushColumnar -> ToRowBatch
+/// (per-row ops), then Finish. Returns the output rows. Row errors fail
+/// fast.
 inline Result<std::vector<Row>> RunOperator(Operator* op, const Schema& input,
                                             const std::vector<Row>& rows,
                                             OperatorContext* ctx = nullptr) {
@@ -68,10 +70,10 @@ inline Result<std::vector<Row>> RunOperator(Operator* op, const Schema& input,
   QOX_ASSIGN_OR_RETURN(const Schema out_schema, op->Bind(input));
   QOX_RETURN_IF_ERROR(op->Open(ctx));
   const SchemaPtr out_ptr = MakeSchemaPtr(out_schema);
-  const RowBatch in(input, rows);
+  RowBatch in(input, rows);
   RowBatch out(out_ptr);
   if (op->IsBlocking()) {
-    QOX_RETURN_IF_ERROR(op->Push(in, &out));
+    QOX_RETURN_IF_ERROR(op->Push(std::move(in), &out));
   } else {
     std::optional<ColumnBatch> columns = ColumnBatch::FromRowBatch(in);
     if (!columns.has_value()) return Status::Invalid("row width mismatch");
@@ -82,8 +84,9 @@ inline Result<std::vector<Row>> RunOperator(Operator* op, const Schema& input,
   }
   RowBatch finished(out_ptr);
   QOX_RETURN_IF_ERROR(op->Finish(&finished));
-  std::vector<Row> result = out.rows();
-  result.insert(result.end(), finished.rows().begin(), finished.rows().end());
+  std::vector<Row> result = std::move(out.rows());
+  result.insert(result.end(), std::make_move_iterator(finished.rows().begin()),
+                std::make_move_iterator(finished.rows().end()));
   return result;
 }
 
