@@ -11,9 +11,9 @@
 //     blocking Δ takes row batches; the six ops behind it form one kernel
 //     run (shared-dimension flat probes included).
 //
-// Every cell byte-compares its warehouse with the 1-worker run of the same
-// flow at the first batch size, as a multiset of rows (the ordered merge
-// emits partitioned output in first-column order): batch size and
+// Every cell byte-compares its warehouse, in load order, with the 1-worker
+// run of the same flow at the first batch size: round-robin partitions of
+// per-row ops load the serial rows in serial order, so batch size and
 // partitioning must be pure throughput changes. (That first run assigns
 // every surrogate key, so the racing branches of later runs only look keys
 // up.) Like perf_streaming this measures real wall time, so it skips the
@@ -22,7 +22,6 @@
 //
 // Usage: perf_transform [--quick]   (--quick: small sweep for ctest smoke)
 
-#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -58,8 +57,8 @@ ExecutionConfig MakeConfig(size_t batch_size, size_t workers,
 }
 
 /// Best-of-repeats transform time for one configuration, plus the first
-/// run's warehouse contents, sorted (for the byte-identity check across
-/// cells).
+/// run's warehouse contents in load order (for the byte-identity check
+/// across cells).
 struct Sample {
   int64_t transform_micros = 0;
   int64_t rows_loaded = 0;
@@ -84,10 +83,7 @@ Sample Measure(SalesScenario* scenario, const LogicalFlow& flow,
                 << "): " << metrics.status() << "\n";
       return best;
     }
-    if (repeat == 0) {
-      best.warehouse = warehouse->ReadAll().value().rows();
-      std::sort(best.warehouse.begin(), best.warehouse.end());
-    }
+    if (repeat == 0) best.warehouse = warehouse->ReadAll().value().rows();
     if (!best.ok || metrics.value().transform_micros < best.transform_micros) {
       best.transform_micros = metrics.value().transform_micros;
       best.rows_loaded = static_cast<int64_t>(metrics.value().rows_loaded);

@@ -92,7 +92,7 @@ double EffectiveSpeedup(const PhysicalDesign& design,
 /// everything before emitting) — which splits the op chain into sections.
 /// Within a section, stages (extract, each transform chunk, load) run
 /// concurrently, so the section costs the MAX of its stage times; sections,
-/// RP writes, and the ordered merge serialize. On top ride the per-stage
+/// RP writes, and the merge serialize. On top ride the per-stage
 /// spawn/fill startup and the per-row channel transfer overhead — the
 /// prices streaming pays that phased execution does not.
 ///
@@ -149,8 +149,10 @@ ExecutionPlan CostModel::PlanFor(const PhysicalDesign& design) {
   PlanInput input;
   input.num_ops = design.flow.num_ops();
   input.blocking.reserve(input.num_ops);
+  input.sorts.reserve(input.num_ops);
   for (const LogicalOp& op : design.flow.ops()) {
     input.blocking.push_back(op.blocking);
+    input.sorts.push_back(op.kind == "sort");
   }
   input.parallel = design.parallel;
   input.parallel.partitions = std::max<size_t>(1, design.parallel.partitions);
@@ -189,20 +191,19 @@ PhaseEstimate CostModel::EstimatePhases(const PhysicalDesign& design,
   PhaseEstimate est;
   est.extract_s = input_rows * params_.extract_ns_per_row / 1e9;
 
-  const bool parallel = design.parallel.partitions > 1;
-  const size_t rb = parallel ? design.parallel.range_begin : 0;
-  const size_t re =
-      parallel ? std::min(design.parallel.range_end, ops.size()) : 0;
+  // The partitioned range as lowered (a sort ends it early).
+  const size_t rb = plan.parallel_begin();
+  const size_t re = plan.parallel_end();
   const double speedup = EffectiveSpeedup(design, params_, available_threads);
   std::vector<double> op_seconds(ops.size(), 0.0);
   for (size_t i = 0; i < ops.size(); ++i) {
     double op_s = ops[i].cost_per_row * rows[i] *
                   params_.transform_ns_per_unit / 1e9;
-    if (parallel && i >= rb && i < re) op_s /= speedup;
+    if (i >= rb && i < re) op_s /= speedup;
     op_seconds[i] = op_s;
     est.transform_s += op_s;
   }
-  if (parallel && rb < re) {
+  if (rb < re) {
     est.merge_s = (rows[rb] * params_.split_ns_per_row +
                    rows[re] * params_.merge_ns_per_row) /
                   1e9;

@@ -15,8 +15,9 @@
 //                   volume shrinking by selectivity; ops inside the
 //                   parallel range divide by an Amdahl-style effective
 //                   speedup min(partitions, threads) * efficiency, plus
-//                   split and ordered-merge overhead at range borders
-//                   ("the cost of merging back ... is not cheap")
+//                   split and merge overhead at range borders ("the cost
+//                   of merging back ... is not cheap"); the range is the
+//                   lowered plan's, which a sort ends early
 //   recovery points per cut: rows_at_cut * bytes_per_row * rp write rate,
 //                   plus a fixed per-point latency (Fig. 5)
 //   redundancy      wall time factor 1 + contention * (k - 1) from
@@ -66,7 +67,7 @@ struct CostModelParams {
   double rp_fixed_us = 400.0;
   double bytes_per_row = 70.0;
   double split_ns_per_row = 60.0;
-  double merge_ns_per_row = 300.0;     ///< ordered merge of branches
+  double merge_ns_per_row = 300.0;     ///< merge of branches (batch order)
   double parallel_efficiency = 0.80;   ///< fraction of ideal speedup
   double redundancy_contention = 0.12; ///< overhead per extra instance
   double rp_resume_fixed_s = 0.01;     ///< fixed resume cost from an RP

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "common/clock.h"
-
 namespace qox {
 
 std::string SchedulePlan::ToString() const {
@@ -46,37 +44,6 @@ SchedulePlan PlanSchedule(const std::vector<FlowJob>& jobs) {
   }
   plan.makespan_s = t;
   return plan;
-}
-
-Result<ScheduleOutcome> ExecuteSchedule(const std::vector<FlowJob>& jobs) {
-  const SchedulePlan plan = PlanSchedule(jobs);
-  ScheduleOutcome outcome;
-  const StopWatch window_timer;
-  for (const ScheduledSlot& slot : plan.slots) {
-    const FlowJob* job = nullptr;
-    for (const FlowJob& candidate : jobs) {
-      if (candidate.id == slot.id) {
-        job = &candidate;
-        break;
-      }
-    }
-    if (job == nullptr) {
-      return Status::Internal("planned slot '" + slot.id +
-                              "' has no matching job");
-    }
-    ExecutedSlot executed;
-    executed.id = slot.id;
-    executed.deadline_s = slot.deadline_s;
-    executed.started_s = window_timer.ElapsedSeconds();
-    QOX_ASSIGN_OR_RETURN(executed.metrics,
-                         Executor::Run(job->flow.ToFlowSpec(), job->exec));
-    executed.finished_s = window_timer.ElapsedSeconds();
-    executed.deadline_met = executed.finished_s <= executed.deadline_s;
-    if (executed.deadline_met) ++outcome.deadlines_met;
-    outcome.slots.push_back(std::move(executed));
-  }
-  outcome.total_s = window_timer.ElapsedSeconds();
-  return outcome;
 }
 
 }  // namespace qox

@@ -6,17 +6,16 @@
 // schedule. This module plans the execution order of a set of flows that
 // share one window: each flow has an estimated duration and a deadline
 // (its freshness commitment); the planner orders them by earliest
-// deadline (EDF — optimal for single-machine feasibility), reports
-// per-flow slack and overall feasibility, and ExecuteSchedule() runs the
-// plan for real and checks which deadlines were actually met.
+// deadline (EDF — optimal for single-machine feasibility) and reports
+// per-flow slack and overall feasibility. Running the flows is the
+// FlowService's job: a one-worker EDF service executes this plan's order
+// (examples/nightly_window).
 
 #ifndef QOX_CORE_SCHEDULE_H_
 #define QOX_CORE_SCHEDULE_H_
 
 #include <string>
 #include <vector>
-
-#include "core/design.h"
 
 namespace qox {
 
@@ -28,10 +27,6 @@ struct FlowJob {
   double deadline_s = 0.0;
   /// Planner's estimated duration, seconds (e.g. from the cost model).
   double estimated_duration_s = 0.0;
-  /// The executable flow (optional for pure planning).
-  LogicalFlow flow;
-  /// Execution configuration for ExecuteSchedule.
-  ExecutionConfig exec;
 };
 
 /// One planned slot.
@@ -55,27 +50,6 @@ struct SchedulePlan {
 /// Plans the jobs by earliest deadline first. Jobs run back to back from
 /// time 0 (single execution lane, as in the paper's nightly window).
 SchedulePlan PlanSchedule(const std::vector<FlowJob>& jobs);
-
-/// Outcome of actually running one slot.
-struct ExecutedSlot {
-  std::string id;
-  double started_s = 0.0;
-  double finished_s = 0.0;
-  double deadline_s = 0.0;
-  bool deadline_met = false;
-  RunMetrics metrics;
-};
-
-struct ScheduleOutcome {
-  std::vector<ExecutedSlot> slots;
-  size_t deadlines_met = 0;
-  double total_s = 0.0;
-};
-
-/// Executes the planned order for real (sequentially), timing each flow
-/// and checking its deadline against the actual clock. Jobs must carry
-/// executable flows.
-Result<ScheduleOutcome> ExecuteSchedule(const std::vector<FlowJob>& jobs);
 
 }  // namespace qox
 

@@ -35,7 +35,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -51,55 +50,6 @@ struct ChannelStats {
   size_t high_water = 0;           ///< max queue depth ever observed
   int64_t push_wait_micros = 0;    ///< cumulative backpressure blocking
   int64_t pop_wait_micros = 0;     ///< cumulative consumer starvation
-};
-
-/// Outcome of a non-blocking TryPop that did not fail.
-enum class ChannelPoll {
-  kItem,    ///< an item was dequeued
-  kEmpty,   ///< channel open but momentarily empty
-  kClosed,  ///< closed and fully drained — end of stream
-};
-
-/// Wake-up fan-in for consumers selecting over several channels.
-///
-/// A channel with an attached notifier bumps the notifier's version on
-/// every push, close, and poison. A consumer waiting on "any of these
-/// channels" snapshots the version, polls each channel with TryPop, and —
-/// finding nothing — waits for the version to move before polling again.
-/// Snapshotting *before* polling makes lost wake-ups impossible: any event
-/// that lands after the poll also lands after the snapshot, so AwaitChange
-/// returns immediately.
-class ChannelNotifier {
- public:
-  uint64_t version() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return version_;
-  }
-
-  void Notify() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++version_;
-    }
-    cv_.notify_all();
-  }
-
-  /// Blocks until the version differs from `seen`; returns the new
-  /// version. `wait_micros` (optional) accumulates the blocked time.
-  uint64_t AwaitChange(uint64_t seen, int64_t* wait_micros = nullptr) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (version_ == seen) {
-      const StopWatch timer;
-      cv_.wait(lock, [&] { return version_ != seen; });
-      if (wait_micros != nullptr) *wait_micros += timer.ElapsedMicros();
-    }
-    return version_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  uint64_t version_ = 0;
 };
 
 template <typename T>
@@ -136,25 +86,7 @@ class Channel {
     ++stats_.items_pushed;
     stats_.high_water = std::max(stats_.high_water, queue_.size());
     not_empty_.notify_one();
-    const std::shared_ptr<ChannelNotifier> notifier = notifier_;
-    lock.unlock();
-    if (notifier != nullptr) notifier->Notify();
     return Status::OK();
-  }
-
-  /// Non-blocking Pop: dequeues into `*item` and returns kItem when data
-  /// is available, kEmpty while the channel is open but empty, kClosed
-  /// once closed and drained; the poison status if poisoned.
-  Result<ChannelPoll> TryPop(T* item) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!poison_.ok()) return poison_;
-    if (!queue_.empty()) {
-      *item = std::move(queue_.front());
-      queue_.pop_front();
-      not_full_.notify_one();
-      return ChannelPoll::kItem;
-    }
-    return closed_ ? ChannelPoll::kClosed : ChannelPoll::kEmpty;
   }
 
   /// Blocks while the channel is empty and open. Returns the next item;
@@ -181,41 +113,26 @@ class Channel {
 
   /// Graceful end-of-stream: no further pushes; pops drain what remains.
   void Close() {
-    std::shared_ptr<ChannelNotifier> notifier;
     {
       std::lock_guard<std::mutex> lock(mu_);
       closed_ = true;
-      notifier = notifier_;
     }
     not_full_.notify_all();
     not_empty_.notify_all();
-    if (notifier != nullptr) notifier->Notify();
   }
 
   /// Error propagation: drops pending items and fails every blocked or
   /// future Push/Pop with `status`. First poison wins; OK is ignored.
   void Poison(Status status) {
     if (status.ok()) return;
-    std::shared_ptr<ChannelNotifier> notifier;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (!poison_.ok()) return;  // first poison wins
       poison_ = std::move(status);
       queue_.clear();
-      notifier = notifier_;
     }
     not_full_.notify_all();
     not_empty_.notify_all();
-    if (notifier != nullptr) notifier->Notify();
-  }
-
-  /// Attaches a notifier bumped on every push, close, and poison. Attach
-  /// before polling the channel from a multi-channel wait loop; events
-  /// preceding the attachment are visible to TryPop, so only events after
-  /// it need the wake-up.
-  void set_notifier(std::shared_ptr<ChannelNotifier> notifier) {
-    std::lock_guard<std::mutex> lock(mu_);
-    notifier_ = std::move(notifier);
   }
 
   bool closed() const {
@@ -261,7 +178,6 @@ class Channel {
   bool closed_ = false;
   Status poison_ = Status::OK();
   ChannelStats stats_;
-  std::shared_ptr<ChannelNotifier> notifier_;
 };
 
 }  // namespace qox

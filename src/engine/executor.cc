@@ -8,6 +8,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <map>
+#include <string_view>
 #include <thread>
 
 #include "common/clock.h"
@@ -344,9 +345,9 @@ class FlowRunner {
   // the stages concurrently on bounded channels; phased plans run them
   // staged, one after another on this thread. Stage bodies never touch
   // metrics_ except under stage_mu_; phase counters are attributed from
-  // per-stage busy time after Join. Blocking operators (inside pipelines),
-  // the per-branch sorts ahead of a merge, and recovery-point barriers are
-  // the only full materialization points of a streaming run.
+  // per-stage busy time after Join. Blocking operators (inside pipelines)
+  // and recovery-point barriers are the only full materialization points
+  // of a streaming run.
 
   /// Appends `row` to `*acc`, flushing full batches into `out`.
   Status EmitRow(Row row, RowBatch* acc, BatchChannel* out,
@@ -546,11 +547,14 @@ class FlowRunner {
   }
 
 
-  /// Partitioned unit over ops [begin, end): a partitioner stage routes
-  /// rows into per-partition channels as they arrive (no pre-split
-  /// materialization), one pipeline stage per partition transforms them,
-  /// and a merge stage reunifies the branches (SpawnMerge). The branches
-  /// run as one stage group, so a staged run fans them out together.
+  /// Partitioned unit over ops [begin, end) on a fixed batch schedule: the
+  /// router deals every input batch out as exactly one slice per partition
+  /// (contiguous rows for round robin, hash-selected rows for hash), each
+  /// branch pushes exactly one output batch per slice plus one after
+  /// Finish, and the merge (SpawnMerge) takes one batch from each partition
+  /// in turn. Round-robin ranges of per-row ops thus emit the serial run's
+  /// rows in serial order. The branches run as one stage group, so a staged
+  /// run fans them out together.
   Result<BatchChannelPtr> SpawnParallelUnit(StageSet* stages,
                                             BatchChannelPtr in,
                                             const PlanUnit& unit, int attempt,
@@ -558,10 +562,13 @@ class FlowRunner {
     const size_t begin = unit.begin;
     const size_t end = unit.end;
     const size_t num_parts = config_.parallel.partitions;
-    size_t hash_col = 0;
-    if (config_.parallel.scheme == PartitionScheme::kHash) {
-      QOX_ASSIGN_OR_RETURN(hash_col, cut_schemas_[begin].FieldIndex(
-                                         config_.parallel.hash_column));
+    const bool hash = config_.parallel.scheme == PartitionScheme::kHash;
+    std::vector<size_t> hash_cols;
+    if (hash) {
+      QOX_ASSIGN_OR_RETURN(const size_t hash_col,
+                           cut_schemas_[begin].FieldIndex(
+                               config_.parallel.hash_column));
+      hash_cols.push_back(hash_col);
     }
     std::vector<BatchChannelPtr> part_in;
     part_in.reserve(num_parts);
@@ -570,34 +577,37 @@ class FlowRunner {
     }
     stages->Spawn(
         plan_.nodes()[unit.router].label,
-        [this, in, part_in, begin, hash_col,
+        [in, part_in, hash, hash_cols,
          router_id = unit.router](StageStats* stats) -> Status {
           stats->node_id = static_cast<int64_t>(router_id);
-          const PartitionScheme scheme = config_.parallel.scheme;
           const size_t num_parts = part_in.size();
-          std::vector<RowBatch> acc;
-          acc.reserve(num_parts);
-          for (size_t p = 0; p < num_parts; ++p) {
-            acc.emplace_back(cut_schemas_[begin]);
-          }
-          size_t rr = 0;
           while (true) {
             QOX_ASSIGN_OR_RETURN(std::optional<RowBatch> item,
                                  in->Pop(&stats->stall_micros));
             if (!item.has_value()) break;
-            for (Row& row : item->rows()) {
-              const size_t p = scheme == PartitionScheme::kHash
-                                   ? row.HashColumns({hash_col}) % num_parts
-                                   : rr++ % num_parts;
-              QOX_RETURN_IF_ERROR(
-                  EmitRow(std::move(row), &acc[p], part_in[p].get(), stats));
+            const size_t n = item->num_rows();
+            std::vector<RowBatch> slices(num_parts,
+                                         RowBatch(item->schema_ptr()));
+            for (RowBatch& slice : slices) {
+              slice.rows().reserve(n / num_parts + 1);
+            }
+            for (size_t i = 0; i < n; ++i) {
+              Row& row = item->rows()[i];
+              const size_t p = hash ? row.HashColumns(hash_cols) % num_parts
+                                    : i * num_parts / n;
+              slices[p].Append(std::move(row));
+            }
+            for (size_t p = 0; p < num_parts; ++p) {
+              stats->rows += slices[p].num_rows();
+              ++stats->batches;
+              QOX_RETURN_IF_ERROR(part_in[p]->Push(
+                  std::move(slices[p]), &stats->backpressure_micros));
             }
           }
           size_t high_water = 0;
-          for (size_t p = 0; p < num_parts; ++p) {
-            QOX_RETURN_IF_ERROR(FlushBatch(&acc[p], part_in[p].get(), stats));
-            high_water = std::max(high_water, part_in[p]->stats().high_water);
-            part_in[p]->Close();
+          for (const BatchChannelPtr& part : part_in) {
+            high_water = std::max(high_water, part->stats().high_water);
+            part->Close();
           }
           stats->channel_high_water = high_water;
           return Status::OK();
@@ -609,7 +619,7 @@ class FlowRunner {
     unit_stats->range_end = end;
     unit_stats->partition_micros.assign(num_parts, 0);
     unit_stats->serialized_micros.assign(num_parts, 0);
-    const bool ordered = cut_schemas_[end].num_fields() > 0;
+    const SchemaPtr out_schema = MakeSchemaPtr(cut_schemas_[end]);
     std::vector<BatchChannelPtr> part_out;
     part_out.reserve(num_parts);
     std::vector<StageSet::Stage> branches;
@@ -620,7 +630,7 @@ class FlowRunner {
       branches.push_back(StageSet::Stage{
           plan_.nodes()[unit.branches[p]].label,
           [this, p, inp = part_in[p], outp = part_out[p], begin, end,
-           attempt, per_part_rows, ordered, unit_stats,
+           attempt, per_part_rows, out_schema, unit_stats,
            branch_id = unit.branches[p]](StageStats* stats) -> Status {
             const StopWatch timer;
             stats->node_id = static_cast<int64_t>(branch_id);
@@ -628,44 +638,23 @@ class FlowRunner {
                 std::unique_ptr<Pipeline> pipeline,
                 MakePipeline(begin, end, attempt,
                              InputRows(*inp, per_part_rows)));
-            RowBatch acc(cut_schemas_[end]);
-            // Ordered merges need each branch to emit one sorted run, so
-            // the branch buffers + sorts its whole output (a blocking
-            // materialization).
-            std::vector<Row> run;
-            auto emit = [&](std::vector<Row> produced) -> Status {
-              if (ordered) {
-                run.insert(run.end(),
-                           std::make_move_iterator(produced.begin()),
-                           std::make_move_iterator(produced.end()));
-                return Status::OK();
-              }
-              for (Row& row : produced) {
-                QOX_RETURN_IF_ERROR(
-                    EmitRow(std::move(row), &acc, outp.get(), stats));
-              }
-              return Status::OK();
+            // One output batch per input slice, empty or not: the merge
+            // relies on every branch keeping the router's schedule.
+            auto emit = [&]() -> Status {
+              RowBatch batch(out_schema, pipeline->TakeOutput());
+              stats->rows += batch.num_rows();
+              ++stats->batches;
+              return outp->Push(std::move(batch), &stats->backpressure_micros);
             };
             while (true) {
               QOX_ASSIGN_OR_RETURN(std::optional<RowBatch> item,
                                    inp->Pop(&stats->stall_micros));
               if (!item.has_value()) break;
               QOX_RETURN_IF_ERROR(pipeline->Push(std::move(*item)));
-              QOX_RETURN_IF_ERROR(emit(pipeline->TakeOutput()));
+              QOX_RETURN_IF_ERROR(emit());
             }
             QOX_RETURN_IF_ERROR(pipeline->Finish());
-            QOX_RETURN_IF_ERROR(emit(pipeline->TakeOutput()));
-            if (ordered) {
-              std::stable_sort(run.begin(), run.end(),
-                               [](const Row& a, const Row& b) {
-                                 return a.value(0).Compare(b.value(0)) < 0;
-                               });
-              for (Row& row : run) {
-                QOX_RETURN_IF_ERROR(
-                    EmitRow(std::move(row), &acc, outp.get(), stats));
-              }
-            }
-            QOX_RETURN_IF_ERROR(FlushBatch(&acc, outp.get(), stats));
+            QOX_RETURN_IF_ERROR(emit());
             AccumulateOpsLocked(pipeline->op_stats());
             // Time inside the delta's snapshot critical section serializes
             // across partitions; the virtual-CPU makespan keeps it serial.
@@ -684,74 +673,45 @@ class FlowRunner {
     }
     stages->SpawnGroup(std::move(branches));
     BatchChannelPtr out = stages->MakeChannel(config_.channel_capacity);
-    SpawnMerge(stages, std::move(part_out), out, end, unit.merge, ordered,
+    SpawnMerge(stages, std::move(part_out), out, unit.merge,
                std::move(unit_stats));
     return out;
   }
 
-  /// K-way merge over the per-partition runs: repeatedly emits the
-  /// smallest head row by first-column order, breaking ties toward the
-  /// lowest partition index — the order a stable sort of the
-  /// partition-ordered concatenation produces. Without `ordered` (an
-  /// output with no columns) every row ties, so the partitions concatenate
-  /// in index order. Inputs are consumed through a PartitionFeed so
-  /// waiting on one partition's next batch never head-of-line blocks the
-  /// others (deadlock under partition skew otherwise). On success the
-  /// merge records the unit's ParallelUnitStats.
+  /// Replays the router's schedule: pops one batch from each open partition
+  /// in turn and forwards the non-empty ones. Every partition gets a slice
+  /// of every input batch and answers it with one batch, so the partition
+  /// the merge waits on next has always been fed, and a bounded channel
+  /// that fills only holds batches the merge is about to take: no wait can
+  /// close a cycle, whatever the skew. On success the merge records the
+  /// unit's ParallelUnitStats.
   void SpawnMerge(StageSet* stages, std::vector<BatchChannelPtr> parts,
-                  BatchChannelPtr out, size_t end_cut, size_t node_id,
-                  bool ordered,
+                  BatchChannelPtr out, size_t node_id,
                   std::shared_ptr<ParallelUnitStats> unit_stats) {
     stages->Spawn(
         plan_.nodes()[node_id].label,
-        [this, parts, out, end_cut, node_id, ordered,
-         unit_stats](StageStats* stats) -> Status {
+        [this, parts, out, node_id, unit_stats](StageStats* stats) -> Status {
           const StopWatch timer;
           stats->node_id = static_cast<int64_t>(node_id);
-          struct Run {
-            std::vector<Row> rows;
-            size_t next = 0;
-            bool open = true;
-          };
-          PartitionFeed feed(parts);
-          std::vector<Run> runs(parts.size());
-          auto refill = [&](size_t p) -> Status {
-            Run& run = runs[p];
-            while (run.open && run.next >= run.rows.size()) {
+          std::vector<bool> open(parts.size(), true);
+          size_t num_open = parts.size();
+          while (num_open > 0) {
+            for (size_t p = 0; p < parts.size(); ++p) {
+              if (!open[p]) continue;
               QOX_ASSIGN_OR_RETURN(std::optional<RowBatch> item,
-                                   feed.Next(p, &stats->stall_micros));
+                                   parts[p]->Pop(&stats->stall_micros));
               if (!item.has_value()) {
-                run.open = false;
-                break;
+                open[p] = false;
+                --num_open;
+                continue;
               }
-              run.rows = std::move(item->rows());
-              run.next = 0;
+              if (item->empty()) continue;
+              stats->rows += item->num_rows();
+              ++stats->batches;
+              QOX_RETURN_IF_ERROR(
+                  out->Push(std::move(*item), &stats->backpressure_micros));
             }
-            return Status::OK();
-          };
-          for (size_t p = 0; p < runs.size(); ++p) {
-            QOX_RETURN_IF_ERROR(refill(p));
           }
-          RowBatch acc(cut_schemas_[end_cut]);
-          while (true) {
-            int best = -1;
-            for (size_t p = 0; p < runs.size(); ++p) {
-              if (runs[p].next >= runs[p].rows.size()) continue;
-              if (best < 0 ||
-                  (ordered &&
-                   runs[p].rows[runs[p].next].value(0).Compare(
-                       runs[best].rows[runs[best].next].value(0)) < 0)) {
-                best = static_cast<int>(p);
-              }
-            }
-            if (best < 0) break;
-            Run& run = runs[best];
-            QOX_RETURN_IF_ERROR(EmitRow(std::move(run.rows[run.next]), &acc,
-                                        out.get(), stats));
-            ++run.next;
-            QOX_RETURN_IF_ERROR(refill(static_cast<size_t>(best)));
-          }
-          QOX_RETURN_IF_ERROR(FlushBatch(&acc, out.get(), stats));
           stats->channel_high_water = out->stats().high_water;
           unit_stats->merge_micros = timer.ElapsedMicros() -
                                      stats->stall_micros -
@@ -1139,15 +1099,19 @@ Status LoadWithRetry(const FlowSpec& flow, const ExecutionConfig& config,
   return Status::OK();
 }
 
-/// Builds the planner input from flow + config. Blocking flags come from
-/// freshly instantiated operators, so the plan's soft barriers match the
-/// chain that actually executes.
+/// Builds the planner input from flow + config. Blocking and sort flags
+/// come from freshly instantiated operators, so the plan's soft barriers
+/// and parallel range match the chain that actually executes.
 PlanInput MakePlanInput(const FlowSpec& flow, const ExecutionConfig& config) {
   PlanInput input;
   input.num_ops = flow.transforms.size();
   input.blocking.reserve(flow.transforms.size());
+  input.sorts.reserve(flow.transforms.size());
   for (const OperatorFactory& factory : flow.transforms) {
-    input.blocking.push_back(factory ? factory()->IsBlocking() : false);
+    const OperatorPtr op = factory ? factory() : nullptr;
+    input.blocking.push_back(op != nullptr && op->IsBlocking());
+    input.sorts.push_back(op != nullptr &&
+                          std::string_view(op->kind()) == "sort");
   }
   input.parallel = config.parallel;
   input.recovery_points = config.recovery_points;

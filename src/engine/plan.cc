@@ -109,6 +109,11 @@ Result<ExecutionPlan> ExecutionPlan::Lower(const PlanInput& input) {
                            std::to_string(input.blocking.size()) +
                            " ops but the chain has " + std::to_string(n));
   }
+  if (!input.sorts.empty() && input.sorts.size() != n) {
+    return Status::Invalid("sort flags cover " +
+                           std::to_string(input.sorts.size()) +
+                           " ops but the chain has " + std::to_string(n));
+  }
   for (const size_t cut : input.recovery_points) {
     if (cut > n) {
       return Status::Invalid("recovery point cut " + std::to_string(cut) +
@@ -145,9 +150,21 @@ Result<ExecutionPlan> ExecutionPlan::Lower(const PlanInput& input) {
     cursor = plan.rp0_barrier_node_;
   }
 
-  const bool parallel_on = input.parallel.partitions > 1;
-  const size_t rb = input.parallel.range_begin;
-  const size_t re = std::min(input.parallel.range_end, n);
+  // The partitioned range ends before its first sort: the merge re-joins
+  // the branches in the router's batch order, which a sort's output order
+  // does not survive.
+  if (input.parallel.partitions > 1) {
+    plan.parallel_begin_ = std::min(input.parallel.range_begin, n);
+    plan.parallel_end_ = std::max(plan.parallel_begin_,
+                                  std::min(input.parallel.range_end, n));
+    for (size_t i = plan.parallel_begin_;
+         i < plan.parallel_end_ && i < input.sorts.size(); ++i) {
+      if (input.sorts[i]) plan.parallel_end_ = i;
+    }
+  }
+  const size_t rb = plan.parallel_begin_;
+  const size_t re = plan.parallel_end_;
+  const bool parallel_on = rb < re;
 
   // Section bounds: cut 0, every interior recovery-point cut, and the chain
   // end. A recovery point exactly at cut n does not open an extra section —
@@ -250,11 +267,9 @@ Result<ExecutionPlan> ExecutionPlan::Lower(const PlanInput& input) {
   barriers.insert(n);
   std::set<size_t> borders(barriers.begin(), barriers.end());
   borders.insert(0);
-  const size_t crb = parallel_on ? std::min(rb, n) : 0;
-  const size_t cre = parallel_on ? re : 0;
-  if (parallel_on && crb < cre) {
-    borders.insert(crb);
-    borders.insert(cre);
+  if (parallel_on) {
+    borders.insert(rb);
+    borders.insert(re);
   }
   plan.channel_borders_.assign(borders.begin(), borders.end());
   const std::vector<size_t> border_list(borders.begin(), borders.end());
@@ -262,8 +277,7 @@ Result<ExecutionPlan> ExecutionPlan::Lower(const PlanInput& input) {
     CostChunk chunk;
     chunk.begin = border_list[k];
     chunk.end = border_list[k + 1];
-    chunk.parallel = parallel_on && crb < cre && chunk.begin >= crb &&
-                     chunk.end <= cre;
+    chunk.parallel = parallel_on && chunk.begin >= rb && chunk.end <= re;
     chunk.drains_at_end = barriers.count(chunk.end) > 0;
     plan.cost_chunks_.push_back(chunk);
   }

@@ -60,7 +60,9 @@ struct ParallelSpec {
   /// Global op range [range_begin, range_end) executed partitioned; ops
   /// outside the range run sequentially. Defaults cover the whole chain
   /// ("4PF-f"); narrowing them yields the paper's "parallelize parts of the
-  /// flow" ("4PF-p").
+  /// flow" ("4PF-p"). A sort ends the range: lowering stops it before the
+  /// first sort inside it, so the sort and everything after it run
+  /// sequentially behind the merge.
   size_t range_begin = 0;
   size_t range_end = static_cast<size_t>(-1);
 };
@@ -73,6 +75,10 @@ struct PlanInput {
   size_t num_ops = 0;
   /// Per-op blocking flags (soft barriers). May be empty = none blocking.
   std::vector<bool> blocking;
+  /// Per-op sort flags: a parallel range ends before the first sort in it,
+  /// since the merge keeps arrival order, not sort order. May be empty =
+  /// no sorts.
+  std::vector<bool> sorts;
   ParallelSpec parallel;
   std::vector<size_t> recovery_points;  ///< cut positions (hard barriers)
   size_t redundancy = 1;
@@ -106,7 +112,7 @@ enum class PlanNodeKind {
   kTransform,        ///< sequential pipeline over ops [begin, end)
   kPartitionRouter,  ///< routes rows into per-partition channels
   kPartitionBranch,  ///< one partition's pipeline over ops [begin, end)
-  kMerge,            ///< reunifies partition branches (k-way, column 0)
+  kMerge,            ///< reunifies partition branches in router batch order
   kRpBarrier,        ///< recovery-point cut: materialize + persist + re-emit
   kCollect,          ///< materializes output for the redundancy voter
   kReplicaGroup,     ///< NMR majority vote over `partition` = k replicas
@@ -213,6 +219,12 @@ class ExecutionPlan {
   /// True when a recovery point sits at cut 0 (right after extraction).
   bool rp_after_extract() const { return rp_after_extract_; }
 
+  /// Op range [begin, end) that runs partitioned: ParallelSpec's range
+  /// clamped to the chain and ended before its first sort. Empty (begin ==
+  /// end) when nothing runs partitioned.
+  size_t parallel_begin() const { return parallel_begin_; }
+  size_t parallel_end() const { return parallel_end_; }
+
   // Well-known nodes (kNoNode when absent).
   size_t extract_node() const { return extract_node_; }
   size_t rp0_barrier_node() const { return rp0_barrier_node_; }
@@ -269,6 +281,8 @@ class ExecutionPlan {
   std::vector<CostChunk> cost_chunks_;
   std::vector<size_t> channel_borders_;
   bool rp_after_extract_ = false;
+  size_t parallel_begin_ = 0;
+  size_t parallel_end_ = 0;
   size_t extract_node_ = kNoNode;
   size_t rp0_barrier_node_ = kNoNode;
   size_t collect_node_ = kNoNode;

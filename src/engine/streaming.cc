@@ -10,46 +10,6 @@ constexpr char kPoisonEchoPrefix[] = "dataflow poisoned by: ";
 
 }  // namespace
 
-PartitionFeed::PartitionFeed(std::vector<BatchChannelPtr> parts)
-    : parts_(std::move(parts)),
-      notifier_(std::make_shared<ChannelNotifier>()),
-      buf_(parts_.size()),
-      channel_open_(parts_.size(), true) {
-  for (const BatchChannelPtr& part : parts_) part->set_notifier(notifier_);
-}
-
-Result<std::optional<RowBatch>> PartitionFeed::Next(size_t p,
-                                                    int64_t* wait_micros) {
-  // Snapshot-sweep-wait: any channel event after the sweep also postdates
-  // the snapshot, so AwaitChange cannot miss it.
-  while (buf_[p].empty() && channel_open_[p]) {
-    const uint64_t seen = notifier_->version();
-    QOX_RETURN_IF_ERROR(Sweep());
-    if (!buf_[p].empty() || !channel_open_[p]) break;
-    notifier_->AwaitChange(seen, wait_micros);
-  }
-  if (buf_[p].empty()) return std::optional<RowBatch>();  // exhausted
-  std::optional<RowBatch> batch(std::move(buf_[p].front()));
-  buf_[p].pop_front();
-  return batch;
-}
-
-Status PartitionFeed::Sweep() {
-  for (size_t q = 0; q < parts_.size(); ++q) {
-    while (channel_open_[q]) {
-      RowBatch batch;
-      QOX_ASSIGN_OR_RETURN(const ChannelPoll poll, parts_[q]->TryPop(&batch));
-      if (poll == ChannelPoll::kItem) {
-        buf_[q].push_back(std::move(batch));
-        continue;
-      }
-      if (poll == ChannelPoll::kClosed) channel_open_[q] = false;
-      break;
-    }
-  }
-  return Status::OK();
-}
-
 Status StageSet::PoisonEcho(const Status& cause) {
   if (IsPoisonEcho(cause)) return cause;
   return Status::Cancelled(kPoisonEchoPrefix + cause.ToString());

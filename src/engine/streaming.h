@@ -14,7 +14,10 @@
 //     never occupying core workers), joined by bounded channels. The
 //     context's tag (flow deadline, predicted cost) rides on every stage
 //     submission, which is how a whole streaming dataflow competes EDF
-//     against other flows on one shared pool.
+//     against other flows on one shared pool. Every stage waits on one
+//     channel at a time; a partitioned unit stays deadlock-free on bounded
+//     channels because its router, branches and merge keep one fixed
+//     batch schedule (FlowRunner::SpawnParallelUnit in executor.cc).
 //   * STAGED (phased plans): Spawn runs the stage to completion on the
 //     calling thread before returning, writing into unbounded channels, so
 //     every edge is a materialization barrier and a stage knows its whole
@@ -42,7 +45,6 @@
 #ifndef QOX_ENGINE_STREAMING_H_
 #define QOX_ENGINE_STREAMING_H_
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -58,48 +60,6 @@ namespace qox {
 
 using BatchChannel = Channel<RowBatch>;
 using BatchChannelPtr = std::shared_ptr<BatchChannel>;
-
-/// Any-ready demultiplexer over a set of per-partition channels.
-///
-/// A merge that pops its inputs in a fixed order head-of-line blocks:
-/// under partition skew the starved partition's channel stays empty while
-/// the hot partition's bounded channel fills, the hot producer stalls on
-/// Push, the partitioner stalls behind it, and the starved partition never
-/// receives data or end-of-stream — the dataflow deadlocks. The feed
-/// breaks the cycle: Next(p) drains *every* ready channel into
-/// per-partition local buffers while it waits for partition p, so
-/// producers always make progress no matter which partition the consumer
-/// wants next. Per-partition order is preserved and the consumer still
-/// chooses the interleave, so deterministic merges stay deterministic.
-///
-/// The local buffers are unbounded: under total skew the feed can buffer a
-/// hot partition's entire output while waiting for a starved partition's
-/// end-of-stream — the same worst case as a staged merge, whose inputs are
-/// fully materialized. Channel capacity still bounds memory whenever the
-/// consumer keeps up.
-class PartitionFeed {
- public:
-  /// Attaches a shared notifier to every channel; construct the feed
-  /// before polling (producers may already be running — items pushed
-  /// before attachment are simply found by the first poll).
-  explicit PartitionFeed(std::vector<BatchChannelPtr> parts);
-
-  /// Blocking: the next batch from partition `p`, or nullopt once `p` is
-  /// exhausted (channel closed and both queue and local buffer drained).
-  /// Fails with the poison status if any channel is poisoned. Time blocked
-  /// waiting (on *any* channel activity) accumulates into `wait_micros`.
-  Result<std::optional<RowBatch>> Next(size_t p, int64_t* wait_micros);
-
- private:
-  /// Non-blocking: moves every ready batch into the local buffers and
-  /// marks channels that reached end-of-stream.
-  Status Sweep();
-
-  std::vector<BatchChannelPtr> parts_;
-  std::shared_ptr<ChannelNotifier> notifier_;
-  std::vector<std::deque<RowBatch>> buf_;
-  std::vector<bool> channel_open_;  ///< false once closed and drained
-};
 
 class StageSet {
  public:

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
+#include <string>
+#include <vector>
+
+#include "engine/flow_service.h"
+#include "engine/ops/filter_op.h"
+#include "storage/mem_table.h"
 #include "test_util.h"
 
 namespace qox {
@@ -70,54 +77,56 @@ TEST(PlanScheduleTest, EmptyAndToString) {
   EXPECT_NE(text.find("[a "), std::string::npos);
 }
 
-FlowJob MakeExecutableJob(const std::string& id, double deadline_s,
-                          size_t rows) {
-  const DataStorePtr source =
-      testing_util::MakeSource(SimpleSchema(), SimpleRows(rows), id + "_src");
-  std::vector<LogicalOp> ops;
-  ops.push_back(MakeFilter("flt_" + id, {Predicate::NotNull("amount")}));
-  auto target = std::make_shared<MemTable>(id + "_tgt", SimpleSchema());
-  FlowJob job;
-  job.id = id;
-  job.deadline_s = deadline_s;
-  job.estimated_duration_s = 0.05;
-  job.flow = LogicalFlow(id, source, std::move(ops), target);
-  return job;
-}
+// The nightly-window recipe (examples/nightly_window): the planned slots,
+// submitted in order to a one-worker EDF FlowService with each deadline as
+// the flow's SLA, run in the plan's order and meet their deadlines. Ties
+// keep the plan's order too: the plan breaks equal deadlines by id, the
+// service by submission order.
+TEST(PlanScheduleTest, PlannedOrderRunsOnAnEdfService) {
+  const SchedulePlan plan =
+      PlanSchedule({MakeJob("zz", 30, 0.05), MakeJob("aa", 30, 0.05),
+                    MakeJob("urgent", 10, 0.05)});
+  ASSERT_TRUE(plan.feasible);
+  FlowServiceConfig service_config;
+  service_config.num_workers = 1;
+  service_config.max_concurrent_flows = 1;
+  service_config.policy = QueuePolicy::kEdf;
+  FlowService service(service_config);
 
-TEST(ExecuteScheduleTest, RunsAllFlowsInPlannedOrder) {
-  const std::vector<FlowJob> jobs = {
-      MakeExecutableJob("slow_deadline", 30.0, 500),
-      MakeExecutableJob("tight_deadline", 5.0, 500),
-  };
-  const Result<ScheduleOutcome> outcome = ExecuteSchedule(jobs);
-  ASSERT_TRUE(outcome.ok()) << outcome.status();
-  ASSERT_EQ(outcome.value().slots.size(), 2u);
-  EXPECT_EQ(outcome.value().slots[0].id, "tight_deadline");
-  EXPECT_EQ(outcome.value().deadlines_met, 2u);
-  for (const ExecutedSlot& slot : outcome.value().slots) {
-    EXPECT_TRUE(slot.deadline_met);
-    EXPECT_GT(slot.metrics.rows_loaded, 0u);
-    EXPECT_GE(slot.finished_s, slot.started_s);
+  std::mutex mu;
+  std::vector<std::string> finish_order;
+  std::vector<uint64_t> tickets;
+  for (const ScheduledSlot& slot : plan.slots) {
+    FlowSubmission submission;
+    submission.flow.id = slot.id;
+    submission.flow.source = testing_util::MakeSource(
+        SimpleSchema(), SimpleRows(500), slot.id + "_src");
+    submission.flow.transforms.push_back([]() -> OperatorPtr {
+      return std::make_unique<FilterOp>(
+          "flt", std::vector<Predicate>{Predicate::NotNull("amount")});
+    });
+    submission.flow.target =
+        std::make_shared<MemTable>(slot.id + "_tgt", SimpleSchema());
+    submission.flow.post_success = [&mu, &finish_order,
+                                    id = slot.id]() -> Status {
+      std::lock_guard<std::mutex> lock(mu);
+      finish_order.push_back(id);
+      return Status::OK();
+    };
+    submission.config.sla.deadline_micros =
+        static_cast<int64_t>(slot.deadline_s * 1e6);
+    const Result<uint64_t> ticket = service.Submit(std::move(submission));
+    ASSERT_TRUE(ticket.ok()) << ticket.status();
+    tickets.push_back(ticket.value());
   }
-}
-
-TEST(ExecuteScheduleTest, ReportsMissedDeadlines) {
-  std::vector<FlowJob> jobs = {MakeExecutableJob("impossible", 0.0, 2000)};
-  const Result<ScheduleOutcome> outcome = ExecuteSchedule(jobs);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome.value().deadlines_met, 0u);
-  EXPECT_FALSE(outcome.value().slots[0].deadline_met);
-}
-
-TEST(ExecuteScheduleTest, FlowErrorPropagates) {
-  FlowJob broken = MakeExecutableJob("broken", 10.0, 10);
-  FlowJob job;
-  job.id = "broken2";
-  job.deadline_s = 10.0;
-  // No source/target: Executor must reject it.
-  const Result<ScheduleOutcome> outcome = ExecuteSchedule({job});
-  EXPECT_FALSE(outcome.ok());
+  for (const uint64_t ticket : tickets) {
+    const Result<RunMetrics> metrics = service.Wait(ticket);
+    ASSERT_TRUE(metrics.ok()) << metrics.status();
+    EXPECT_GT(metrics.value().rows_loaded, 0u);
+    EXPECT_GT(metrics.value().deadline_slack_micros, 0);
+  }
+  EXPECT_EQ(finish_order, (std::vector<std::string>{"urgent", "aa", "zz"}));
+  EXPECT_EQ(service.stats().deadline_hits, 3u);
 }
 
 }  // namespace

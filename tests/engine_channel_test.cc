@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -153,66 +152,6 @@ TEST(ChannelTest, OkPoisonIsIgnored) {
   channel.Poison(Status::OK());
   ASSERT_TRUE(channel.Push(1).ok());
   EXPECT_EQ(*channel.Pop().value(), 1);
-}
-
-TEST(ChannelTest, TryPopReportsItemEmptyClosedAndPoison) {
-  Channel<int> channel(2);
-  int v = 0;
-  EXPECT_EQ(channel.TryPop(&v).value(), ChannelPoll::kEmpty);
-  ASSERT_TRUE(channel.Push(7).ok());
-  EXPECT_EQ(channel.TryPop(&v).value(), ChannelPoll::kItem);
-  EXPECT_EQ(v, 7);
-  ASSERT_TRUE(channel.Push(8).ok());
-  channel.Close();
-  // Pending items drain before end-of-stream is reported.
-  EXPECT_EQ(channel.TryPop(&v).value(), ChannelPoll::kItem);
-  EXPECT_EQ(v, 8);
-  EXPECT_EQ(channel.TryPop(&v).value(), ChannelPoll::kClosed);
-
-  Channel<int> poisoned(2);
-  ASSERT_TRUE(poisoned.Push(1).ok());
-  poisoned.Poison(Status::IoError("boom"));
-  const Result<ChannelPoll> polled = poisoned.TryPop(&v);
-  ASSERT_FALSE(polled.ok());
-  EXPECT_EQ(polled.status().code(), StatusCode::kIoError);
-}
-
-TEST(ChannelTest, TryPopFreesSpaceForBlockedPusher) {
-  Channel<int> channel(1);
-  ASSERT_TRUE(channel.Push(1).ok());
-  std::thread pusher([&] { EXPECT_TRUE(channel.Push(2).ok()); });
-  int v = 0;
-  // Spin on TryPop until the first item comes out; the blocked pusher
-  // must then be woken by the freed slot.
-  while (channel.TryPop(&v).value() != ChannelPoll::kItem) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(v, 1);
-  pusher.join();
-  EXPECT_EQ(channel.TryPop(&v).value(), ChannelPoll::kItem);
-  EXPECT_EQ(v, 2);
-}
-
-TEST(ChannelNotifierTest, PushCloseAndPoisonAllNotify) {
-  auto notifier = std::make_shared<ChannelNotifier>();
-  Channel<int> a(1);
-  Channel<int> b(1);
-  Channel<int> c(1);
-  a.set_notifier(notifier);
-  b.set_notifier(notifier);
-  c.set_notifier(notifier);
-  uint64_t seen = notifier->version();
-  std::thread pusher([&] { EXPECT_TRUE(b.Push(5).ok()); });
-  seen = notifier->AwaitChange(seen);  // woken by the push on b
-  pusher.join();
-  int v = 0;
-  EXPECT_EQ(b.TryPop(&v).value(), ChannelPoll::kItem);
-  EXPECT_EQ(v, 5);
-  a.Close();
-  EXPECT_NE(notifier->version(), seen);
-  seen = notifier->version();
-  c.Poison(Status::Cancelled("shutdown"));
-  EXPECT_NE(notifier->version(), seen);
 }
 
 // Multi-producer multi-consumer stress: every pushed value is popped

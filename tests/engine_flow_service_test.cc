@@ -2,7 +2,7 @@
 // equivalence (concurrent service runs byte-identical to solo phased AND
 // solo streaming execution), observable EDF dispatch ordering, the
 // admission-control reject path, cross-flow failure isolation, and the
-// queue-wait / deadline-slack attribution in RunMetrics.
+// queue-wait / deadline-slack attribution in RunMetrics (met and missed).
 
 #include <gtest/gtest.h>
 
@@ -345,6 +345,43 @@ TEST(FlowServiceTest, AttributesQueueWaitAndDeadlineSlack) {
   EXPECT_GT(second_metrics.value().deadline_slack_micros, 0);  // met easily
   EXPECT_EQ(service.stats().deadline_hits, 1u);
   EXPECT_EQ(service.stats().deadline_misses, 0u);
+}
+
+TEST(FlowServiceTest, MissedDeadlineReportsNegativeSlack) {
+  // A flow that cannot meet its deadline still runs to completion; the
+  // miss shows as negative slack and in the service's miss count, which is
+  // how a caller tells met from missed. A flow queued behind it with an
+  // hour of slack still meets its own deadline.
+  FlowServiceConfig service_config;
+  service_config.num_workers = 1;
+  service_config.max_concurrent_flows = 1;
+  service_config.policy = QueuePolicy::kEdf;
+  FlowService service(service_config);
+
+  std::vector<std::shared_ptr<MemTable>> targets;
+  const auto submit = [&](int64_t deadline_micros) {
+    FlowSubmission submission;
+    targets.push_back(std::make_shared<MemTable>("tgt", BoundSchema()));
+    submission.flow = MakeFlow(
+        "flow", testing_util::MakeSource(SimpleSchema(), SimpleRows(2000)),
+        targets.back());
+    submission.config.sla.deadline_micros = deadline_micros;
+    return service.Submit(std::move(submission)).value();
+  };
+  const uint64_t impossible = submit(1);
+  const uint64_t relaxed = submit(3600000000);
+
+  const Result<RunMetrics> missed = service.Wait(impossible);
+  ASSERT_TRUE(missed.ok()) << missed.status();
+  EXPECT_LT(missed.value().deadline_slack_micros, 0);
+  EXPECT_EQ(missed.value().rows_loaded, targets[0]->NumRows().value());
+  EXPECT_GT(missed.value().rows_loaded, 0u);
+
+  const Result<RunMetrics> met = service.Wait(relaxed);
+  ASSERT_TRUE(met.ok()) << met.status();
+  EXPECT_GT(met.value().deadline_slack_micros, 0);
+  EXPECT_EQ(service.stats().deadline_misses, 1u);
+  EXPECT_EQ(service.stats().deadline_hits, 1u);
 }
 
 TEST(FlowServiceTest, WaitOnUnknownTicketErrors) {

@@ -1,12 +1,13 @@
-// Partitioned-parallel execution: output equivalence with the sequential
-// plan across schemes, degrees, extents, and thread counts (the Fig. 4
+// Partitioned-parallel execution: byte equality with the sequential plan
+// across schemes, degrees, extents, and thread counts (the Fig. 4
 // configurations), verified as a parameterized property suite, plus the
-// exact row order of the merge against an independently computed oracle.
+// exact row order of the merge against independently computed oracles
+// (round robin, hash, batches smaller than the partition count, a hash
+// group) and a sort that a requested range holds.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
 
 #include "engine/executor.h"
 #include "engine/ops/filter_op.h"
@@ -86,8 +87,8 @@ TEST_P(ParallelEquivalenceTest, MatchesSequentialOutput) {
       Executor::Run(MakeFlow(source, par_target), config);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_EQ(metrics.value().partitions, test_case.partitions);
-  EXPECT_TRUE(
-      SameMultiset(expected, par_target->ReadAll().value().rows()));
+  // A sort ends every range, so it runs behind the merge on all rows.
+  EXPECT_TRUE(expected == par_target->ReadAll().value().rows());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -108,7 +109,7 @@ INSTANTIATE_TEST_SUITE_P(
         ParallelCase{4, 2, PartitionScheme::kHash, 1, 99}));
 
 /// Drops every column: one empty row out per row in, so the chain's
-/// output has no first column to order a merge by.
+/// output is zero columns wide.
 class DropColumnsOp : public Operator {
  public:
   const char* kind() const override { return "drop_columns"; }
@@ -124,15 +125,16 @@ class DropColumnsOp : public Operator {
 };
 
 // The merge's exact row order against an oracle this test computes on its
-// own: the serial output, stable-sorted by the first column, with ties
-// broken by partition index and then by arrival order. The chain is one
-// row-preserving op, so serial output row i came from source row i, which
-// the router sent to partition i % k (round-robin) or hash(amount) % k.
-// The first column repeats every 7 rows and `amount` is distinct per row,
-// so equal keys land in every partition and a wrong tie-break shows.
+// own. The chain is one row-preserving op, so serial output row i came
+// from source row i. Round robin deals each input batch out as contiguous
+// slices, so it must load the serial bytes. Hash sends row i to partition
+// hash(amount) % k, and the merge takes one slice per partition in turn,
+// so each input batch comes out with its rows grouped by partition, in
+// partition order.
 TEST(ParallelExecutionTest, MergeOrderMatchesIndependentOracle) {
   constexpr size_t kRows = 2000;
   constexpr size_t kParts = 4;
+  constexpr size_t kBatch = 64;
   std::vector<Row> input;
   for (size_t i = 0; i < kRows; ++i) {
     input.push_back(testing_util::SimpleRow(static_cast<int64_t>(i % 7), "a",
@@ -160,46 +162,219 @@ TEST(ParallelExecutionTest, MergeOrderMatchesIndependentOracle) {
   const std::vector<Row> serial = serial_target->ReadAll().value().rows();
   ASSERT_EQ(serial.size(), kRows);
 
+  std::vector<Row> hash_order;
+  for (size_t batch = 0; batch < kRows; batch += kBatch) {
+    for (size_t p = 0; p < kParts; ++p) {
+      for (size_t i = batch; i < std::min(kRows, batch + kBatch); ++i) {
+        if (input[i].HashColumns({2}) % kParts == p) {
+          hash_order.push_back(serial[i]);
+        }
+      }
+    }
+  }
+  ASSERT_FALSE(hash_order == serial);  // the hash oracle is not trivial
+
   for (const PartitionScheme scheme :
        {PartitionScheme::kRoundRobin, PartitionScheme::kHash}) {
-    std::vector<size_t> part(kRows);
-    for (size_t i = 0; i < kRows; ++i) {
-      part[i] = scheme == PartitionScheme::kHash
-                    ? input[i].HashColumns({2}) % kParts
-                    : i % kParts;
-    }
-    std::vector<size_t> order(kRows);
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      const int key = serial[a].value(0).Compare(serial[b].value(0));
-      if (key != 0) return key < 0;
-      return part[a] < part[b];  // arrival order: the stable sort keeps it
-    });
-    std::vector<Row> expected;
-    for (const size_t i : order) expected.push_back(serial[i]);
-
+    const bool hash = scheme == PartitionScheme::kHash;
     for (const bool streaming : {false, true}) {
-      SCOPED_TRACE(std::string(scheme == PartitionScheme::kHash ? "hash"
-                                                                : "rr") +
+      SCOPED_TRACE(std::string(hash ? "hash" : "rr") +
                    (streaming ? " streaming" : " phased"));
       ExecutionConfig config;
       config.num_threads = kParts;
-      config.batch_size = 64;
+      config.batch_size = kBatch;
       config.parallel.partitions = kParts;
       config.parallel.scheme = scheme;
       config.parallel.hash_column = "amount";
       config.streaming = streaming;
       auto target = std::make_shared<MemTable>("tgt", BoundSchema());
       ASSERT_TRUE(Executor::Run(make_flow(target, false), config).ok());
-      EXPECT_EQ(target->ReadAll().value().rows(), expected);
+      EXPECT_TRUE(target->ReadAll().value().rows() ==
+                  (hash ? hash_order : serial));
 
-      // No columns: the merge concatenates the partitions, every row kept.
+      // No columns: every row is still kept.
       auto empty_target = std::make_shared<MemTable>("tgt", Schema());
       const Result<RunMetrics> metrics =
           Executor::Run(make_flow(empty_target, true), config);
       ASSERT_TRUE(metrics.ok()) << metrics.status();
       EXPECT_EQ(empty_target->NumRows().value(), kRows);
       EXPECT_EQ(metrics.value().rows_loaded, kRows);
+    }
+  }
+}
+
+// A sort ends a parallel range, so a requested range that holds the sort
+// runs the sort behind the merge and loads the serial bytes. The function
+// before the sort still runs partitioned. Each amount (NULL included) is
+// shared by several rows, so the bytes also pin the stable sort's tie
+// order: round robin feeds the sort in serial order, and hashing on the
+// sort key keeps tied rows in one partition, in arrival order.
+TEST(ParallelExecutionTest, PartitionedSortLoadsSerialBytes) {
+  const DataStorePtr source =
+      testing_util::MakeSource(SimpleSchema(), SimpleRows(500));
+  const auto make_flow = [&](const std::shared_ptr<MemTable>& target) {
+    FlowSpec spec;
+    spec.id = "partitioned_sort_flow";
+    spec.source = source;
+    spec.transforms.push_back([]() -> OperatorPtr {
+      return std::make_unique<FunctionOp>(
+          "fn", std::vector<ColumnTransform>{
+                    ColumnTransform::Scale("scaled", "amount", 3.0)});
+    });
+    spec.transforms.push_back([]() -> OperatorPtr {
+      return std::make_unique<SortOp>(
+          "sort", std::vector<SortKey>{{"amount", /*descending=*/true}});
+    });
+    spec.target = target;
+    return spec;
+  };
+  auto serial_target = std::make_shared<MemTable>("tgt", BoundSchema());
+  ASSERT_TRUE(Executor::Run(make_flow(serial_target), ExecutionConfig{}).ok());
+  const std::vector<Row> serial = serial_target->ReadAll().value().rows();
+  ASSERT_EQ(serial.size(), 500u);
+
+  for (const PartitionScheme scheme :
+       {PartitionScheme::kRoundRobin, PartitionScheme::kHash}) {
+    for (const bool streaming : {false, true}) {
+      SCOPED_TRACE(std::string(scheme == PartitionScheme::kHash ? "hash"
+                                                                : "rr") +
+                   (streaming ? " streaming" : " phased"));
+      ExecutionConfig config;
+      config.num_threads = 4;
+      config.batch_size = 32;
+      config.parallel.partitions = 4;
+      config.parallel.scheme = scheme;
+      config.parallel.hash_column = "amount";
+      config.streaming = streaming;
+      auto target = std::make_shared<MemTable>("tgt", BoundSchema());
+      const Result<RunMetrics> metrics =
+          Executor::Run(make_flow(target), config);
+      ASSERT_TRUE(metrics.ok()) << metrics.status();
+      EXPECT_TRUE(target->ReadAll().value().rows() == serial);
+      // The requested range [0, 2) ran as [0, 1).
+      ASSERT_EQ(metrics.value().parallel_units.size(), 1u);
+      EXPECT_EQ(metrics.value().parallel_units[0].range_end, 1u);
+    }
+  }
+}
+
+// Input batches smaller than the partition count leave slices empty (a
+// one-row batch goes to partition 0 alone). Each branch still answers
+// every slice, and the merge forwards only the non-empty answers: the run
+// loads the serial bytes, and the merge passes on exactly one batch per
+// (input batch, partition) slice that keeps a row through the filter.
+TEST(ParallelExecutionTest, SmallBatchesLeaveSlicesEmptyAndKeepSerialOrder) {
+  constexpr size_t kRows = 200;
+  constexpr size_t kParts = 4;
+  const std::vector<Row> input = SimpleRows(kRows);
+  const DataStorePtr source = testing_util::MakeSource(SimpleSchema(), input);
+  const auto make_flow = [&](const std::shared_ptr<MemTable>& target) {
+    FlowSpec spec = MakeFlow(source, target);
+    spec.transforms.pop_back();  // no sort: the merge order is the output
+    return spec;
+  };
+  auto serial_target = std::make_shared<MemTable>("tgt", BoundSchema());
+  ASSERT_TRUE(Executor::Run(make_flow(serial_target), ExecutionConfig{}).ok());
+  const std::vector<Row> serial = serial_target->ReadAll().value().rows();
+  ASSERT_LT(serial.size(), kRows);  // the filter drops the NULL amounts
+
+  for (const size_t batch_size : {size_t{1}, size_t{3}, size_t{5}}) {
+    size_t forwarded = 0;
+    for (size_t begin = 0; begin < kRows; begin += batch_size) {
+      const size_t n = std::min(batch_size, kRows - begin);
+      std::vector<bool> kept(kParts, false);
+      for (size_t i = 0; i < n; ++i) {
+        if (!input[begin + i].value(2).is_null()) kept[i * kParts / n] = true;
+      }
+      forwarded += static_cast<size_t>(
+          std::count(kept.begin(), kept.end(), true));
+    }
+    for (const bool streaming : {false, true}) {
+      SCOPED_TRACE("batch " + std::to_string(batch_size) +
+                   (streaming ? " streaming" : " phased"));
+      ExecutionConfig config;
+      config.num_threads = kParts;
+      config.batch_size = batch_size;
+      config.parallel.partitions = kParts;
+      config.streaming = streaming;
+      auto target = std::make_shared<MemTable>("tgt", BoundSchema());
+      const Result<RunMetrics> metrics =
+          Executor::Run(make_flow(target), config);
+      ASSERT_TRUE(metrics.ok()) << metrics.status();
+      EXPECT_TRUE(target->ReadAll().value().rows() == serial);
+      size_t merges = 0;
+      for (const StageStats& stage : metrics.value().stage_stats) {
+        if (stage.name.rfind("merge", 0) != 0) continue;
+        ++merges;
+        EXPECT_EQ(stage.batches, forwarded);
+        EXPECT_EQ(stage.rows, serial.size());
+      }
+      EXPECT_EQ(merges, 1u);
+    }
+  }
+}
+
+// A group inside a hash range keyed on the group column keeps each group in
+// one partition, so it computes the serial groups. Each branch's Finish
+// emits its groups in first-seen order and the merge takes the partitions
+// in index order, so the oracle is the serial output stably partitioned by
+// the partition of its key (the router hashes the same value). The bytes
+// hold for every thread count in both modes.
+TEST(ParallelExecutionTest, HashGroupEmitsPartitionsInIndexOrder) {
+  constexpr size_t kParts = 4;
+  constexpr size_t kKeys = 12;
+  std::vector<Row> input;
+  for (size_t i = 0; i < 600; ++i) {
+    input.push_back(testing_util::SimpleRow(
+        static_cast<int64_t>(i), "k" + std::to_string(i * 7 % kKeys),
+        static_cast<double>(i % 37) / 4.0));
+  }
+  const DataStorePtr source = testing_util::MakeSource(SimpleSchema(), input);
+  const auto make_flow = [&source](const std::shared_ptr<MemTable>& target) {
+    FlowSpec spec;
+    spec.id = "hash_group_flow";
+    spec.source = source;
+    spec.transforms.push_back([]() -> OperatorPtr {
+      return std::make_unique<GroupOp>(
+          "grp", std::vector<std::string>{"category"},
+          std::vector<Aggregate>{Aggregate::Count("n"),
+                                 Aggregate::Sum("amount", "total")});
+    });
+    spec.target = target;
+    return spec;
+  };
+  GroupOp prototype("grp", {"category"},
+                    {Aggregate::Count("n"), Aggregate::Sum("amount", "total")});
+  const Schema out_schema = prototype.Bind(SimpleSchema()).value();
+
+  auto serial_target = std::make_shared<MemTable>("tgt", out_schema);
+  ASSERT_TRUE(Executor::Run(make_flow(serial_target), ExecutionConfig{}).ok());
+  const std::vector<Row> serial = serial_target->ReadAll().value().rows();
+  ASSERT_EQ(serial.size(), kKeys);
+  std::vector<Row> expected;
+  for (size_t p = 0; p < kParts; ++p) {
+    for (const Row& row : serial) {
+      if (row.HashColumns({0}) % kParts == p) expected.push_back(row);
+    }
+  }
+  ASSERT_FALSE(expected == serial);  // the oracle is not trivial
+
+  for (const size_t threads : {size_t{1}, kParts}) {
+    for (const bool streaming : {false, true}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads" +
+                   (streaming ? " streaming" : " phased"));
+      ExecutionConfig config;
+      config.num_threads = threads;
+      config.batch_size = 64;
+      config.parallel.partitions = kParts;
+      config.parallel.scheme = PartitionScheme::kHash;
+      config.parallel.hash_column = "category";
+      config.streaming = streaming;
+      auto target = std::make_shared<MemTable>("tgt", out_schema);
+      const Result<RunMetrics> metrics =
+          Executor::Run(make_flow(target), config);
+      ASSERT_TRUE(metrics.ok()) << metrics.status();
+      EXPECT_TRUE(target->ReadAll().value().rows() == expected);
     }
   }
 }
@@ -250,6 +425,8 @@ TEST(ParallelExecutionTest, GroupByWithHashPartitioningOnGroupKey) {
   config.parallel.scheme = PartitionScheme::kHash;
   config.parallel.hash_column = "category";
   ASSERT_TRUE(Executor::Run(make_flow(par_target), config).ok());
+  // The partitions' groups come out of Finish concatenated in partition
+  // order, not in the serial first-seen order: compare as multisets.
   EXPECT_TRUE(SameMultiset(seq_target->ReadAll().value().rows(),
                            par_target->ReadAll().value().rows()));
 }

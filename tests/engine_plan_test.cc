@@ -8,6 +8,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace qox {
@@ -111,6 +112,66 @@ TEST(ExecutionPlanTest, PartialParallelRangeSplitsUnits) {
   }
 }
 
+TEST(ExecutionPlanTest, SortEndsTheParallelRange) {
+  PlanInput input = SimpleInput(5);
+  input.blocking = {false, false, true, false, false};
+  input.sorts = {false, false, true, false, false};
+  input.parallel.partitions = 4;
+  input.parallel.range_begin = 1;
+  const ExecutionPlan plan = MustLower(input);
+  EXPECT_EQ(plan.parallel_begin(), 1u);
+  EXPECT_EQ(plan.parallel_end(), 2u);
+  ASSERT_EQ(plan.sections().size(), 1u);
+  const std::vector<PlanUnit>& units = plan.sections()[0].units;
+  ASSERT_EQ(units.size(), 3u);  // [0,1) seq, [1,2) par, [2,5) seq
+  EXPECT_TRUE(units[1].parallel);
+  EXPECT_EQ(units[1].end, 2u);
+  EXPECT_FALSE(units[2].parallel);
+  EXPECT_EQ(units[2].begin, 2u);
+  EXPECT_EQ(units[2].end, 5u);
+
+  // A range that starts at the sort runs nothing partitioned.
+  input.parallel.range_begin = 2;
+  const ExecutionPlan empty = MustLower(input);
+  EXPECT_EQ(empty.parallel_begin(), empty.parallel_end());
+  EXPECT_EQ(CountKind(empty, PlanNodeKind::kPartitionRouter), 0u);
+  ASSERT_EQ(empty.sections()[0].units.size(), 1u);
+  for (const ExecutionPlan::CostChunk& chunk : empty.cost_chunks()) {
+    EXPECT_FALSE(chunk.parallel);
+  }
+
+  // Other blocking ops stay inside the range.
+  input.sorts.assign(5, false);
+  input.parallel.range_begin = 1;
+  EXPECT_EQ(MustLower(input).parallel_end(), 5u);
+}
+
+// A requested range that covers no op (empty, inverted, or starting past
+// the chain) partitions nothing: the section stays one sequential unit
+// instead of splitting at the range's edges.
+TEST(ExecutionPlanTest, EmptyParallelRangeLowersToOneSequentialUnit) {
+  const std::vector<std::pair<size_t, size_t>> ranges = {
+      {2, 2}, {3, 1}, {7, static_cast<size_t>(-1)}};
+  for (const auto& [begin, end] : ranges) {
+    SCOPED_TRACE("[" + std::to_string(begin) + ", " + std::to_string(end) +
+                 ")");
+    PlanInput input = SimpleInput(5);
+    input.parallel.partitions = 4;
+    input.parallel.range_begin = begin;
+    input.parallel.range_end = end;
+    const ExecutionPlan plan = MustLower(input);
+    EXPECT_EQ(plan.parallel_begin(), plan.parallel_end());
+    EXPECT_LE(plan.parallel_end(), 5u);
+    EXPECT_EQ(CountKind(plan, PlanNodeKind::kPartitionRouter), 0u);
+    EXPECT_EQ(CountKind(plan, PlanNodeKind::kMerge), 0u);
+    ASSERT_EQ(plan.sections().size(), 1u);
+    ASSERT_EQ(plan.sections()[0].units.size(), 1u);
+    EXPECT_EQ(plan.sections()[0].units[0].begin, 0u);
+    EXPECT_EQ(plan.sections()[0].units[0].end, 5u);
+    EXPECT_EQ(plan.channel_borders(), (std::vector<size_t>{0, 5}));
+  }
+}
+
 TEST(ExecutionPlanTest, RecoveryCutsSortedDedupedAndSectioned) {
   PlanInput input = SimpleInput(4);
   input.recovery_points = {2, 0, 2, 4};
@@ -198,6 +259,10 @@ TEST(ExecutionPlanTest, LoweringValidatesStructuralImpossibilities) {
   PlanInput bad_blocking = SimpleInput(2);
   bad_blocking.blocking = {true};
   EXPECT_FALSE(ExecutionPlan::Lower(bad_blocking).ok());
+
+  PlanInput bad_sorts = SimpleInput(2);
+  bad_sorts.sorts = {true};
+  EXPECT_FALSE(ExecutionPlan::Lower(bad_sorts).ok());
 }
 
 TEST(ExecutionPlanTest, LoweringValidatesContainmentKnobs) {

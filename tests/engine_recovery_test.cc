@@ -317,8 +317,10 @@ TEST_F(RecoveryTest, ParallelFlowWithRecoveryPoints) {
   const Result<RunMetrics> metrics =
       Executor::Run(MakeFlow(source, target), config);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
-  EXPECT_TRUE(SameMultiset(reference->ReadAll().value().rows(),
-                           target->ReadAll().value().rows()));
+  // The partitioned [0, 2) keeps serial order and the sort runs behind the
+  // merge, so the resumed run loads the clean run's bytes.
+  EXPECT_TRUE(reference->ReadAll().value().rows() ==
+              target->ReadAll().value().rows());
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "engine/executor.h"
 #include "engine/ops/filter_op.h"
 #include "engine/ops/function_op.h"
@@ -53,6 +56,35 @@ Schema BoundSchema(bool with_sk,
   return schema;
 }
 
+/// Per-row pass-through whose Finish holds its instance until `injector`
+/// has fired once (giving up after 10 s). Instances that reach it cannot
+/// finish, so the voter cannot accept a majority and cancel the instance a
+/// test kills, before that instance has failed.
+class HoldUntilFailureOp : public Operator {
+ public:
+  explicit HoldUntilFailureOp(const FailureInjector* injector)
+      : injector_(injector) {}
+  const char* kind() const override { return "hold"; }
+  const std::string& name() const override { return name_; }
+  Result<Schema> Bind(const Schema& input) override { return input; }
+  Status PushColumnar(ColumnBatch*, ColumnarPushContext*) override {
+    return Status::OK();
+  }
+  Status Finish(RowBatch*) override {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (injector_->triggered_count() < 1 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return Status::OK();
+  }
+
+ private:
+  const FailureInjector* injector_;
+  std::string name_ = "hold";
+};
+
 class RedundancyDegreeTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(RedundancyDegreeTest, VotedOutputEqualsSequential) {
@@ -95,8 +127,12 @@ TEST(RedundancyTest, ToleratesMinorityInstanceFailures) {
   config.num_threads = 4;
   config.redundancy = 3;
   config.injector = &injector;
-  const Result<RunMetrics> metrics =
-      Executor::Run(MakeFlow(source, target), config);
+  // Instances 0 and 2 wait at the end of their chain for instance 1 to die.
+  FlowSpec flow = MakeFlow(source, target);
+  flow.transforms.push_back([&injector]() -> OperatorPtr {
+    return std::make_unique<HoldUntilFailureOp>(&injector);
+  });
+  const Result<RunMetrics> metrics = Executor::Run(flow, config);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_EQ(metrics.value().failures_injected, 1u);
   // 37 of the 300 rows (ids 7, 15, ..., 295) carry NULL amounts.

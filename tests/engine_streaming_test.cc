@@ -7,8 +7,6 @@
 
 #include <unistd.h>
 
-#include <thread>
-
 #include "engine/executor.h"
 #include "engine/ops/filter_op.h"
 #include "engine/ops/function_op.h"
@@ -110,7 +108,8 @@ INSTANTIATE_TEST_SUITE_P(
         StreamingCase{1, PartitionScheme::kRoundRobin, 0, 3, 1, 7},
         // Round-robin partitioned, full range.
         StreamingCase{4, PartitionScheme::kRoundRobin, 0, 3, 4, 64},
-        // Round-robin partitioned around the blocking sort only.
+        // A range holding only the sort: lowering ends it before the
+        // sort, so nothing runs partitioned.
         StreamingCase{4, PartitionScheme::kRoundRobin, 2, 3, 1, 16},
         // Hash partitioned, full range.
         StreamingCase{4, PartitionScheme::kHash, 0, 3, 4, 64},
@@ -338,8 +337,9 @@ TEST(StreamingExecutorTest, StageStatsCoverTheDataflow) {
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   const RunMetrics& m = metrics.value();
   EXPECT_TRUE(m.streaming);
-  // extract + partition + 2 branches + merge + load = 6 stages.
-  ASSERT_EQ(m.stage_stats.size(), 6u);
+  // The requested range [0, 3) ends before the sort at op 2: extract +
+  // partition + 2 branches + merge + transform[2,3) + load = 7 stages.
+  ASSERT_EQ(m.stage_stats.size(), 7u);
   bool saw_extract = false;
   bool saw_load = false;
   size_t merge_rows = 0;
@@ -409,15 +409,17 @@ TEST(StreamingExecutorTest, StageStatsCoverTheDataflow) {
 }
 
 TEST(StreamingExecutorTest, FullySkewedHashPartitionsDoNotDeadlock) {
-  // Regression: every row hashes to ONE partition. A merge popping the
-  // partition channels in fixed order head-of-line blocks on the starved
-  // partitions; once the hot partition accumulates ~2*channel_capacity
-  // batches its bounded channels fill, the partitioner stalls behind them,
-  // and the starved partitions never see end-of-stream — deadlock. The
-  // any-ready PartitionFeed must keep the dataflow moving. Row count is
-  // chosen >> channel_capacity * batch_size so the skew saturates the
-  // channels, and the parallel range covers only streaming (non-blocking)
-  // operators — a blocking branch would mask the head-of-line topology.
+  // Regression: every row hashes to ONE partition. The merge pops the
+  // partition channels in a fixed order, which would head-of-line block
+  // on a starved partition that the router never feeds: the hot
+  // partition's bounded channels fill, the router stalls behind them, and
+  // the starved partitions never see end-of-stream. The batch schedule
+  // rules that out: the router sends every partition a slice of every
+  // input batch (empty here for all but one), so the partition the merge
+  // waits on next has always been fed. Row count is chosen >>
+  // channel_capacity * batch_size so the skew saturates one-batch
+  // channels, and the parallel range covers only per-row operators — a
+  // blocking branch would mask the head-of-line topology.
   std::vector<Row> rows;
   for (size_t i = 0; i < 4000; ++i) {
     rows.push_back(testing_util::SimpleRow(/*id=*/42, "a",
@@ -433,49 +435,15 @@ TEST(StreamingExecutorTest, FullySkewedHashPartitionsDoNotDeadlock) {
   config.parallel.hash_column = "id";
   config.parallel.range_begin = 0;
   config.parallel.range_end = 2;
+  config.channel_capacity = 1;
   const std::vector<Row> expected = RunPhased(source, config);
 
   auto target = std::make_shared<MemTable>("tgt", BoundSchema());
   config.streaming = true;
-  config.channel_capacity = 2;
   const Result<RunMetrics> metrics =
       Executor::Run(MakeFlow(source, target), config);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_EQ(expected, target->ReadAll().value().rows());
-}
-
-TEST(PartitionFeedTest, AnyReadyDrainAvoidsHeadOfLineDeadlock) {
-  // The deadlock shape in miniature: the producer must push 8 batches into
-  // the hot channel (capacity 1) before it will ever close the starved
-  // one, while the consumer waits on the starved channel first. Next()
-  // must drain the hot channel into its local buffer in the background —
-  // a head-of-line blocking Pop would hang here.
-  const Schema schema = SimpleSchema();
-  auto hot = std::make_shared<BatchChannel>(1);
-  auto cold = std::make_shared<BatchChannel>(1);
-  PartitionFeed feed({hot, cold});
-  std::thread producer([&] {
-    for (int i = 0; i < 8; ++i) {
-      RowBatch batch(schema);
-      batch.Append(testing_util::SimpleRow(i, "a", 1.0));
-      EXPECT_TRUE(hot->Push(std::move(batch)).ok());
-    }
-    hot->Close();
-    cold->Close();
-  });
-  int64_t wait = 0;
-  Result<std::optional<RowBatch>> starved = feed.Next(1, &wait);
-  ASSERT_TRUE(starved.ok());
-  EXPECT_FALSE(starved.value().has_value());  // exhausted, no data
-  producer.join();
-  // The hot partition's batches come out complete and in order.
-  for (int i = 0; i < 8; ++i) {
-    Result<std::optional<RowBatch>> got = feed.Next(0, &wait);
-    ASSERT_TRUE(got.ok());
-    ASSERT_TRUE(got.value().has_value());
-    EXPECT_EQ(got.value()->row(0).value(0).Compare(Value::Int64(i)), 0);
-  }
-  EXPECT_FALSE(feed.Next(0, &wait).value().has_value());
 }
 
 TEST(StreamingExecutorTest, MidLoadInjectedFailureFiresAndRetries) {

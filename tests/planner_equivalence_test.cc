@@ -4,15 +4,16 @@
 //     ExecutionPlan through the same stage builders, so across the
 //     paper's Fig. 4-8 configurations (1PF / 4PF-p / 4PF-f / 8PF-p,
 //     recovery-point placements, NMR 3-5) both modes must produce
-//     byte-identical warehouse contents — and every configuration must
-//     agree with the sequential baseline as a row multiset (partitioned
-//     configs reorder: the merge orders by the first column).
+//     byte-identical warehouse contents. Every configuration whose
+//     partitioned range holds only per-row ops must also load the
+//     sequential baseline byte for byte: round robin keeps serial order.
 //
 // (b) The planner's section/chunk boundaries must exactly match the cost
 //     model's historical section split (barriers at recovery cuts, after
 //     blocking ops, and at chain end; borders adding cut 0 and the
 //     parallel range edges) for the Fig. 3 flows — the model prices the
-//     same drain structure the engine executes.
+//     same drain structure the engine executes, and the same partitioned
+//     range (a sort ends it on both sides).
 
 #include <gtest/gtest.h>
 
@@ -106,6 +107,19 @@ class PlannerSweepTest : public ::testing::Test {
     return scenario_->dw1()->ReadAll().value().rows();
   }
 
+  /// The click flow with a sort inserted at op 2.
+  LogicalFlow SortedClickFlow() const {
+    std::vector<LogicalOp> ops = scenario_->top_flow().ops();
+    ops.insert(ops.begin() + 2,
+               MakeSort("Sort_click", {{"customer_id", false}}));
+    const Result<std::vector<Schema>> schemas =
+        BindLogicalChain(scenario_->s3()->schema(), ops);
+    EXPECT_TRUE(schemas.ok()) << schemas.status();
+    return LogicalFlow(
+        "click_sorted", scenario_->s3(), std::move(ops),
+        std::make_shared<MemTable>("CUSTOMER_SORTED", schemas.value().back()));
+  }
+
   std::unique_ptr<SalesScenario> scenario_;
   std::string rp_dir_;
   RecoveryPointStorePtr rp_store_;
@@ -115,6 +129,7 @@ TEST_F(PlannerSweepTest, PhasedAndStreamingLoadIdenticalWarehouses) {
   const std::vector<Row> baseline = RunBottom(ConfigFor(SweepCases()[0],
                                                         /*streaming=*/false));
   ASSERT_FALSE(baseline.empty());
+  size_t byte_identical = 0;
   for (const SweepCase& c : SweepCases()) {
     SCOPED_TRACE(c.name);
     const std::vector<Row> phased = RunBottom(ConfigFor(c, false));
@@ -125,8 +140,77 @@ TEST_F(PlannerSweepTest, PhasedAndStreamingLoadIdenticalWarehouses) {
       ASSERT_TRUE(phased[i] == streaming[i])
           << "row " << i << " differs between phased and streaming";
     }
-    // And every configuration computes the same result set.
-    EXPECT_TRUE(SameMultiset(phased, baseline));
+    const Result<ExecutionPlan> plan = Executor::LowerPlan(
+        scenario_->bottom_flow().ToFlowSpec(), ConfigFor(c, false));
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    bool blocking_in_range = false;
+    for (size_t i = plan.value().parallel_begin();
+         i < plan.value().parallel_end(); ++i) {
+      blocking_in_range |= plan.value().input().blocking[i];
+    }
+    if (blocking_in_range) {
+      // The Δ inside the range emits each partition's changes at Finish,
+      // concatenated in partition order: only the multiset is serial.
+      EXPECT_TRUE(SameMultiset(phased, baseline));
+    } else {
+      EXPECT_TRUE(phased == baseline);
+      ++byte_identical;
+    }
+  }
+  // Everything but the two 4PF-f shapes (the Δ is op 0).
+  EXPECT_EQ(byte_identical, 8u);
+}
+
+// A Fig. 3 pass in the benchmark's timed design shape (streaming, 4
+// partitions, each Δ flow partitioned behind its Δ) loads DW1-DW3 byte for
+// byte, in order, as a serial phased pass does. The serial pass runs first
+// and assigns every surrogate key, so the partitioned passes only look
+// keys up.
+TEST(PartitionedPassTest, Fig3PassLoadsTheSerialPassBytes) {
+  SalesScenarioConfig scenario_config;
+  scenario_config.s1_rows = 12000;
+  scenario_config.s2_rows = 1200;
+  scenario_config.s3_rows = 12000;
+  Result<std::unique_ptr<SalesScenario>> created =
+      SalesScenario::Create(scenario_config);
+  ASSERT_TRUE(created.ok()) << created.status();
+  SalesScenario& scenario = *created.value();
+  const std::vector<const LogicalFlow*> flows = {
+      &scenario.bottom_flow(), &scenario.middle_flow(), &scenario.top_flow()};
+  const std::vector<DataStorePtr> targets = {scenario.dw1(), scenario.dw2(),
+                                             scenario.dw3()};
+  const auto run_pass = [&](bool partitioned) {
+    EXPECT_TRUE(scenario.ResetWarehouse().ok());
+    for (size_t i = 0; i < flows.size(); ++i) {
+      ExecutionConfig config;
+      if (partitioned) {
+        PhysicalDesign design;
+        design.flow = *flows[i];
+        design.threads = 4;
+        design.streaming = true;
+        design.parallel.partitions = 4;
+        if (i < 2) design.parallel.range_begin = 1;
+        config = design.ToExecutionConfig(nullptr, nullptr);
+      }
+      const Result<RunMetrics> metrics =
+          Executor::Run(flows[i]->ToFlowSpec(), config);
+      EXPECT_TRUE(metrics.ok()) << metrics.status();
+    }
+    std::vector<std::vector<Row>> tables;
+    for (const DataStorePtr& target : targets) {
+      tables.push_back(target->ReadAll().value().rows());
+    }
+    return tables;
+  };
+  const std::vector<std::vector<Row>> serial = run_pass(false);
+  for (int pass = 0; pass < 2; ++pass) {
+    const std::vector<std::vector<Row>> partitioned = run_pass(true);
+    for (size_t i = 0; i < targets.size(); ++i) {
+      SCOPED_TRACE("pass " + std::to_string(pass) + " DW" +
+                   std::to_string(i + 1));
+      ASSERT_FALSE(serial[i].empty());
+      EXPECT_TRUE(partitioned[i] == serial[i]);
+    }
   }
 }
 
@@ -135,9 +219,12 @@ TEST_F(PlannerSweepTest, PhasedAndStreamingLoadIdenticalWarehouses) {
 // the whole graph for the scenario flows, or predictions would price a
 // different plan than the one that runs.
 TEST_F(PlannerSweepTest, EngineAndModelLowerTheSamePlan) {
-  const std::vector<const LogicalFlow*> flows = {&scenario_->bottom_flow(),
-                                                 &scenario_->middle_flow(),
-                                                 &scenario_->top_flow()};
+  // The click flow with a sort in the middle: every requested range that
+  // covers op 2 must end before it on both sides.
+  const LogicalFlow sorted_flow = SortedClickFlow();
+  const std::vector<const LogicalFlow*> flows = {
+      &scenario_->bottom_flow(), &scenario_->middle_flow(),
+      &scenario_->top_flow(), &sorted_flow};
   for (const LogicalFlow* flow : flows) {
     for (const SweepCase& c : SweepCases()) {
       SCOPED_TRACE(flow->id() + " " + c.name);
@@ -157,7 +244,49 @@ TEST_F(PlannerSweepTest, EngineAndModelLowerTheSamePlan) {
       ASSERT_TRUE(engine_plan.ok()) << engine_plan.status();
       const ExecutionPlan model_plan = CostModel::PlanFor(design);
       EXPECT_EQ(engine_plan.value().ToJson(), model_plan.ToJson());
+      if (flow == &sorted_flow && c.partitions > 1) {
+        EXPECT_EQ(model_plan.parallel_end(), 2u);
+      }
     }
+  }
+}
+
+// The cost model prices the range that runs, not the one requested: on the
+// sorted click flow, a range covering the sort costs exactly what the range
+// ending at the sort costs, and a range starting at the sort costs what the
+// unpartitioned design costs, phased and streaming alike.
+TEST_F(PlannerSweepTest, ModelPricesTheRangeThatRuns) {
+  const LogicalFlow sorted_flow = SortedClickFlow();
+  const CostModel model;
+  const auto estimate = [&](size_t partitions, size_t begin, size_t end,
+                            bool streaming) {
+    PhysicalDesign design;
+    design.flow = sorted_flow;
+    design.threads = 4;
+    design.streaming = streaming;
+    design.parallel.partitions = partitions;
+    design.parallel.range_begin = begin;
+    design.parallel.range_end = end;
+    return model.EstimatePhases(design, 10000.0);
+  };
+  const auto expect_same = [](const PhaseEstimate& a, const PhaseEstimate& b) {
+    EXPECT_DOUBLE_EQ(a.extract_s, b.extract_s);
+    EXPECT_DOUBLE_EQ(a.transform_s, b.transform_s);
+    EXPECT_DOUBLE_EQ(a.load_s, b.load_s);
+    EXPECT_DOUBLE_EQ(a.rp_s, b.rp_s);
+    EXPECT_DOUBLE_EQ(a.merge_s, b.merge_s);
+    EXPECT_DOUBLE_EQ(a.total_s, b.total_s);
+  };
+  const size_t kMax = static_cast<size_t>(-1);
+  for (const bool streaming : {false, true}) {
+    SCOPED_TRACE(streaming ? "streaming" : "phased");
+    const PhaseEstimate covering = estimate(4, 0, kMax, streaming);
+    EXPECT_GT(covering.merge_s, 0.0);
+    expect_same(covering, estimate(4, 0, 2, streaming));
+
+    const PhaseEstimate at_sort = estimate(4, 2, kMax, streaming);
+    EXPECT_EQ(at_sort.merge_s, 0.0);
+    expect_same(at_sort, estimate(1, 0, kMax, streaming));
   }
 }
 
