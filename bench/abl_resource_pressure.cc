@@ -14,6 +14,16 @@
 // the dead-letter ledger. Emits one BENCH JSON line (prefix
 // "{\"bench\":\"abl_resource_pressure\"") with measured and predicted
 // values per cell.
+//
+// Structural gates on the policy sweep (the --quick ctest smoke relies on
+// them; never on wall times): fail_flow dies with resource_exhausted;
+// pause_retry lands the clean row count and spends exactly one attempt
+// per retry; shed_to_quarantine completes with every clean row either
+// landed or shed. The sweep's fault rate and seeds make every policy meet
+// at least one fault.
+//
+// Usage: abl_resource_pressure [--quick]   (--quick: the policy sweep
+// alone, gated, without the google-benchmark harness)
 
 #include <benchmark/benchmark.h>
 
@@ -38,6 +48,11 @@ namespace {
 
 constexpr size_t kRows = 20000;
 constexpr char kSpillDir[] = "/tmp/qox_bench_ablrp_spill";
+// Policy sweep: a fixed tight budget and a fault rate and seeds at which
+// every policy's run meets at least one ENOSPC.
+constexpr size_t kPolicyBudget = 64 << 10;
+constexpr double kPolicyFaultRate = 0.1;
+constexpr uint64_t kPolicySeed = 1;
 
 Schema SourceSchema() {
   return Schema({{"id", DataType::kInt64, false},
@@ -97,7 +112,10 @@ struct Cell {
   size_t spill_bytes = 0;
   size_t mem_high_water = 0;
   size_t rows_shed = 0;
+  size_t rows_loaded = 0;
+  size_t landed = 0;  ///< rows in the warehouse after the run
   size_t attempts = 0;
+  size_t retries = 0;
   int64_t total_micros = 0;
   double predicted_spill_s = 0.0;
   double predicted_delay_s = 0.0;
@@ -138,11 +156,14 @@ void RunCell(size_t budget, double fault_rate, ResourcePolicy policy,
     cell.spill_bytes = m.spill_bytes;
     cell.mem_high_water = m.mem_high_water_bytes;
     cell.rows_shed = m.rows_shed;
+    cell.rows_loaded = m.rows_loaded;
     cell.attempts = m.attempts;
+    cell.retries = m.TotalRetries();
     cell.total_micros = m.total_micros;
   } else {
     cell.outcome = StatusCodeName(metrics.status().code());
   }
+  cell.landed = warehouse->NumRows().value();
 
   const CostModel model;
   const PhaseEstimate phases = model.EstimatePhases(design, kRows);
@@ -153,6 +174,61 @@ void RunCell(size_t budget, double fault_rate, ResourcePolicy policy,
   cell.predicted_delay_s = model.EstimateResourceDelay(design, phases,
                                                        workload);
   Cells()[(*cell_idx)++] = cell;
+}
+
+/// Policy sweep at a fixed tight budget and fault rate: how each
+/// degradation ladder rung pays for the same pressure.
+void RunPolicySweep(int* cell_idx) {
+  uint64_t seed = kPolicySeed;
+  for (const ResourcePolicy policy :
+       {ResourcePolicy::kFailFlow, ResourcePolicy::kPauseRetry,
+        ResourcePolicy::kShedToQuarantine}) {
+    RunCell(kPolicyBudget, kPolicyFaultRate, policy, seed++, cell_idx);
+  }
+}
+
+/// The policy sweep's structural gates (see the file comment). Returns 0
+/// when every gate holds; prints each violation.
+int CheckPolicySweep() {
+  int violations = 0;
+  const auto fail = [&violations](const Cell& cell, const std::string& why) {
+    std::cerr << "policy " << cell.policy << ": " << why << "\n";
+    ++violations;
+  };
+  for (const auto& [idx, cell] : Cells()) {
+    if (cell.budget != kPolicyBudget || cell.fault_rate != kPolicyFaultRate) {
+      continue;
+    }
+    if (cell.policy == "fail_flow") {
+      if (cell.outcome != "resource_exhausted") {
+        fail(cell, "outcome " + cell.outcome + ", want resource_exhausted");
+      }
+    } else if (cell.policy == "pause_retry") {
+      if (cell.outcome != "ok") fail(cell, "outcome " + cell.outcome);
+      if (cell.retries == 0) fail(cell, "met no fault");
+      if (cell.attempts != 1 + cell.retries) {
+        fail(cell, std::to_string(cell.attempts) + " attempts for " +
+                       std::to_string(cell.retries) + " retries");
+      }
+      if (cell.landed != kRows || cell.rows_loaded != kRows) {
+        fail(cell, "landed " + std::to_string(cell.landed) +
+                       " rows (rows_loaded " +
+                       std::to_string(cell.rows_loaded) + "), want " +
+                       std::to_string(kRows));
+      }
+    } else if (cell.policy == "shed_to_quarantine") {
+      if (cell.outcome != "ok") fail(cell, "outcome " + cell.outcome);
+      if (cell.rows_shed == 0) fail(cell, "met no fault");
+      if (cell.rows_loaded != cell.landed ||
+          cell.rows_loaded + cell.rows_shed != kRows) {
+        fail(cell, "rows_loaded " + std::to_string(cell.rows_loaded) +
+                       " + rows_shed " + std::to_string(cell.rows_shed) +
+                       " (landed " + std::to_string(cell.landed) +
+                       "), want " + std::to_string(kRows));
+      }
+    }
+  }
+  return violations == 0 ? 0 : 1;
 }
 
 void BM_AblResourcePressure(benchmark::State& state) {
@@ -169,13 +245,7 @@ void BM_AblResourcePressure(benchmark::State& state) {
         RunCell(budget, rate, ResourcePolicy::kPauseRetry, seed++, &cell_idx);
       }
     }
-    // Policy sweep at a fixed tight budget and fault rate: how each
-    // degradation ladder rung pays for the same pressure.
-    for (const ResourcePolicy policy :
-         {ResourcePolicy::kFailFlow, ResourcePolicy::kPauseRetry,
-          ResourcePolicy::kShedToQuarantine}) {
-      RunCell(64 << 10, 0.02, policy, seed++, &cell_idx);
-    }
+    RunPolicySweep(&cell_idx);
     state.SetIterationTime(1e-3);
   }
   std::filesystem::remove_all(kSpillDir);
@@ -189,8 +259,8 @@ BENCHMARK(BM_AblResourcePressure)
 void PrintFigure() {
   bench::Table table({"budget", "fault_rate", "policy", "outcome",
                       "spill_runs", "spill_rows", "spill_kb", "mem_hw_kb",
-                      "shed", "attempts", "total_ms", "pred_spill_ms",
-                      "pred_delay_ms"});
+                      "loaded", "shed", "attempts", "total_ms",
+                      "pred_spill_ms", "pred_delay_ms"});
   std::ostringstream json;
   json << "{\"bench\":\"abl_resource_pressure\",\"rows\":" << kRows
        << ",\"results\":[";
@@ -202,6 +272,7 @@ void PrintFigure() {
                   std::to_string(cell.spill_rows),
                   std::to_string(cell.spill_bytes / 1024),
                   std::to_string(cell.mem_high_water / 1024),
+                  std::to_string(cell.rows_loaded),
                   std::to_string(cell.rows_shed),
                   std::to_string(cell.attempts), bench::Ms(cell.total_micros),
                   bench::Seconds(cell.predicted_spill_s * 1e3, 2),
@@ -216,7 +287,9 @@ void PrintFigure() {
          << ",\"spill_bytes\":" << cell.spill_bytes
          << ",\"mem_high_water\":" << cell.mem_high_water
          << ",\"rows_shed\":" << cell.rows_shed
+         << ",\"rows_loaded\":" << cell.rows_loaded
          << ",\"attempts\":" << cell.attempts
+         << ",\"retries\":" << cell.retries
          << ",\"total_micros\":" << cell.total_micros
          << ",\"predicted_spill_s\":" << cell.predicted_spill_s
          << ",\"predicted_delay_s\":" << cell.predicted_delay_s << "}";
@@ -233,8 +306,17 @@ void PrintFigure() {
 }  // namespace qox
 
 int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) == "--quick") {
+      int cell_idx = 0;
+      qox::RunPolicySweep(&cell_idx);
+      std::filesystem::remove_all(qox::kSpillDir);
+      qox::PrintFigure();
+      return qox::CheckPolicySweep();
+    }
+  }
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
   qox::PrintFigure();
-  return 0;
+  return qox::CheckPolicySweep();
 }

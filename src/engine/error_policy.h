@@ -128,9 +128,11 @@ class ErrorBudgetState {
     return Status::OK();
   }
 
-  void Reset() {
-    skipped_.store(0, std::memory_order_relaxed);
-    quarantined_.store(0, std::memory_order_relaxed);
+  /// Restarts the accounting from the given counts (rows contained
+  /// earlier that the new attempt will not contain again).
+  void Reset(size_t skipped, size_t quarantined) {
+    skipped_.store(skipped, std::memory_order_relaxed);
+    quarantined_.store(quarantined, std::memory_order_relaxed);
   }
 
   size_t skipped() const { return skipped_.load(std::memory_order_relaxed); }

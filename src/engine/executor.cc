@@ -41,24 +41,15 @@ std::string CutPointId(int instance, size_t cut) {
   return "i" + std::to_string(instance) + ".cut" + std::to_string(cut);
 }
 
-/// Sleeps out a retry backoff and accounts it. Kept out of line so the
-/// instance loop and the load loop charge waits identically.
-void WaitBackoff(const RetryPolicy& policy, size_t failed_attempt, Rng* rng,
-                 RunMetrics* metrics) {
-  const int64_t wait = policy.BackoffMicros(failed_attempt, rng);
-  if (wait > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(wait));
-    metrics->backoff_micros += wait;
-  }
-}
-
 /// Per-instance flow execution: one attempt driver over the lowered
-/// ExecutionPlan with recovery semantics. Produces the rows at the final
-/// cut (pre-load). Every attempt spawns one stage per plan node and wires
-/// one channel per edge; the plan's streaming property only picks the
-/// StageSet mode. Streaming runs the stages as concurrent blocking tasks
-/// on bounded channels; phased plans run staged — each stage to completion
-/// on this thread, a partitioned unit's branches fanned out together.
+/// ExecutionPlan with recovery semantics. Every attempt spawns one stage
+/// per plan node and wires one channel per edge, from the source (or the
+/// newest recovery point) through the load; the plan's streaming property
+/// only picks the StageSet mode. Streaming runs the stages as concurrent
+/// blocking tasks on bounded channels; phased plans run staged — each
+/// stage to completion on this thread, a partitioned unit's branches
+/// fanned out together. A redundant instance's first attempt ends at the
+/// collect stage instead, and only the vote's winner goes on to load.
 /// All work goes through the instance's ExecContext, so it runs on
 /// whatever substrate the caller provided (a private pool for solo runs,
 /// the shared pool under a FlowService) under the flow's deadline tag.
@@ -89,6 +80,7 @@ class FlowRunner {
     ctx_.columnar_rows = &columnar_rows_;
     ctx_.memory_budget = &memory_budget_;
     ctx_.spill = &spill_;
+    metrics_.streaming = config_.streaming;
     if (config_.spill_write_fault) {
       spill_.SetWriteFault(config_.spill_write_fault);
     }
@@ -127,72 +119,99 @@ class FlowRunner {
     }
   }
 
-  /// Streaming with no redundancy loads inline at the dataflow sink
-  /// (redundant instances must still hand their output to the voter).
-  bool StreamingInlineLoad() const {
-    return config_.streaming && config_.redundancy <= 1;
+  /// Runs the flow through its load, retrying failed attempts. Metrics
+  /// cover this instance only.
+  Status Run() {
+    QOX_RETURN_IF_ERROR(ReadLoadBase());
+    return RunAttempts(/*begun=*/false);
   }
 
-  /// Whether the inline-load sink ran and made the target current (so the
-  /// caller must skip its own load phase).
-  bool loaded_inline() const { return loaded_inline_; }
+  /// A redundant instance: one attempt up to the collect stage, which
+  /// fills `*out` for the voter. The attempt stays open; the vote's winner
+  /// finishes it in LoadVoted.
+  Status RunToVote(std::vector<Row>* out) {
+    vote_out_ = out;
+    return RunAttempts(/*begun=*/false);
+  }
 
-  /// Runs (with per-instance retries unless redundant) and fills `*out`
-  /// with the transform output. Metrics cover this instance only. In
-  /// inline-load streaming mode `*out` stays empty: rows are already in
-  /// the target on success.
-  Status RunToOutput(std::vector<Row>* out) {
+  /// The vote's winner: continues its attempt into the load of `rows`, the
+  /// accepted output, with the retry policy's attempt budget. A failed load
+  /// resumes from `rows` as from an in-memory recovery point at the last
+  /// cut. The load reads `rows` in place, so they must outlive the call.
+  Status LoadVoted(const std::vector<Row>& rows) {
+    vote_out_ = nullptr;
+    voted_ = &rows;
+    // Every instance has finished, so the winner's attempts take over the
+    // flow's journal: instance 0 recorded this attempt's start.
+    journal_ = config_.journal.get();
+    QOX_RETURN_IF_ERROR(ReadLoadBase());
+    return RunAttempts(/*begun=*/true);
+  }
+
+  RunMetrics& metrics() { return metrics_; }
+  size_t rejected() const { return rejected_.load(); }
+
+ private:
+  size_t NumOps() const { return flow_.transforms.size(); }
+
+  /// Reads the target's row count once, before the first load. Rows beyond
+  /// the baseline are this flow's output: on a cross-process resume the
+  /// baseline is the count journaled before the flow's first load, and the
+  /// rows beyond it are a durable prefix a dead incarnation landed. The
+  /// first load stage starts from this count instead of reading it again.
+  Status ReadLoadBase() {
+    QOX_ASSIGN_OR_RETURN(const size_t rows, flow_.target->NumRows());
+    load_base_rows_ = config_.resume.has_load_base
+                          ? config_.resume.load_base_rows
+                          : rows;
+    resumed_prefix_rows_ = rows - load_base_rows_;
+    target_rows_ = rows;
+    return Status::OK();
+  }
+
+  /// The attempt loop: runs attempts until one succeeds, a failure is not
+  /// retryable, or the attempt budget is spent; every failed attempt backs
+  /// off and resumes from the newest recovery point. `begun`: the current
+  /// attempt is already under way (the vote's winner continuing into its
+  /// load), so its bookkeeping is not reset.
+  Status RunAttempts(bool begun) {
     const RetryPolicy& policy = config_.retry;
-    const size_t max_attempts =
-        config_.redundancy > 1 ? 1 : std::max<size_t>(1, policy.max_attempts);
-    metrics_.streaming = config_.streaming;
-    if (StreamingInlineLoad()) {
-      if (config_.resume.has_load_base) {
-        // Cross-process resume: the baseline journaled before the flow's
-        // first load. Re-reading the target here would count rows a dead
-        // incarnation durably landed as pre-existing and re-append them.
-        load_base_rows_ = config_.resume.load_base_rows;
-      } else {
-        // Baseline for cross-attempt incremental restart: rows beyond this
-        // count are ours, durably loaded by an earlier (failed) attempt.
-        QOX_ASSIGN_OR_RETURN(load_base_rows_, flow_.target->NumRows());
-      }
-    }
-    if (!memory_budget_.unlimited() && journal_ != nullptr) {
+    if (!begun && !memory_budget_.unlimited() && journal_ != nullptr) {
       // Durable before any spill write: a SIGKILL mid-spill must leave the
       // successor a pointer to the orphaned `.spill.tmp` files.
       QOX_RETURN_IF_ERROR(journal_->RecordSpillDir(spill_.dir()));
     }
     // Attempt numbering continues where dead incarnations stopped, so the
     // retry budget spans process boundaries.
-    size_t attempt = config_.resume.prior_attempts + 1;
+    size_t attempt = begun ? metrics_.attempts
+                           : config_.resume.prior_attempts + 1;
     while (true) {
-      metrics_.attempts = attempt;
-      current_attempt_.store(static_cast<int64_t>(attempt));
-      attempt_deadline_micros_ =
-          policy.attempt_deadline_micros > 0
-              ? NowMicros() + policy.attempt_deadline_micros
-              : 0;
-      const StopWatch attempt_timer;
-      // Budget accounting is per attempt: a retried attempt re-contains the
-      // same rows, so carrying counts across attempts would double-charge.
-      budget_state_.Reset();
-      // Memory accounting likewise: a failed attempt's operators may die
-      // before releasing their charges.
-      memory_budget_.ResetUsage();
-      const int resume_cut =
-          FindResumeCut(static_cast<int>(NumOps()) + 1);
-      if (journal_ != nullptr) {
-        QOX_RETURN_IF_ERROR(journal_->RecordAttemptStart(
-            attempt, config_.streaming, resume_cut));
+      const int resume_cut = FindResumeCut(static_cast<int>(NumOps()) + 1);
+      if (!begun) {
+        metrics_.attempts = attempt;
+        current_attempt_.store(static_cast<int64_t>(attempt));
+        attempt_deadline_micros_ =
+            policy.attempt_deadline_micros > 0
+                ? NowMicros() + policy.attempt_deadline_micros
+                : 0;
+        // Memory accounting is per attempt: a failed attempt's operators
+        // may die before releasing their charges.
+        memory_budget_.ResetUsage();
+        if (journal_ != nullptr) {
+          QOX_RETURN_IF_ERROR(journal_->RecordAttemptStart(
+              attempt, config_.streaming, resume_cut));
+        }
       }
-      const Status st = RunDataflow(static_cast<int>(attempt), resume_cut, out);
+      begun = false;
+      const StopWatch attempt_timer;
+      const Status st = RunDataflow(static_cast<int>(attempt), resume_cut);
       // Spill runs are strictly intra-attempt temporaries: delete them on
       // every exit from an attempt, successful or not (best effort on the
       // failure path — a dangling file must not mask the attempt verdict;
       // the restart sweep catches what this misses).
       (void)spill_.RemoveAll();
       if (st.ok()) {
+        if (vote_out_ != nullptr) return Status::OK();  // open for the vote
         // Containment counters are reported for the successful attempt only
         // (failed attempts' contained rows were rework, not output).
         metrics_.rows_skipped += budget_state_.skipped();
@@ -213,9 +232,10 @@ class FlowRunner {
         return Status::OK();
       }
       if (st.IsInjectedFailure()) ++metrics_.failures_injected;
-      if (journal_ != nullptr) {
-        // Best effort on the failure path: the attempt's verdict must not
-        // be masked by a journal I/O error.
+      // One instance failing does not end a redundant run's attempt: the
+      // vote's winner ends it. Best effort on the failure path: the
+      // attempt's verdict must not be masked by a journal I/O error.
+      if (journal_ != nullptr && vote_out_ == nullptr) {
         (void)journal_->RecordAttemptEnd(attempt,
                                          StatusCodeName(st.code()));
       }
@@ -229,22 +249,24 @@ class FlowRunner {
           IsTransient(st) ||
           (config_.resource_policy == ResourcePolicy::kPauseRetry &&
            st.code() == StatusCode::kResourceExhausted);
+      // Redundancy replaces recovery until the vote: an instance gets one
+      // attempt, and only the winner's load retries.
+      const size_t max_attempts =
+          vote_out_ != nullptr ? 1 : std::max<size_t>(1, policy.max_attempts);
       if (!retryable || attempt >= max_attempts) return st;
       ++metrics_.retries_by_cause[StatusCodeName(st.code())];
       // Lost work = rework: the part of the attempt NOT durably saved by
       // a recovery point written during it.
       metrics_.lost_work_micros += std::max<int64_t>(
           0, attempt_timer.ElapsedMicros() - durable_elapsed_micros_);
-      WaitBackoff(policy, attempt, &backoff_rng_, &metrics_);
+      const int64_t wait = policy.BackoffMicros(attempt, &backoff_rng_);
+      if (wait > 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(wait));
+        metrics_.backoff_micros += wait;
+      }
       ++attempt;
     }
   }
-
-  RunMetrics& metrics() { return metrics_; }
-  size_t rejected() const { return rejected_.load(); }
-
- private:
-  size_t NumOps() const { return flow_.transforms.size(); }
 
   /// Sheds one load row under ResourcePolicy::kShedToQuarantine: routes it
   /// to the dead-letter ledger (count-and-drop when none is configured)
@@ -270,8 +292,10 @@ class FlowRunner {
   /// Latest cut strictly below `below` with a complete recovery point, or
   /// -1 (from scratch). Pass NumOps() + 1 for "the latest anywhere"; pass a
   /// cut that failed verification to find the next older fallback. The
-  /// candidate cuts are the plan's (deduplicated, sorted) barrier cuts.
+  /// candidate cuts are the plan's (deduplicated, sorted) barrier cuts;
+  /// the voted output is an in-memory point at the last cut.
   int FindResumeCut(int below) const {
+    if (voted_ != nullptr) return static_cast<int>(NumOps());
     if (config_.rp_store == nullptr) return -1;
     int best = -1;
     for (const size_t cut : plan_.rp_cuts()) {
@@ -284,10 +308,20 @@ class FlowRunner {
     return best;
   }
 
+  /// Records the budget's standing at the point made at `cut` (a recovery
+  /// point, or the voted output): no stage downstream of it has seen a row
+  /// yet. Callers hold stage_mu_.
+  void MarkBudget(size_t cut) {
+    budget_marks_[static_cast<int>(cut)] = BudgetMark{
+        budget_state_.skipped(), budget_state_.quarantined() - shed_before_,
+        fed_rows_};
+  }
+
   Status WriteRp(size_t cut, const std::vector<Row>& rows) {
     const StopWatch timer;
     QOX_RETURN_IF_ERROR(config_.rp_store->Save(
         {flow_.id, CutPointId(instance_id_, cut)}, cut_schemas_[cut], rows));
+    MarkBudget(cut);
     metrics_.rp_write_micros += timer.ElapsedMicros();
     ++metrics_.rp_points_written;
     // Everything up to here is durable: a subsequent failure loses only
@@ -338,16 +372,16 @@ class FlowRunner {
   // ===== Dataflow execution ===============================================
   //
   // The attempt is wired as a dataflow of stages connected by channels
-  // (engine/streaming.h): source (extract, or recovery-point replay) →
-  // transform units split exactly as the plan's sections split them →
-  // recovery-point barriers → sink (inline load, or a collector handing the
-  // output to LoadWithRetry or the redundancy voter). Streaming plans run
-  // the stages concurrently on bounded channels; phased plans run them
-  // staged, one after another on this thread. Stage bodies never touch
-  // metrics_ except under stage_mu_; phase counters are attributed from
-  // per-stage busy time after Join. Blocking operators (inside pipelines)
-  // and recovery-point barriers are the only full materialization points
-  // of a streaming run.
+  // (engine/streaming.h): source (extract, or a replay of a recovery point
+  // or of the voted output) → transform units split exactly as the plan's
+  // sections split them → recovery-point barriers → sink (the load, or a
+  // collector handing a redundant instance's output to the voter).
+  // Streaming plans run the stages concurrently on bounded channels;
+  // phased plans run them staged, one after another on this thread. Stage
+  // bodies never touch metrics_ except under stage_mu_; phase counters are
+  // attributed from per-stage busy time after Join. Blocking operators
+  // (inside pipelines) and recovery-point barriers are the only full
+  // materialization points of a streaming run.
 
   /// Appends `row` to `*acc`, flushing full batches into `out`.
   Status EmitRow(Row row, RowBatch* acc, BatchChannel* out,
@@ -446,32 +480,33 @@ class FlowRunner {
             ++stats->batches;
             return out->Push(std::move(send), &stats->backpressure_micros);
           }));
+      fed_rows_ = stats->rows;
       stats->channel_high_water = out->stats().high_water;
       out->Close();
       return Status::OK();
     });
   }
 
-  /// Source stage variant: replays recovery-point rows into the dataflow.
-  /// Stands in for the extract node, so it reports under its plan id.
+  /// Source stage variant: replays a recovery point's rows at `cut` into
+  /// the dataflow. It stands in for the extract node and reports under its
+  /// plan id as "replay".
   void SpawnReplayStage(StageSet* stages, BatchChannelPtr out,
                         std::vector<Row> rows, size_t cut) {
-    auto replay = std::make_shared<std::vector<Row>>(std::move(rows));
     const size_t node_id = plan_.extract_node();
-    stages->Spawn(
-        "replay",
-        [this, out, replay, cut, node_id](StageStats* stats) -> Status {
-          stats->node_id = static_cast<int64_t>(node_id);
-          RowBatch acc(cut_schemas_[cut]);
-          for (Row& row : *replay) {
-            QOX_RETURN_IF_ERROR(EmitRow(std::move(row), &acc, out.get(), stats));
-          }
-          QOX_RETURN_IF_ERROR(FlushBatch(&acc, out.get(), stats));
-          replay->clear();
-          stats->channel_high_water = out->stats().high_water;
-          out->Close();
-          return Status::OK();
-        });
+    auto replay = std::make_shared<std::vector<Row>>(std::move(rows));
+    stages->Spawn("replay", [this, out, replay, cut,
+                             node_id](StageStats* stats) -> Status {
+      stats->node_id = static_cast<int64_t>(node_id);
+      RowBatch acc(cut_schemas_[cut]);
+      for (Row& row : *replay) {
+        QOX_RETURN_IF_ERROR(EmitRow(std::move(row), &acc, out.get(), stats));
+      }
+      QOX_RETURN_IF_ERROR(FlushBatch(&acc, out.get(), stats));
+      replay->clear();
+      stats->channel_high_water = out->stats().high_water;
+      out->Close();
+      return Status::OK();
+    });
   }
 
   /// Recovery-point barrier: materializes the full cut, persists it, then
@@ -725,14 +760,11 @@ class FlowRunner {
         });
   }
 
-  /// Terminal stage when the load does not run inline: materializes the
-  /// dataflow output (the caller's `*out` buffer, cleared per attempt) for
-  /// LoadWithRetry or the redundancy voter. It reports under the plan's
-  /// sink node: the kCollect feeding the voter, else the kLoad it feeds.
-  void SpawnCollectStage(StageSet* stages, BatchChannelPtr in,
-                         std::vector<Row>* out) {
-    const size_t node_id = plan_.sink_node();
-    stages->Spawn("collect", [this, in, out,
+  /// Terminal stage of a redundant instance: materializes the dataflow
+  /// output into the voter's buffer.
+  void SpawnCollectStage(StageSet* stages, BatchChannelPtr in) {
+    const size_t node_id = plan_.collect_node();
+    stages->Spawn("collect", [this, in, out = vote_out_,
                               node_id](StageStats* stats) -> Status {
       stats->node_id = static_cast<int64_t>(node_id);
       out->clear();
@@ -746,23 +778,44 @@ class FlowRunner {
         out->insert(out->end(), std::make_move_iterator(item->rows().begin()),
                     std::make_move_iterator(item->rows().end()));
       }
+      // The output is the winner's resume point at the last cut.
+      std::lock_guard<std::mutex> lock(stage_mu_);
+      MarkBudget(NumOps());
       return Status::OK();
     });
   }
 
-  /// Terminal stage, inline load: appends arriving batches to the target,
-  /// skipping the prefix a prior attempt already made durable. Stage
-  /// wiring and merges are deterministic, so rows reach the sink in the
-  /// same order every attempt and the durable rows are exactly a prefix
-  /// of this attempt's arrival sequence (torn writes included — the skip
-  /// is recomputed from the target's row count).
+  /// Terminal stage, the flow's only load path: appends the rows arriving
+  /// on `in` (when null: the voted output, read in place) to the target in
+  /// batches. Stage wiring and merges are deterministic, so rows arrive in
+  /// the same order every attempt, and the rows earlier attempts landed
+  /// (torn writes included — recounted from the target) or shed, like a
+  /// dead incarnation's durable prefix, are a prefix of it that the load
+  /// skips. A failed append fails the attempt. A load whose whole input is
+  /// queued reports exact load fractions to the injector, and a staged one
+  /// checks the budget's fraction before its first row lands.
   void SpawnLoadStage(StageSet* stages, BatchChannelPtr in, int attempt) {
     const size_t node_id = plan_.load_node();
     stages->Spawn("load", [this, in, attempt,
                            node_id](StageStats* stats) -> Status {
       stats->node_id = static_cast<int64_t>(node_id);
-      QOX_ASSIGN_OR_RETURN(const size_t durable, flow_.target->NumRows());
-      const size_t skip = durable - load_base_rows_;
+      if (!config_.streaming) {
+        QOX_RETURN_IF_ERROR(budget_state_.CheckFraction(fed_rows_));
+      }
+      // A streaming load fed by a channel cannot know its final output
+      // count up front, so its progress is reported with an unknown total
+      // (0): the injector fires at_fraction > 0 load specs on the first
+      // flush after rows flowed (see FailureInjector::Check).
+      const size_t total = in != nullptr ? InputRows(*in, 0) : voted_->size();
+      size_t durable = 0;
+      if (target_rows_.has_value()) {
+        durable = *target_rows_;
+        target_rows_.reset();
+      } else {
+        QOX_ASSIGN_OR_RETURN(durable, flow_.target->NumRows());
+      }
+      const size_t landed_before = durable - load_base_rows_;
+      const size_t skip = landed_before + shed_before_;
       size_t seen = 0;      // rows that reached the sink this attempt
       size_t appended = 0;  // rows durably landed in the target this attempt
       RowBatch acc(cut_schemas_.back());
@@ -770,14 +823,10 @@ class FlowRunner {
         if (acc.empty()) return Status::OK();
         Status st = Status::OK();
         if (config_.injector != nullptr) {
-          // Streaming cannot know the final output count up front, so load
-          // progress is reported with an unknown total: the injector fires
-          // at_fraction > 0 load specs on the first flush after rows
-          // flowed (see FailureInjector::Check; EXPERIMENTS.md notes the
-          // phased-vs-streaming comparability caveat).
-          st = config_.injector->Check(instance_id_, attempt,
-                                       FailureSpec::kAtLoad, seen,
-                                       /*rows_total=*/0);
+          // The flow loads once, whichever redundant instance won the
+          // vote, so load progress reports as instance 0.
+          st = config_.injector->Check(/*instance=*/0, attempt,
+                                       FailureSpec::kAtLoad, seen, total);
         }
         if (st.ok()) st = flow_.target->Append(acc);
         if (st.ok()) {
@@ -793,9 +842,8 @@ class FlowRunner {
           // and the stream continues.
           QOX_ASSIGN_OR_RETURN(const size_t rows_now,
                                flow_.target->NumRows());
-          const size_t flow_durable = rows_now - load_base_rows_;
-          const size_t landed = flow_durable > skip + appended
-                                    ? flow_durable - (skip + appended)
+          const size_t landed = rows_now > durable + appended
+                                    ? rows_now - (durable + appended)
                                     : 0;
           for (size_t i = landed; i < acc.num_rows(); ++i) {
             QOX_RETURN_IF_ERROR(ShedRow(acc.row(i), st));
@@ -806,29 +854,35 @@ class FlowRunner {
         }
         return st;
       };
-      while (true) {
-        QOX_ASSIGN_OR_RETURN(std::optional<RowBatch> item,
-                             in->Pop(&stats->stall_micros));
-        if (!item.has_value()) break;
-        ++stats->batches;
-        for (Row& row : item->rows()) {
-          ++seen;
-          if (seen <= skip) continue;  // durable from a prior attempt
-          acc.Append(std::move(row));
-          if (acc.num_rows() >= config_.batch_size) {
-            QOX_RETURN_IF_ERROR(flush());
+      // Copies a voted row, moves a channel batch's row.
+      auto offer = [&](auto&& row) -> Status {
+        if (++seen <= skip) return Status::OK();
+        acc.Append(std::forward<decltype(row)>(row));
+        return acc.num_rows() >= config_.batch_size ? flush() : Status::OK();
+      };
+      if (in == nullptr) {
+        for (const Row& row : *voted_) QOX_RETURN_IF_ERROR(offer(row));
+      } else {
+        while (true) {
+          QOX_ASSIGN_OR_RETURN(std::optional<RowBatch> item,
+                               in->Pop(&stats->stall_micros));
+          if (!item.has_value()) break;
+          ++stats->batches;
+          for (Row& row : item->rows()) {
+            QOX_RETURN_IF_ERROR(offer(std::move(row)));
           }
         }
       }
       QOX_RETURN_IF_ERROR(flush());
       stats->rows = seen;
+      // The rows this process landed: what its earlier attempts left in
+      // the target plus this attempt's appends — no shed rows, and no
+      // prefix a dead incarnation landed.
       std::lock_guard<std::mutex> lock(stage_mu_);
-      metrics_.rows_loaded += seen;
-      loaded_inline_ = true;
+      metrics_.rows_loaded = landed_before - resumed_prefix_rows_ + appended;
       return Status::OK();
     });
   }
-
 
   /// Charges per-stage busy time to the phase counters. Streaming stages
   /// overlap, so in that mode the phase counters are busy-time aggregates
@@ -856,17 +910,31 @@ class FlowRunner {
   /// One attempt: spawns a stage per plan node and wires a channel per
   /// edge, then runs the dataflow to completion — concurrently for
   /// streaming plans, staged for phased ones. Resumes from the newest
-  /// verifiable recovery point and persists at every barrier cut.
-  Status RunDataflow(int attempt, int resume_cut, std::vector<Row>* out) {
+  /// verifiable recovery point (or the voted output) and persists at every
+  /// barrier cut.
+  Status RunDataflow(int attempt, int resume_cut) {
     attempt_start_micros_ = NowMicros();
     durable_elapsed_micros_ = 0;
-    // Resume from the newest complete recovery point. A point whose
-    // checksum fails verification is dropped and resume falls back to the
-    // next older complete one (ultimately from scratch) instead of failing
-    // the run on its own persisted state.
     std::vector<Row> resume_rows;
-    QOX_ASSIGN_OR_RETURN(const int resumed_cut,
-                         ResumeFromRp(resume_cut, &resume_rows));
+    int resumed_cut = resume_cut;
+    if (voted_ == nullptr) {
+      // Resume from the newest complete recovery point. A point whose
+      // checksum fails verification is dropped and resume falls back to
+      // the next older complete one (ultimately from scratch) instead of
+      // failing the run on its own persisted state.
+      QOX_ASSIGN_OR_RETURN(resumed_cut, ResumeFromRp(resume_cut, &resume_rows));
+    }
+    // The error budget restarts from its standing at the resume point (the
+    // rows contained before it are not contained again) plus the rows
+    // earlier attempts shed, which this attempt's load skips. A point a
+    // dead incarnation made has no standing here and restarts from zero.
+    const auto mark = budget_marks_.find(resumed_cut);
+    const BudgetMark start = mark != budget_marks_.end()
+                                 ? mark->second
+                                 : BudgetMark{0, 0, resume_rows.size()};
+    shed_before_ = metrics_.rows_shed;
+    budget_state_.Reset(start.skipped, start.quarantined + shed_before_);
+    fed_rows_ = start.fed_rows;
     size_t current_cut =
         resumed_cut >= 0 ? static_cast<size_t>(resumed_cut) : 0;
     // The source size only feeds failure-fraction denominators, and
@@ -885,10 +953,13 @@ class FlowRunner {
 
     const bool staged = !config_.streaming;
     StageSet stages(exec_, staged);
-    BatchChannelPtr cursor = stages.MakeChannel(config_.channel_capacity);
-    if (resumed_cut >= 0) {
+    // The load's input; it stays null when the load reads the voted output.
+    BatchChannelPtr cursor;
+    if (resumed_cut >= 0 && voted_ == nullptr) {
+      cursor = stages.MakeChannel(config_.channel_capacity);
       SpawnReplayStage(&stages, cursor, std::move(resume_rows), current_cut);
-    } else {
+    } else if (resumed_cut < 0) {
+      cursor = stages.MakeChannel(config_.channel_capacity);
       SpawnExtractStage(&stages, cursor, attempt, source_rows);
       if (plan_.rp_after_extract()) {
         cursor = SpawnBarrierStage(&stages, cursor, 0,
@@ -921,26 +992,23 @@ class FlowRunner {
                                    section.barrier_node);
       }
     }
-    if (StreamingInlineLoad()) {
-      SpawnLoadStage(&stages, cursor, attempt);
+    if (vote_out_ != nullptr) {
+      SpawnCollectStage(&stages, cursor);
     } else {
-      SpawnCollectStage(&stages, cursor, out);
+      SpawnLoadStage(&stages, cursor, attempt);
     }
     std::vector<StageStats> stage_stats;
     const Status st = stages.Join(&stage_stats);
     AttributeStagePhases(stage_stats);
-    size_t input_rows = 0;  // rows the source stage fed into the dataflow
-    for (StageStats& s : stage_stats) {
-      if (s.node_id == static_cast<int64_t>(plan_.extract_node())) {
-        input_rows = s.rows;
-      }
-      metrics_.stage_stats.push_back(std::move(s));
-    }
+    metrics_.stage_stats.insert(metrics_.stage_stats.end(),
+                                std::make_move_iterator(stage_stats.begin()),
+                                std::make_move_iterator(stage_stats.end()));
     QOX_RETURN_IF_ERROR(st);
-    // Transforms have drained: enforce the budget's fractional ceiling
-    // before the output leaves the attempt. With an inline-load sink the
-    // rows are already durable by now — a caveat EXPERIMENTS.md documents.
-    return budget_state_.CheckFraction(input_rows);
+    // The attempt has drained: enforce the budget's fractional ceiling,
+    // shed rows included, before the output leaves for the voter or the
+    // run commits. A streaming load's rows are durable by now — a caveat
+    // EXPERIMENTS.md documents.
+    return budget_state_.CheckFraction(fed_rows_);
   }
 
   const FlowSpec& flow_;
@@ -964,7 +1032,8 @@ class FlowRunner {
   std::atomic<int64_t> current_attempt_{1};
   Rng backoff_rng_;
   /// Shared containment state: charged concurrently by every pipeline of
-  /// the current attempt, reset at attempt start.
+  /// the current attempt, restarted at attempt start from the resume
+  /// point's standing.
   ErrorBudgetState budget_state_;
   /// Byte accountant shared by every pipeline of this instance; usage is
   /// reset at attempt start (the high-water mark spans the run).
@@ -980,124 +1049,33 @@ class FlowRunner {
   /// Serializes metrics_ (and WriteRp's durable-progress bookkeeping)
   /// across stage threads.
   std::mutex stage_mu_;
-  /// Streaming inline load: target row count before the first attempt.
+  /// Target row count before the flow's first load, and the part of the
+  /// rows beyond it that a dead incarnation landed (ReadLoadBase).
   size_t load_base_rows_ = 0;
-  bool loaded_inline_ = false;
-  /// Durable lifecycle WAL; null when not journaling (or instance > 0).
+  size_t resumed_prefix_rows_ = 0;
+  /// Rows this process shed at the load before the current attempt.
+  size_t shed_before_ = 0;
+  /// The target's row count while it is known without reading the target:
+  /// from ReadLoadBase until a load stage starts appending.
+  std::optional<size_t> target_rows_;
+  /// Rows the source fed the attempt that produced the current attempt's
+  /// input: the error budget's fraction denominator.
+  size_t fed_rows_ = 0;
+  /// The budget's standing per resume cut: the rows contained before the
+  /// point (shed rows apart) and the rows the source had fed.
+  struct BudgetMark {
+    size_t skipped, quarantined, fed_rows;
+  };
+  std::map<int, BudgetMark> budget_marks_;
+  /// Redundant instance: the voter's buffer, filled by the collect stage
+  /// (null once the instance loads).
+  std::vector<Row>* vote_out_ = nullptr;
+  /// The vote's winner: the accepted output its load reads (null before).
+  const std::vector<Row>* voted_ = nullptr;
+  /// Durable lifecycle WAL; null when not journaling, and for instances
+  /// other than 0 until one wins the vote.
   FlowJournal* journal_ = nullptr;
 };
-
-/// Loads `rows` into the target with transient-failure retry: rows already
-/// durably appended are not re-appended (incremental restart). Progress is
-/// re-derived from the target after each failed append, so a torn write
-/// that durably landed part of a batch is not loaded twice.
-Status LoadWithRetry(const FlowSpec& flow, const ExecutionConfig& config,
-                     const std::vector<Row>& rows, const Schema& schema,
-                     RunMetrics* metrics) {
-  const StopWatch timer;
-  const RetryPolicy& policy = config.retry;
-  const size_t max_attempts = std::max<size_t>(1, policy.max_attempts);
-  Rng backoff_rng(policy.jitter_seed ^ 0x10adULL);
-  size_t base_rows = 0;
-  size_t loaded = 0;
-  if (config.resume.has_load_base) {
-    // Cross-process resume: the journaled pre-flow baseline. Rows beyond
-    // it are a durable prefix of THIS flow's (deterministic) output,
-    // landed by a dead incarnation — skip them instead of re-appending.
-    base_rows = config.resume.load_base_rows;
-    QOX_ASSIGN_OR_RETURN(const size_t rows_now, flow.target->NumRows());
-    if (rows_now > base_rows) {
-      loaded = std::min(rows.size(), rows_now - base_rows);
-    }
-  } else {
-    QOX_ASSIGN_OR_RETURN(base_rows, flow.target->NumRows());
-  }
-  const size_t already_loaded = loaded;
-  size_t shed = 0;  // rows diverted to the dead-letter ledger, not landed
-  size_t attempt = 1;
-  while (loaded < rows.size()) {
-    const size_t batch_begin = loaded;
-    const size_t n = std::min(config.batch_size, rows.size() - loaded);
-    Status st = Status::OK();
-    if (config.injector != nullptr) {
-      st = config.injector->Check(/*instance=*/0, static_cast<int>(attempt),
-                                  FailureSpec::kAtLoad, loaded + n,
-                                  rows.size());
-    }
-    if (st.ok()) {
-      RowBatch batch(schema);
-      for (size_t i = 0; i < n; ++i) batch.Append(rows[loaded + i]);
-      st = flow.target->Append(batch);
-      if (st.ok()) {
-        loaded += n;
-        continue;
-      }
-    }
-    if (st.IsInjectedFailure()) ++metrics->failures_injected;
-    if (st.code() == StatusCode::kResourceExhausted &&
-        config.resource_policy == ResourcePolicy::kShedToQuarantine) {
-      // Degraded load: keep whatever prefix of the batch the target
-      // durably landed, shed the remainder to the dead-letter ledger with
-      // provenance, and move on. The flow error budget caps the shedding.
-      QOX_ASSIGN_OR_RETURN(const size_t rows_now, flow.target->NumRows());
-      if (rows_now > base_rows) {
-        loaded = std::max(loaded, rows_now - base_rows);
-      }
-      for (size_t i = loaded; i < batch_begin + n; ++i) {
-        if (config.dead_letter != nullptr) {
-          QuarantineRecord record;
-          record.flow_id = flow.id;
-          record.op_index = static_cast<int64_t>(flow.transforms.size());
-          record.op_name = "load";
-          record.attempt = static_cast<int64_t>(attempt);
-          record.row_index = static_cast<int64_t>(i);
-          record.status_code = StatusCodeName(st.code());
-          record.status_message = st.message();
-          record.payload = EncodeQuarantinePayload(rows[i]);
-          QOX_RETURN_IF_ERROR(config.dead_letter->Quarantine(record));
-        }
-        ++metrics->rows_shed;
-        ++metrics->rows_quarantined;
-        ++shed;
-      }
-      loaded = batch_begin + n;
-      if (metrics->rows_skipped + metrics->rows_quarantined >
-          config.error_budget.max_rows) {
-        metrics->load_micros += timer.ElapsedMicros();
-        return Status::ErrorBudgetExceeded(
-            "error budget exhausted: " +
-            std::to_string(metrics->rows_skipped +
-                           metrics->rows_quarantined) +
-            " rows contained (max " +
-            std::to_string(config.error_budget.max_rows) +
-            "), last shed at the load boundary");
-      }
-      continue;
-    }
-    // kPauseRetry reclassifies resource exhaustion as transient: back off
-    // (waiting for the operator to free disk) and retry the batch.
-    const bool retryable =
-        IsTransient(st) ||
-        (config.resource_policy == ResourcePolicy::kPauseRetry &&
-         st.code() == StatusCode::kResourceExhausted);
-    if (!retryable || attempt >= max_attempts) {
-      metrics->load_micros += timer.ElapsedMicros();
-      return st;
-    }
-    ++metrics->retries_by_cause[StatusCodeName(st.code())];
-    // A torn write may have durably appended a prefix of the failed batch;
-    // resync progress from the target so those rows are not re-loaded.
-    QOX_ASSIGN_OR_RETURN(const size_t rows_now, flow.target->NumRows());
-    if (rows_now > base_rows) {
-      loaded = std::max(loaded, rows_now - base_rows);
-    }
-    WaitBackoff(policy, attempt, &backoff_rng, metrics);
-    ++attempt;
-  }
-  metrics->load_micros += timer.ElapsedMicros();
-  metrics->rows_loaded += rows.size() - already_loaded - shed;
-  return Status::OK();
-}
 
 /// Builds the planner input from flow + config. Blocking and sort flags
 /// come from freshly instantiated operators, so the plan's soft barriers
@@ -1132,13 +1110,11 @@ PlanInput MakePlanInput(const FlowSpec& flow, const ExecutionConfig& config) {
 Status RunSingleInstance(const FlowSpec& flow, const ExecutionConfig& config,
                          const ExecutionPlan& plan,
                          const std::vector<Schema>& cut_schemas,
-                         const ExecContext& exec, std::vector<Row>* output,
-                         bool* loaded_inline, RunMetrics* metrics) {
+                         const ExecContext& exec, RunMetrics* metrics) {
   std::atomic<bool> cancelled{false};
   FlowRunner runner(flow, config, plan, cut_schemas, exec, /*instance_id=*/0,
                     &cancelled);
-  QOX_RETURN_IF_ERROR(runner.RunToOutput(output));
-  *loaded_inline = runner.loaded_inline();
+  QOX_RETURN_IF_ERROR(runner.Run());
   *metrics = runner.metrics();
   metrics->rows_rejected = runner.rejected();
   return Status::OK();
@@ -1146,13 +1122,12 @@ Status RunSingleInstance(const FlowSpec& flow, const ExecutionConfig& config,
 
 /// Instance dispatch, n-modular redundancy: k instances race over the
 /// same plan; a majority vote over the output fingerprints accepts a
-/// result and cancels the stragglers.
+/// result and cancels the stragglers, and the winner loads it.
 Status RunRedundantInstances(const FlowSpec& flow,
                              const ExecutionConfig& config,
                              const ExecutionPlan& plan,
                              const std::vector<Schema>& cut_schemas,
-                             const ExecContext& exec, std::vector<Row>* output,
-                             RunMetrics* metrics) {
+                             const ExecContext& exec, RunMetrics* metrics) {
   const size_t k = config.redundancy;
   const size_t majority = k / 2 + 1;
   std::atomic<bool> cancelled{false};
@@ -1179,7 +1154,7 @@ Status RunRedundantInstances(const FlowSpec& flow,
     exec.Post(
         [&, i] {
           InstanceSlot& slot = slots[i];
-          slot.status = slot.runner->RunToOutput(&slot.output);
+          slot.status = slot.runner->RunToVote(&slot.output);
           std::lock_guard<std::mutex> lock(vote_mu);
           slot.done = true;
           ++done_count;
@@ -1212,18 +1187,28 @@ Status RunRedundantInstances(const FlowSpec& flow,
   instances.Wait();
   if (accepted_instance < 0) {
     // No majority: report the first hard error, else a vote failure.
+    Status st = Status::Internal("redundancy vote failed: no majority among " +
+                                 std::to_string(k) + " instances");
     for (const InstanceSlot& slot : slots) {
       if (!slot.status.ok() && !slot.status.IsInjectedFailure() &&
           slot.status.code() != StatusCode::kCancelled) {
-        return slot.status;
+        st = slot.status;
+        break;
       }
     }
-    return Status::Internal("redundancy vote failed: no majority among " +
-                            std::to_string(k) + " instances");
+    if (config.journal != nullptr) {  // no instance loads: end it here
+      (void)config.journal->RecordAttemptEnd(
+          slots[0].runner->metrics().attempts, StatusCodeName(st.code()));
+    }
+    return st;
   }
-  *output = std::move(slots[accepted_instance].output);
-  *metrics = slots[accepted_instance].runner->metrics();
-  metrics->rows_rejected = slots[accepted_instance].runner->rejected();
+  InstanceSlot& winner = slots[accepted_instance];
+  for (InstanceSlot& slot : slots) {  // only the accepted output loads
+    if (&slot != &winner) std::vector<Row>().swap(slot.output);
+  }
+  QOX_RETURN_IF_ERROR(winner.runner->LoadVoted(winner.output));
+  *metrics = winner.runner->metrics();
+  metrics->rows_rejected = winner.runner->rejected();
   // Failures that killed minority instances still count.
   size_t failures = 0;
   for (const InstanceSlot& slot : slots) {
@@ -1375,25 +1360,17 @@ Result<RunMetrics> Executor::Run(const FlowSpec& flow,
   const ExecContext exec(pool, tag);
 
   RunMetrics metrics;
-  std::vector<Row> accepted_output;
-  bool loaded_inline = false;
   if (config.redundancy <= 1) {
     QOX_RETURN_IF_ERROR(RunSingleInstance(flow, config, plan, cut_schemas,
-                                          exec, &accepted_output,
-                                          &loaded_inline, &metrics));
+                                          exec, &metrics));
   } else {
     QOX_RETURN_IF_ERROR(RunRedundantInstances(flow, config, plan, cut_schemas,
-                                              exec, &accepted_output,
-                                              &metrics));
+                                              exec, &metrics));
   }
   metrics.threads = config.num_threads;
   metrics.partitions = config.parallel.partitions;
   metrics.redundancy = config.redundancy;
 
-  if (!loaded_inline) {
-    QOX_RETURN_IF_ERROR(LoadWithRetry(flow, config, accepted_output,
-                                      cut_schemas.back(), &metrics));
-  }
   if (flow.post_success) {
     QOX_RETURN_IF_ERROR(flow.post_success());
   }

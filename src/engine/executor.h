@@ -108,7 +108,8 @@ struct ExecutionConfig {
   /// Retry behavior on transient failures: attempt budget, exponential
   /// backoff with jitter, per-attempt watchdog deadline. Permanent errors
   /// (see IsTransient in common/status) fail fast regardless. Redundant
-  /// instances get a single attempt: redundancy replaces recovery.
+  /// instances get a single attempt: redundancy replaces recovery until
+  /// the vote, and only the winner's load retries.
   RetryPolicy retry;
   /// Optional audit sink: rows rejected by quality operators (NULL
   /// filters, unresolved lookups) are appended here with provenance
@@ -120,13 +121,13 @@ struct ExecutionConfig {
   /// run as concurrent stages connected by bounded Channel<RowBatch> edges
   /// (DESIGN.md "Streaming dataflow"), so batches flow end to end without
   /// full materialization except at blocking operators and recovery-point
-  /// cuts. With redundancy == 1 the load runs inline as the dataflow sink
-  /// (a failed load consumes a flow attempt and the next attempt skips
-  /// rows already durable in the target). Off (phased), the same stages
-  /// run one at a time and the collected output is loaded afterwards.
-  /// Output and metrics semantics match; streaming phase timings become
-  /// per-stage busy-time aggregates (stages overlap, so they no longer sum
-  /// to total).
+  /// cuts. Off (phased), the same stages run one at a time, each to
+  /// completion, the load last. In both modes the load is the dataflow's
+  /// sink: a failed load fails the attempt, and the next attempt resumes
+  /// from the newest recovery point and skips the rows already durable in
+  /// the target. Output and metrics semantics match; streaming phase
+  /// timings become per-stage busy-time aggregates (stages overlap, so
+  /// they no longer sum to total).
   bool streaming = false;
   /// Bounded capacity, in batches, of every streaming channel (the
   /// backpressure window between adjacent stages). Values < 1 act as 1.
@@ -139,8 +140,10 @@ struct ExecutionConfig {
   /// Flow-level ceiling on contained rows. Exceeding it aborts the run
   /// with the PERMANENT status kErrorBudgetExceeded (no retry attempts are
   /// consumed: re-running re-contains the identical rows). max_rows is
-  /// checked online; max_fraction once per attempt after the transforms
-  /// drain. Accounting resets at every attempt start.
+  /// checked online; max_fraction once the attempt drains, and in a phased
+  /// run also before the load's first row lands. Each attempt restarts the
+  /// accounting from its resume point's standing: the rows contained
+  /// before that point plus the rows earlier attempts shed.
   ErrorBudget error_budget;
   /// Dead-letter ledger receiving kQuarantine rows with provenance
   /// (storage/dead_letter_store.h). Null = quarantined rows are counted
@@ -152,7 +155,7 @@ struct ExecutionConfig {
   /// the executor records attempt/RP-commit/budget/flow-commit lifecycle
   /// events so a supervisor can resume the flow in a new process after a
   /// SIGKILL. Null = no journaling (the seed behavior). With redundancy,
-  /// only instance 0 journals.
+  /// instance 0 journals until the vote, and the winner journals its load.
   FlowJournalPtr journal;
   /// Cross-process resume state, reconstructed from the journal by
   /// FlowSupervisor (engine/supervisor.h): prior attempts consumed by dead

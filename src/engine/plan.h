@@ -232,8 +232,7 @@ class ExecutionPlan {
   size_t replica_group_node() const { return replica_group_node_; }
   size_t load_node() const { return load_node_; }
   /// The dataflow's terminal per-instance stage: kCollect feeding the
-  /// voter with redundancy, else kLoad (inline in streaming runs; a phased
-  /// run's collect stage reports under it).
+  /// voter with redundancy, else kLoad, which every plan runs as a stage.
   size_t sink_node() const {
     return collect_node_ != kNoNode ? collect_node_ : load_node_;
   }

@@ -134,6 +134,9 @@ struct RunMetrics {
 
   // --- volumes -------------------------------------------------------------
   size_t rows_extracted = 0;
+  /// Rows this process landed in the target, across its attempts: never
+  /// rows shed at the load boundary, nor the durable prefix a dead
+  /// incarnation landed before a cross-process resume.
   size_t rows_loaded = 0;
   size_t rows_rejected = 0;  ///< filtered/unresolved rows routed aside
   /// Row-level containment (engine/error_policy.h), counted on the
@@ -179,8 +182,8 @@ struct RunMetrics {
   /// "deadline_exceeded"). Sums to total retries across all phases.
   std::map<std::string, size_t> retries_by_cause;
 
-  /// Total retries across causes (attempts beyond the first, load retries
-  /// included).
+  /// Total retries across causes: one per failed attempt that was retried,
+  /// whichever stage failed it (a failed load fails its attempt too).
   size_t TotalRetries() const;
 
   // --- configuration echo (for reports) ------------------------------------

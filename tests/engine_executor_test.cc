@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <atomic>
+#include <filesystem>
+
 #include "engine/ops/filter_op.h"
 #include "engine/ops/function_op.h"
 #include "engine/ops/sort_op.h"
@@ -166,6 +171,64 @@ TEST(ExecutorTest, BlockingOpInsideFlow) {
     EXPECT_LE(loaded.row(i - 1).value(0).int64_value(),
               loaded.row(i).value(0).int64_value());
   }
+}
+
+/// Counts NumRows calls on the wrapped store: a file target's count
+/// re-reads the whole file.
+class RowCountingStore : public DataStore {
+ public:
+  explicit RowCountingStore(DataStorePtr inner) : inner_(std::move(inner)) {}
+  const std::string& name() const override { return inner_->name(); }
+  const Schema& schema() const override { return inner_->schema(); }
+  Result<size_t> NumRows() const override {
+    ++counts_;
+    return inner_->NumRows();
+  }
+  Status Scan(size_t batch_size,
+              const std::function<Status(RowBatch&)>& consumer)
+      const override {
+    return inner_->Scan(batch_size, consumer);
+  }
+  Status Append(const RowBatch& batch) override {
+    return inner_->Append(batch);
+  }
+  Status Truncate() override { return inner_->Truncate(); }
+  size_t counts() const { return counts_; }
+
+ private:
+  const DataStorePtr inner_;
+  mutable std::atomic<size_t> counts_{0};
+};
+
+// A clean run reads the target's row count once for its load baseline,
+// and its load starts from that count. A journaled run also reads it to
+// seal the baseline in the journal. Both modes alike.
+TEST(ExecutorTest, CleanRunReadsTheTargetCountOncePerBaseline) {
+  const std::string dir = ::testing::TempDir() + "/qox_exec_count_" +
+                          std::to_string(::getpid());
+  for (const bool streaming : {false, true}) {
+    for (const bool journaled : {false, true}) {
+      SCOPED_TRACE(std::string(streaming ? "streaming" : "phased") +
+                   (journaled ? " journaled" : ""));
+      TestFlow flow = MakeTestFlow(256);
+      auto target = std::make_shared<RowCountingStore>(flow.target);
+      flow.spec.target = target;
+      ExecutionConfig config;
+      config.streaming = streaming;
+      config.batch_size = 32;
+      if (journaled) {
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+        config.journal =
+            FlowJournal::Open(dir, flow.spec.id, JournalSync::kNone).value();
+      }
+      const Result<RunMetrics> metrics = Executor::Run(flow.spec, config);
+      ASSERT_TRUE(metrics.ok()) << metrics.status();
+      EXPECT_EQ(flow.target->NumRows().value(), 224u);
+      EXPECT_EQ(target->counts(), journaled ? 2u : 1u);
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FingerprintTest, OrderInsensitiveAndContentSensitive) {

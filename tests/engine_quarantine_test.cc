@@ -463,6 +463,8 @@ TEST(ErrorBudgetTest, MaxFractionAbortsAfterTheAttemptDrains) {
                     config);
   ASSERT_FALSE(status_run.ok());
   EXPECT_EQ(status_run.status().code(), StatusCode::kErrorBudgetExceeded);
+  // A phased load checks the fraction before its first row lands.
+  EXPECT_EQ(target->NumRows().value(), 0u);
 
   // A looser fraction admits the same run.
   config.error_budget.max_fraction = 0.2;

@@ -275,23 +275,32 @@ TEST_F(RecoveryTest, MaxAttemptsExhaustedReturnsFailure) {
   EXPECT_TRUE(metrics.status().IsInjectedFailure());
 }
 
+// A failed load resumes from the recovery point before it, in either mode:
+// the resumed attempt replays the point instead of re-running transforms.
 TEST_F(RecoveryTest, RpBeforeLoadSkipsAllTransformsOnResume) {
   const DataStorePtr source =
       testing_util::MakeSource(SimpleSchema(), SimpleRows(200));
-  auto target = std::make_shared<MemTable>("tgt", BoundSchema());
-  FailureInjector injector;
-  FailureSpec spec;
-  spec.at_op = FailureSpec::kAtLoad;
-  spec.at_fraction = 0.0;
-  injector.AddFailure(spec);
-  ExecutionConfig config;
-  config.injector = &injector;
-  config.recovery_points = {3};  // before load
-  config.rp_store = rp_store_;
-  const Result<RunMetrics> metrics =
-      Executor::Run(MakeFlow(source, target), config);
-  ASSERT_TRUE(metrics.ok()) << metrics.status();
-  EXPECT_EQ(metrics.value().rows_loaded, 175u);
+  for (const bool streaming : {false, true}) {
+    SCOPED_TRACE(streaming ? "streaming" : "phased");
+    auto target = std::make_shared<MemTable>("tgt", BoundSchema());
+    FailureInjector injector;
+    FailureSpec spec;
+    spec.at_op = FailureSpec::kAtLoad;
+    spec.at_fraction = 0.0;
+    injector.AddFailure(spec);
+    ExecutionConfig config;
+    config.streaming = streaming;
+    config.injector = &injector;
+    config.recovery_points = {3};  // before load
+    config.rp_store = rp_store_;
+    const Result<RunMetrics> metrics =
+        Executor::Run(MakeFlow(source, target), config);
+    ASSERT_TRUE(metrics.ok()) << metrics.status();
+    EXPECT_EQ(metrics.value().rows_loaded, 175u);
+    EXPECT_EQ(metrics.value().attempts, 2u);
+    EXPECT_EQ(metrics.value().resumed_from_rp, 1u);
+    EXPECT_EQ(metrics.value().rows_extracted, 200u);  // extracted once
+  }
 }
 
 TEST_F(RecoveryTest, ParallelFlowWithRecoveryPoints) {

@@ -167,9 +167,8 @@ TEST(ResourceChaosTest, PauseRetryRidesOutEnospcToCleanWarehouse) {
         MakeFlow(MakeSource(SimpleSchema(), SimpleRows(kRows)), target),
         config);
     ASSERT_TRUE(metrics.ok()) << metrics.status();
-    // Phased mode retries the failed load batch in place (no extra flow
-    // attempt); streaming mode burns a flow attempt. Both surface as
-    // retries in the cause ledger.
+    // In either mode the failed append fails the attempt, and the next
+    // attempt resumes past the durable prefix.
     EXPECT_GT(metrics.value().TotalRetries(), 0u);
     EXPECT_GT(metrics.value().spill_runs, 0u);
     EXPECT_EQ(warehouse->ReadAll().value().rows(), CleanOutput());
@@ -230,6 +229,10 @@ TEST(ResourceChaosTest, ShedCompletesAndLedgerHoldsExactlyTheMissingRows) {
     }
     EXPECT_EQ(metrics.value().rows_shed, records.size());
     EXPECT_EQ(loaded + records.size(), CleanOutput().size());
+    // rows_loaded counts the landed rows only, never the shed ones.
+    EXPECT_EQ(metrics.value().rows_loaded, loaded);
+    EXPECT_EQ(metrics.value().rows_loaded + metrics.value().rows_shed,
+              CleanOutput().size());
     EXPECT_TRUE(SameMultiset(recovered, CleanOutput()));
     EXPECT_EQ(SpillArtifactsUnder(spill_dir), 0u);
     std::filesystem::remove_all(spill_dir);

@@ -387,12 +387,12 @@ TEST(StreamingExecutorTest, StageStatsCoverTheDataflow) {
   EXPECT_FALSE(pm.streaming);
   EXPECT_EQ(pm.attempts, 2u);
   // Attempt 1 stops at the failed sort: extract, partition, 2 branches,
-  // merge, sort = 6 stages. Attempt 2 adds the collector feeding the load.
+  // merge, sort = 6 stages. Attempt 2 adds the load.
   EXPECT_EQ(pm.stage_stats.size(), 6u + 7u);
   for (const StageStats& s : pm.stage_stats) {
     ASSERT_GE(s.node_id, 0) << s.name;
     ASSERT_LT(static_cast<size_t>(s.node_id), plan.value().nodes().size());
-    EXPECT_EQ(s.name == "collect" ? "load" : s.name,
+    EXPECT_EQ(s.name,
               plan.value().nodes()[static_cast<size_t>(s.node_id)].label);
     EXPECT_EQ(s.stall_micros, 0) << s.name;
     EXPECT_EQ(s.backpressure_micros, 0) << s.name;
