@@ -1,43 +1,47 @@
 #include "common/status.h"
 
+#include <iterator>
+
 namespace qox {
 
+namespace {
+
+/// Every code's canonical name, in enum order: StatusCodeName and
+/// ParseStatusCode both read this one list.
+constexpr const char* kCodeNames[] = {
+    "ok",
+    "invalid_argument",
+    "not_found",
+    "already_exists",
+    "out_of_range",
+    "failed_precondition",
+    "io_error",
+    "internal",
+    "unimplemented",
+    "injected_failure",
+    "cancelled",
+    "unavailable",
+    "deadline_exceeded",
+    "corrupted_data",
+    "error_budget_exceeded",
+    "resource_exhausted",
+};
+static_assert(std::size(kCodeNames) ==
+                  static_cast<size_t>(StatusCode::kResourceExhausted) + 1,
+              "every StatusCode needs a name");
+
+}  // namespace
+
 const char* StatusCodeName(StatusCode code) {
-  switch (code) {
-    case StatusCode::kOk:
-      return "ok";
-    case StatusCode::kInvalidArgument:
-      return "invalid_argument";
-    case StatusCode::kNotFound:
-      return "not_found";
-    case StatusCode::kAlreadyExists:
-      return "already_exists";
-    case StatusCode::kOutOfRange:
-      return "out_of_range";
-    case StatusCode::kFailedPrecondition:
-      return "failed_precondition";
-    case StatusCode::kIoError:
-      return "io_error";
-    case StatusCode::kInternal:
-      return "internal";
-    case StatusCode::kUnimplemented:
-      return "unimplemented";
-    case StatusCode::kInjectedFailure:
-      return "injected_failure";
-    case StatusCode::kCancelled:
-      return "cancelled";
-    case StatusCode::kUnavailable:
-      return "unavailable";
-    case StatusCode::kDeadlineExceeded:
-      return "deadline_exceeded";
-    case StatusCode::kCorruptedData:
-      return "corrupted_data";
-    case StatusCode::kErrorBudgetExceeded:
-      return "error_budget_exceeded";
-    case StatusCode::kResourceExhausted:
-      return "resource_exhausted";
+  const auto index = static_cast<size_t>(code);
+  return index < std::size(kCodeNames) ? kCodeNames[index] : "unknown";
+}
+
+std::optional<StatusCode> ParseStatusCode(std::string_view name) {
+  for (size_t i = 0; i < std::size(kCodeNames); ++i) {
+    if (name == kCodeNames[i]) return static_cast<StatusCode>(i);
   }
-  return "unknown";
+  return std::nullopt;
 }
 
 bool IsTransient(StatusCode code) {

@@ -8,8 +8,10 @@
 #ifndef QOX_COMMON_STATUS_H_
 #define QOX_COMMON_STATUS_H_
 
+#include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 
@@ -58,6 +60,9 @@ enum class StatusCode {
 
 /// Returns the canonical lowercase name of a status code ("ok", "io_error").
 const char* StatusCodeName(StatusCode code);
+
+/// The code whose StatusCodeName is `name`; nullopt for an unknown name.
+std::optional<StatusCode> ParseStatusCode(std::string_view name);
 
 /// A success-or-error outcome with no payload.
 ///

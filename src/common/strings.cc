@@ -50,7 +50,7 @@ std::string CsvEncodeLine(const std::vector<std::string>& cells) {
   return out;
 }
 
-void CsvDecodeLine(const std::string& line, std::vector<std::string>* cells) {
+void CsvDecodeLine(std::string_view line, std::vector<std::string>* cells) {
   const size_t n = line.size();
   size_t used = 0;
   size_t i = 0;

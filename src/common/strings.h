@@ -4,6 +4,7 @@
 #define QOX_COMMON_STRINGS_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qox {
@@ -27,7 +28,7 @@ std::string CsvEncodeLine(const std::vector<std::string>& cells);
 /// line after line into one vector allocates only when a cell outgrows
 /// every earlier one. Malformed trailing quotes are tolerated by treating
 /// the rest of the line as literal.
-void CsvDecodeLine(const std::string& line, std::vector<std::string>* cells);
+void CsvDecodeLine(std::string_view line, std::vector<std::string>* cells);
 
 /// printf-style double formatting with fixed decimals ("12.35").
 std::string FormatDouble(double v, int decimals);

@@ -81,9 +81,6 @@ class FlowRunner {
     ctx_.memory_budget = &memory_budget_;
     ctx_.spill = &spill_;
     metrics_.streaming = config_.streaming;
-    if (config_.spill_write_fault) {
-      spill_.SetWriteFault(config_.spill_write_fault);
-    }
     if (config_.reject_store != nullptr) {
       ctx_.reject_sink = [this](const Row& row) -> Status {
         RowBatch audit(RejectStoreSchema());

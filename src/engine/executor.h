@@ -177,10 +177,6 @@ struct ExecutionConfig {
   /// under the system temp dir. Recorded in the flow journal so a
   /// supervisor restart deletes a dead incarnation's leftovers.
   std::string spill_dir;
-  /// Test hook: fault injected before every physical spill write/finalize
-  /// (the disk-pressure analogue of FailureInjector, which covers store
-  /// boundaries but not operator-internal spill I/O). May be empty.
-  std::function<Status()> spill_write_fault;
   /// Read by nothing: every per-row transform op runs its columnar kernel
   /// (engine/pipeline.h). The field stays only because the repository
   /// benchmark (perfbench/harness) still assigns it.

@@ -10,7 +10,7 @@
 #include "common/crash_point.h"
 #include "common/strings.h"
 #include "engine/pipeline.h"
-#include "storage/recovery_store.h"  // Fnv1a64
+#include "storage/record_io.h"  // Fnv1a64
 
 namespace qox {
 

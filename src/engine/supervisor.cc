@@ -3,14 +3,18 @@
 #include <cerrno>
 #include <csignal>
 #include <filesystem>
-#include <fstream>
+#include <optional>
+#include <string_view>
+#include <vector>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/clock.h"
 #include "common/crash_point.h"
+#include "common/strings.h"
 #include "storage/lease_file.h"
+#include "storage/record_io.h"
 
 namespace qox {
 
@@ -25,36 +29,36 @@ std::string VerdictPath(const std::string& scratch_dir,
   return scratch_dir + "/" + flow_id + ".verdict";
 }
 
+/// Best effort and unsynced: the verdict only has to outlive the child,
+/// not the machine.
 void WriteVerdict(const std::string& path, const Status& status) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return;
-  out << StatusCodeName(status.code()) << "\n" << status.message() << "\n";
-  out.flush();
+  std::string record;
+  AppendSealed(CsvEncodeLine({StatusCodeName(status.code()), status.message()}),
+               &record);
+  (void)WriteFile(path, record, /*sync=*/false);
 }
 
+/// The child's status, from its sealed `code,message` verdict record. A
+/// missing, torn or unsealed verdict, or one naming no failure code, is
+/// kInternal rather than an error of the supervisor.
 Status ReadVerdict(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  RecordReader reader(path);
+  std::string record;
+  if (!reader.Next(&record) || !reader.terminated()) {
     return Status::Internal("supervised flow failed without a verdict");
   }
-  std::string code_name;
-  std::getline(in, code_name);
-  std::string message;
-  std::getline(in, message);
-  // Map the name back onto a representative code; unknown names (torn
-  // verdict) degrade to kInternal rather than erroring the supervisor.
-  for (const StatusCode code :
-       {StatusCode::kInvalidArgument, StatusCode::kNotFound,
-        StatusCode::kAlreadyExists, StatusCode::kOutOfRange,
-        StatusCode::kFailedPrecondition, StatusCode::kIoError,
-        StatusCode::kInternal, StatusCode::kUnimplemented,
-        StatusCode::kInjectedFailure, StatusCode::kCancelled,
-        StatusCode::kUnavailable, StatusCode::kDeadlineExceeded,
-        StatusCode::kCorruptedData, StatusCode::kErrorBudgetExceeded}) {
-    if (code_name == StatusCodeName(code)) return Status(code, message);
+  const std::optional<std::string_view> body = OpenSealed(record);
+  std::vector<std::string> cells;
+  if (body.has_value()) CsvDecodeLine(*body, &cells);
+  if (cells.size() != 2) {
+    return Status::Internal("supervised flow failed with a torn verdict");
   }
-  return Status::Internal("supervised flow failed: " + code_name + ": " +
-                          message);
+  const std::optional<StatusCode> code = ParseStatusCode(cells[0]);
+  if (!code.has_value() || *code == StatusCode::kOk) {
+    return Status::Internal("supervised flow failed: " + cells[0] + ": " +
+                            cells[1]);
+  }
+  return Status(*code, cells[1]);
 }
 
 /// The child's whole life. Never returns.

@@ -13,8 +13,9 @@
 //   3. Fork. The child opens the journal (truncating any torn tail the
 //      predecessor's death left), derives a FlowResume, re-adopts journaled
 //      recovery points, runs the caller's body, and _exits: 0 on success,
-//      nonzero (with the status written to a verdict file) on a
-//      deterministic failure.
+//      nonzero (with the status written to a verdict file, one sealed
+//      `code,message` record of storage/record_io.h) on a deterministic
+//      failure.
 //   4. The parent waits. Normal exit 0 = converged; normal nonzero exit =
 //      deterministic failure, do NOT restart (it would loop); death by
 //      signal = crash, go to 2.

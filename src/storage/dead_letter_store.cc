@@ -6,7 +6,7 @@
 #include "common/crash_point.h"
 #include "common/strings.h"
 #include "storage/mem_table.h"
-#include "storage/recovery_store.h"
+#include "storage/record_io.h"
 
 namespace qox {
 namespace {
@@ -107,26 +107,18 @@ Schema DeadLetterStoreSchema() {
 }
 
 std::string EncodeQuarantinePayload(const Row& row) {
-  std::vector<std::string> cells;
-  cells.reserve(row.num_values());
-  for (const Value& value : row.values()) cells.push_back(value.ToString());
-  return CsvEncodeLine(cells);
+  std::string payload;
+  AppendRow(row, &payload);
+  return payload;
 }
 
 Result<Row> DecodeQuarantinePayload(const std::string& payload,
                                     const Schema& schema) {
   std::vector<std::string> cells;
-  CsvDecodeLine(payload, &cells);
-  if (cells.size() != schema.num_fields()) {
-    return Status::CorruptedData(
-        "quarantine payload has " + std::to_string(cells.size()) +
-        " cells, schema expects " + std::to_string(schema.num_fields()));
-  }
-  Row row;
-  for (size_t i = 0; i < cells.size(); ++i) {
-    QOX_ASSIGN_OR_RETURN(Value value,
-                         Value::Parse(cells[i], schema.field(i).type));
-    row.Append(std::move(value));
+  Result<Row> row = ParseRow(payload, schema, &cells);
+  if (!row.ok()) {
+    return Status::CorruptedData("quarantine payload: " +
+                                 row.status().message());
   }
   return row;
 }

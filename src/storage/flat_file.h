@@ -6,10 +6,11 @@
 // I/O so recovery-point and landing costs measured by the benchmarks are
 // genuine.
 //
-// The file is a header line plus one CSV record per row. A record
-// continues across line breaks inside a quoted cell, and an empty record
-// is a row only in a one-column file (a NULL cell). Scan reads back every
-// row Append wrote, and NumRows counts exactly the rows Scan returns.
+// The file is a header line plus one CSV record per row, in the record
+// codec's row encoding (storage/record_io.h). A record continues across
+// line breaks inside a quoted cell, and an empty record is a row only in a
+// one-column file (a NULL cell). Scan reads back every row Append wrote,
+// and NumRows counts exactly the rows Scan returns.
 
 #ifndef QOX_STORAGE_FLAT_FILE_H_
 #define QOX_STORAGE_FLAT_FILE_H_

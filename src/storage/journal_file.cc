@@ -1,73 +1,54 @@
 #include "storage/journal_file.h"
 
 #include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
+#include <optional>
+#include <string_view>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "common/crash_point.h"
 #include "common/strings.h"
-#include "storage/recovery_store.h"  // Fnv1a64
+#include "storage/record_io.h"
 
 namespace qox {
 
 namespace {
 
-/// The checksummed body: `seq,type,field...`.
-std::string RecordBody(uint64_t seq, const std::string& type,
-                       const std::vector<std::string>& fields) {
+/// Appends the sealed record `seq,type,field...,checksum` and its newline.
+void AppendRecord(uint64_t seq, const std::string& type,
+                  const std::vector<std::string>& fields, std::string* out) {
   std::vector<std::string> cells;
   cells.reserve(fields.size() + 2);
   cells.push_back(std::to_string(seq));
   cells.push_back(type);
   for (const std::string& f : fields) cells.push_back(f);
-  return CsvEncodeLine(cells);
+  AppendSealed(CsvEncodeLine(cells), out);
 }
 
-std::string RecordLine(uint64_t seq, const std::string& type,
-                       const std::vector<std::string>& fields) {
-  const std::string body = RecordBody(seq, type, fields);
-  return body + "," + std::to_string(Fnv1a64(body.data(), body.size())) + "\n";
-}
-
-/// Parses one full line (without its newline). Returns false when the line
-/// is not a valid next record — the torn-tail signal.
-bool ParseRecord(const std::string& line, uint64_t expected_seq,
-                 JournalRecord* out) {
-  // The checksum is the last CSV cell; everything before it is the body.
-  const size_t comma = line.rfind(',');
-  if (comma == std::string::npos || comma + 1 >= line.size()) return false;
-  const std::string body = line.substr(0, comma);
-  char* end = nullptr;
-  const unsigned long long stored =
-      std::strtoull(line.c_str() + comma + 1, &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  if (Fnv1a64(body.data(), body.size()) != stored) return false;
-  std::vector<std::string> cells;
-  CsvDecodeLine(body, &cells);
-  if (cells.size() < 2) return false;
-  char* seq_end = nullptr;
-  const unsigned long long seq = std::strtoull(cells[0].c_str(), &seq_end, 10);
-  if (seq_end == nullptr || *seq_end != '\0' || seq != expected_seq) {
+/// Parses one record (without its newline). Returns false when it is not a
+/// valid next record — the torn-tail signal.
+bool ParseRecord(const std::string& record, uint64_t expected_seq,
+                 std::vector<std::string>* cells, JournalRecord* out) {
+  const std::optional<std::string_view> body = OpenSealed(record);
+  if (!body.has_value()) return false;
+  CsvDecodeLine(*body, cells);
+  if (cells->size() < 2) return false;
+  const std::string& seq_cell = (*cells)[0];
+  uint64_t seq = 0;
+  const auto [ptr, ec] = std::from_chars(
+      seq_cell.data(), seq_cell.data() + seq_cell.size(), seq);
+  if (ec != std::errc() || ptr != seq_cell.data() + seq_cell.size() ||
+      seq != expected_seq) {
     return false;
   }
   out->seq = seq;
-  out->type = cells[1];
-  out->fields.assign(std::make_move_iterator(cells.begin() + 2),
-                     std::make_move_iterator(cells.end()));
+  out->type = (*cells)[1];
+  out->fields.assign(cells->begin() + 2, cells->end());
   return true;
-}
-
-Status SyncFd(int fd, const std::string& path) {
-  if (::fsync(fd) != 0) {
-    return Status::IoError("fsync '" + path + "': " + std::strerror(errno));
-  }
-  return Status::OK();
 }
 
 /// fsyncs the directory containing `path` so a freshly created or renamed
@@ -107,21 +88,19 @@ Result<std::unique_ptr<JournalFile>> JournalFile::Open(std::string path,
                                                        JournalSync sync) {
   auto journal =
       std::unique_ptr<JournalFile>(new JournalFile(std::move(path), sync));
-  // Recover the valid record prefix: scan whole lines front to back, stop
-  // at the first line that is torn, corrupt, or out of sequence.
+  // Recover the valid record prefix: scan whole records front to back,
+  // stop at the first one that is torn, corrupt, or out of sequence.
   size_t valid_bytes = 0;
   {
-    std::ifstream in(journal->path_, std::ios::binary);
-    if (in) {
-      std::string line;
-      while (std::getline(in, line)) {
-        if (in.eof() && !line.empty()) break;  // no newline: torn final line
-        JournalRecord record;
-        if (!ParseRecord(line, journal->next_seq_, &record)) break;
-        valid_bytes += line.size() + 1;
-        journal->records_.push_back(std::move(record));
-        ++journal->next_seq_;
-      }
+    RecordReader reader(journal->path_);
+    std::string text;
+    std::vector<std::string> cells;
+    JournalRecord record;
+    while (reader.Next(&text) && reader.terminated() &&
+           ParseRecord(text, journal->next_seq_, &cells, &record)) {
+      valid_bytes = reader.offset();
+      journal->records_.push_back(std::move(record));
+      ++journal->next_seq_;
     }
   }
   std::error_code ec;
@@ -134,6 +113,7 @@ Result<std::unique_ptr<JournalFile>> JournalFile::Open(std::string path,
                              journal->path_ + "': " + ec.message());
     }
   }
+  journal->size_ = valid_bytes;
   QOX_RETURN_IF_ERROR(journal->OpenFd());
   return journal;
 }
@@ -153,34 +133,33 @@ JournalFile::~JournalFile() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Status JournalFile::AppendLineLocked(const std::string& line, bool sync_now) {
-  size_t written = 0;
-  while (written < line.size()) {
-    const ssize_t n =
-        ::write(fd_, line.data() + written, line.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError("write to journal '" + path_ +
-                             "': " + std::strerror(errno));
-    }
-    written += static_cast<size_t>(n);
-  }
-  if (sync_now) {
-    QOX_RETURN_IF_ERROR(SyncFd(fd_, path_));
-    ++syncs_;
-  }
-  return Status::OK();
-}
-
 Status JournalFile::Append(const std::string& type,
                            const std::vector<std::string>& fields,
                            bool commit) {
   std::lock_guard<std::mutex> lock(mu_);
   QOX_CRASH_POINT("journal.append");
-  const std::string line = RecordLine(next_seq_, type, fields);
-  const bool sync_now = sync_ == JournalSync::kAlways ||
-                        (sync_ == JournalSync::kCommit && commit);
-  QOX_RETURN_IF_ERROR(AppendLineLocked(line, sync_now));
+  QOX_RETURN_IF_ERROR(broken_);
+  std::string line;
+  AppendRecord(next_seq_, type, fields, &line);
+  Status st = WriteAll(fd_, line, path_);
+  if (st.ok() && (sync_ == JournalSync::kAlways ||
+                  (sync_ == JournalSync::kCommit && commit))) {
+    st = SyncFd(fd_, path_);
+    if (st.ok()) ++syncs_;
+  }
+  if (!st.ok()) {
+    // A failed append may leave some or all of its record in the segment
+    // (a disk that fills mid-write, a failed fsync). The caller was told
+    // it failed, so cut it off: a partial record left in place glues
+    // itself to the next one, which then fails its checksum on Open and is
+    // truncated with every record after it as a torn tail.
+    if (::ftruncate(fd_, static_cast<off_t>(size_)) != 0) {
+      broken_ = Status::IoError("cannot cut a failed append off journal '" +
+                                path_ + "': " + std::strerror(errno));
+    }
+    return st;
+  }
+  size_ += line.size();
   JournalRecord record;
   record.seq = next_seq_;
   record.type = type;
@@ -198,6 +177,7 @@ void JournalFile::SetWriteFault(std::function<Status()> fault) {
 
 Status JournalFile::Rewrite(const std::vector<JournalRecord>& records) {
   std::lock_guard<std::mutex> lock(mu_);
+  QOX_RETURN_IF_ERROR(broken_);
   const std::string tmp_path = path_ + ".tmp";
   // A rotation that fails at ANY step below must leave no trace: the old
   // segment (and the in-memory record list mirroring it) stays the
@@ -208,10 +188,15 @@ Status JournalFile::Rewrite(const std::vector<JournalRecord>& records) {
     std::filesystem::remove(tmp_path, ec);
     return status;
   };
+  std::string segment;
   {
     if (write_fault_) {
       const Status injected = write_fault_();
       if (!injected.ok()) return abort_rotation(injected);
+    }
+    uint64_t seq = 1;
+    for (const JournalRecord& record : records) {
+      AppendRecord(seq++, record.type, record.fields, &segment);
     }
     const int tmp_fd = ::open(tmp_path.c_str(),
                               O_WRONLY | O_TRUNC | O_CREAT | O_CLOEXEC, 0644);
@@ -219,28 +204,11 @@ Status JournalFile::Rewrite(const std::vector<JournalRecord>& records) {
       return abort_rotation(Status::IoError("cannot create '" + tmp_path +
                                             "': " + std::strerror(errno)));
     }
-    uint64_t seq = 1;
-    for (const JournalRecord& record : records) {
-      const std::string line = RecordLine(seq, record.type, record.fields);
-      size_t written = 0;
-      while (written < line.size()) {
-        const ssize_t n =
-            ::write(tmp_fd, line.data() + written, line.size() - written);
-        if (n < 0) {
-          if (errno == EINTR) continue;
-          ::close(tmp_fd);
-          return abort_rotation(Status::IoError(
-              "write to '" + tmp_path + "': " + std::strerror(errno)));
-        }
-        written += static_cast<size_t>(n);
-      }
-      ++seq;
-    }
-    Status sync_status;
-    if (write_fault_) sync_status = write_fault_();
-    if (sync_status.ok()) sync_status = SyncFd(tmp_fd, tmp_path);
+    Status st = WriteAll(tmp_fd, segment, tmp_path);
+    if (st.ok() && write_fault_) st = write_fault_();
+    if (st.ok()) st = SyncFd(tmp_fd, tmp_path);
     ::close(tmp_fd);
-    if (!sync_status.ok()) return abort_rotation(sync_status);
+    if (!st.ok()) return abort_rotation(st);
     ++syncs_;
   }
   QOX_CRASH_POINT("journal.rotate");
@@ -255,6 +223,7 @@ Status JournalFile::Rewrite(const std::vector<JournalRecord>& records) {
   // segment so subsequent appends land in the rotated file.
   if (fd_ >= 0) ::close(fd_);
   QOX_RETURN_IF_ERROR(OpenFd());
+  size_ = segment.size();
   records_.clear();
   records_.reserve(records.size());
   uint64_t seq = 1;

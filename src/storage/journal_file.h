@@ -1,18 +1,20 @@
 // JournalFile: a durable, checksummed, append-only record log — the
 // storage substrate of the engine's FlowJournal (engine/flow_journal.h).
 //
-// One journal is one text segment of line-framed records. Each line is a
-// CSV record `seq,type,field...,checksum` where `seq` increases by one per
-// record and `checksum` is the FNV-1a 64 hash of everything before it. On
-// Open the segment is scanned front to back; the first line that is torn
-// (no terminating newline), fails its checksum, or breaks the sequence is
-// treated as the torn tail of an interrupted append: the file is truncated
-// back to the last valid record boundary and the valid prefix becomes the
-// recovered record list. Appends write the full line with a single
-// write(2) and fsync according to the segment's sync policy, so a SIGKILL
-// at any instant loses at most the in-flight record. Rewrite() compacts
-// the segment by writing a replacement to a temp file, fsyncing it, and
-// atomically renaming it over the log (the crash-safe segment rotation).
+// One journal is one text segment of sealed records in the record codec
+// (storage/record_io.h). Each is a CSV record `seq,type,field...,checksum`
+// where `seq` increases by one per record and `checksum` is the FNV-1a 64
+// hash of everything before it; a field holding a newline is quoted, so
+// its record spans several lines. On Open the segment is scanned front to
+// back; the first record that is torn (no terminating newline), fails its
+// checksum, or breaks the sequence is treated as the torn tail of an
+// interrupted append: the file is truncated back to the end of the last
+// valid record and the valid prefix becomes the recovered record list.
+// Appends write the full record with a single write(2) and fsync according
+// to the segment's sync policy, so a SIGKILL at any instant loses at most
+// the in-flight record. Rewrite() compacts the segment by writing a
+// replacement to a temp file, fsyncing it, and atomically renaming it over
+// the log (the crash-safe segment rotation).
 
 #ifndef QOX_STORAGE_JOURNAL_FILE_H_
 #define QOX_STORAGE_JOURNAL_FILE_H_
@@ -65,7 +67,11 @@ class JournalFile {
 
   /// Appends one record (next sequence number assigned internally) with a
   /// single write; fsyncs per the sync policy (`commit` marks the record
-  /// as a commit record under JournalSync::kCommit).
+  /// as a commit record under JournalSync::kCommit). A failed append
+  /// (kResourceExhausted on a full disk, kIoError otherwise) cuts whatever
+  /// part of its record was written back off the segment, so a later
+  /// append follows the last acknowledged record directly; if that cut
+  /// fails, the journal fails every later Append and Rewrite.
   Status Append(const std::string& type, const std::vector<std::string>& fields,
                 bool commit = false);
 
@@ -103,13 +109,16 @@ class JournalFile {
       : path_(std::move(path)), sync_(sync) {}
 
   Status OpenFd();
-  Status AppendLineLocked(const std::string& line, bool sync_now);
 
   const std::string path_;
   const JournalSync sync_;
   mutable std::mutex mu_;
   int fd_ = -1;
   uint64_t next_seq_ = 1;
+  size_t size_ = 0;  // segment bytes up to the end of its last record
+  // Set when a failed append's partial record could not be cut off; the
+  // segment then ends in garbage, so every later Append and Rewrite fails.
+  Status broken_;
   std::vector<JournalRecord> records_;
   size_t truncated_bytes_ = 0;
   size_t syncs_ = 0;

@@ -9,33 +9,16 @@
 #include <fstream>
 
 #include "common/crash_point.h"
-#include "common/strings.h"
+#include "storage/record_io.h"
 
 namespace qox {
 
 namespace {
+
+constexpr size_t kChunkBytes = 256 * 1024;
+
 std::string KeyOf(const RecoveryPointId& id) {
   return id.flow_id + '\0' + id.point_id;
-}
-
-/// fsync the file at `path` so a following rename publishes durable bytes,
-/// not page-cache contents a power cut could drop.
-Status SyncPath(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::IoError("cannot open '" + path +
-                           "' for fsync: " + std::strerror(errno));
-  }
-  Status st = Status::OK();
-  if (::fsync(fd) != 0) {
-    st = Status::IoError("fsync of '" + path +
-                         "' failed: " + std::strerror(errno));
-  }
-  if (::close(fd) != 0 && st.ok()) {
-    st = Status::IoError("close of '" + path +
-                         "' failed: " + std::strerror(errno));
-  }
-  return st;
 }
 
 std::string SanitizeForFilename(const std::string& s) {
@@ -49,16 +32,6 @@ std::string SanitizeForFilename(const std::string& s) {
   return out;
 }
 }  // namespace
-
-uint64_t Fnv1a64(const void* data, size_t size, uint64_t seed) {
-  uint64_t hash = seed != 0 ? seed : 0xcbf29ce484222325ULL;
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 
 Result<std::shared_ptr<RecoveryPointStore>> RecoveryPointStore::Open(
     std::string dir) {
@@ -88,32 +61,40 @@ Status RecoveryPointStore::Save(const RecoveryPointId& id,
   const std::string tmp_path = path + ".tmp";
   size_t bytes = 0;
   uint64_t checksum = 0;
-  bool first_line = true;
   {
-    std::ofstream out(tmp_path, std::ios::trunc);
-    if (!out) return Status::IoError("cannot create '" + tmp_path + "'");
-    for (const Row& row : rows) {
-      std::vector<std::string> cells;
-      cells.reserve(row.num_values());
-      for (const Value& v : row.values()) cells.push_back(v.ToString());
-      const std::string line = CsvEncodeLine(cells);
-      out << line << "\n";
-      bytes += line.size() + 1;
-      checksum = Fnv1a64(line.data(), line.size(),
-                         first_line ? 0 : checksum);
-      first_line = false;
+    const int fd = ::open(tmp_path.c_str(),
+                          O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    if (fd < 0) {
+      return Status::IoError("cannot create '" + tmp_path +
+                             "': " + std::strerror(errno));
     }
-    out.flush();
-    if (!out) return Status::IoError("write to '" + tmp_path + "' failed");
-    out.close();
-    if (out.fail()) {
-      return Status::IoError("close of '" + tmp_path + "' failed");
+    // Written in bounded chunks, so a save never holds a second copy of
+    // the whole point. The checksum chains over the records, newlines
+    // excluded.
+    std::string chunk;
+    Status st;
+    for (size_t i = 0; i < rows.size() && st.ok(); ++i) {
+      const size_t record_begin = chunk.size();
+      AppendRow(rows[i], &chunk);
+      checksum = Fnv1a64(chunk.data() + record_begin,
+                         chunk.size() - record_begin, i == 0 ? 0 : checksum);
+      chunk += '\n';
+      if (chunk.size() >= kChunkBytes || i + 1 == rows.size()) {
+        st = WriteAll(fd, chunk, tmp_path);
+        bytes += chunk.size();
+        chunk.clear();
+      }
     }
+    // The rename below is only an atomic publish if the tmp bytes are
+    // already durable; without this fsync a crash could leave a complete-
+    // looking name pointing at torn page-cache contents.
+    if (st.ok()) st = SyncFd(fd, tmp_path);
+    if (::close(fd) != 0 && st.ok()) {
+      st = Status::IoError("close of '" + tmp_path +
+                           "' failed: " + std::strerror(errno));
+    }
+    QOX_RETURN_IF_ERROR(st);
   }
-  // The rename below is only an atomic publish if the tmp bytes are
-  // already durable; without this fsync a crash could leave a complete-
-  // looking name pointing at torn page-cache contents.
-  QOX_RETURN_IF_ERROR(SyncPath(tmp_path));
   // Atomic publish: rename tmp over the data file, seal the commit marker
   // (row count + content checksum), then record completeness.
   QOX_CRASH_POINT("rp.publish");
@@ -126,18 +107,10 @@ Status RecoveryPointStore::Save(const RecoveryPointId& id,
   QOX_CRASH_POINT("rp.published");
   {
     const std::string marker_tmp = MarkerPath(id) + ".tmp";
-    std::ofstream marker(marker_tmp, std::ios::trunc);
-    if (!marker) return Status::IoError("cannot create '" + marker_tmp + "'");
-    marker << rows.size() << " " << checksum << "\n";
-    marker.flush();
-    if (!marker) {
-      return Status::IoError("write to '" + marker_tmp + "' failed");
-    }
-    marker.close();
-    if (marker.fail()) {
-      return Status::IoError("close of '" + marker_tmp + "' failed");
-    }
-    QOX_RETURN_IF_ERROR(SyncPath(marker_tmp));
+    QOX_RETURN_IF_ERROR(WriteFile(marker_tmp,
+                                  std::to_string(rows.size()) + " " +
+                                      std::to_string(checksum) + "\n",
+                                  /*sync=*/true));
     std::filesystem::rename(marker_tmp, MarkerPath(id), ec);
     if (ec) {
       return Status::IoError("cannot seal recovery point '" + path +
@@ -200,43 +173,35 @@ Result<RowBatch> RecoveryPointStore::Load(const RecoveryPointId& id,
     expected_checksum = it->second.checksum;
     expected_rows = it->second.num_rows;
   }
-  std::ifstream in(DataPath(id));
-  if (!in) return Status::IoError("cannot open '" + DataPath(id) + "'");
-  // Verify the content checksum sealed into the commit marker BEFORE
-  // parsing: corrupted bytes must surface as kCorruptedData (fall back to
-  // an older point), never as a parse error mistaken for a bug.
-  std::vector<std::string> lines;
-  uint64_t checksum = 0;
-  bool first_line = true;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    checksum = Fnv1a64(line.data(), line.size(), first_line ? 0 : checksum);
-    first_line = false;
-    lines.push_back(std::move(line));
-  }
-  if (checksum != expected_checksum || lines.size() != expected_rows) {
-    return Status::CorruptedData(
-        "recovery point '" + DataPath(id) + "' failed verification (" +
-        std::to_string(lines.size()) + "/" + std::to_string(expected_rows) +
-        " rows, checksum " + std::to_string(checksum) + " != sealed " +
-        std::to_string(expected_checksum) + ")");
-  }
+  const std::string path = DataPath(id);
+  RecordReader reader(path);
+  if (!reader.is_open()) return Status::IoError("cannot open '" + path + "'");
+  // Rows decode as they are read, but none is returned unless the whole
+  // file matches the row count and content checksum sealed into the commit
+  // marker: corrupted bytes surface as kCorruptedData (fall back to an
+  // older point), never as a parse error mistaken for a bug.
   RowBatch batch(schema);
+  uint64_t checksum = 0;
+  std::string record;
   std::vector<std::string> cells;
-  for (const std::string& stored : lines) {
-    CsvDecodeLine(stored, &cells);
-    if (cells.size() != schema.num_fields()) {
-      return Status::CorruptedData("recovery point '" + DataPath(id) +
-                                   "' row width mismatch");
+  while (reader.Next(&record)) {
+    checksum = Fnv1a64(record.data(), record.size(),
+                       batch.empty() ? 0 : checksum);
+    Result<Row> row = ParseRow(record, schema, &cells);
+    if (!row.ok()) {
+      return Status::CorruptedData("recovery point '" + path + "' row " +
+                                   std::to_string(batch.num_rows() + 1) +
+                                   ": " + row.status().message());
     }
-    Row row;
-    for (size_t i = 0; i < cells.size(); ++i) {
-      QOX_ASSIGN_OR_RETURN(Value v,
-                           Value::Parse(cells[i], schema.field(i).type));
-      row.Append(std::move(v));
-    }
-    batch.Append(std::move(row));
+    batch.Append(row.TakeValue());
+  }
+  if (checksum != expected_checksum || batch.num_rows() != expected_rows) {
+    return Status::CorruptedData(
+        "recovery point '" + path + "' failed verification (" +
+        std::to_string(batch.num_rows()) + "/" +
+        std::to_string(expected_rows) + " rows, checksum " +
+        std::to_string(checksum) + " != sealed " +
+        std::to_string(expected_checksum) + ")");
   }
   return batch;
 }

@@ -5,6 +5,11 @@
 // given position in the flow, written to a real file so its I/O cost is
 // genuine. On failure, the executor resumes from the most recent complete
 // recovery point instead of restarting the flow from scratch.
+//
+// The data file `<flow>.<point>.rp.csv` holds one CSV record per row, in
+// the record codec's row encoding (storage/record_io.h), so a cell holding
+// a newline stays in its record. Its `.commit` marker holds the row count
+// and a checksum chained over the records (`<rows> <checksum>`).
 
 #ifndef QOX_STORAGE_RECOVERY_STORE_H_
 #define QOX_STORAGE_RECOVERY_STORE_H_
@@ -43,9 +48,6 @@ struct RecoveryPointInfo {
   uint64_t checksum = 0;
   bool complete = false;  ///< set only after all rows + commit marker landed
 };
-
-/// FNV-1a 64-bit, the content checksum recovery points are sealed with.
-uint64_t Fnv1a64(const void* data, size_t size, uint64_t seed = 0);
 
 class RecoveryPointStore {
  public:

@@ -9,8 +9,6 @@
 #include <filesystem>
 
 #include "common/crash_point.h"
-#include "common/strings.h"
-#include "storage/recovery_store.h"  // Fnv1a64
 
 namespace qox {
 namespace {
@@ -23,25 +21,6 @@ bool IsSpillArtifact(const std::string& name) {
     return name.size() >= n && name.compare(name.size() - n, n, suffix) == 0;
   };
   return ends_with(".spill") || ends_with(".spill.tmp");
-}
-
-/// EINTR-safe full write of `data` to `fd`.
-Status WriteAll(int fd, const std::string& data, const std::string& path) {
-  size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == ENOSPC) {
-        return Status::ResourceExhausted("spill write to '" + path +
-                                         "' failed: no space left on device");
-      }
-      return Status::IoError("spill write to '" + path +
-                             "' failed: " + std::strerror(errno));
-    }
-    off += static_cast<size_t>(n);
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -66,14 +45,9 @@ Status SpillWriter::Append(const Row& row) {
     return Status::FailedPrecondition("append to finalized spill run '" +
                                       final_path_ + "'");
   }
-  std::vector<std::string> cells;
-  cells.reserve(row.num_values());
-  for (const Value& v : row.values()) cells.push_back(v.ToString());
-  const std::string payload = CsvEncodeLine(cells);
-  buffer_ += payload;
-  buffer_ += ',';
-  buffer_ += std::to_string(Fnv1a64(payload.data(), payload.size()));
-  buffer_ += '\n';
+  payload_.clear();
+  AppendRow(row, &payload_);
+  AppendSealed(payload_, &buffer_);
   ++rows_;
   if (buffer_.size() >= kFlushBytes) QOX_RETURN_IF_ERROR(Flush());
   return Status::OK();
@@ -110,10 +84,7 @@ Result<SpillFile> SpillWriter::Finalize() {
     }
   }
   QOX_RETURN_IF_ERROR(manager_->CheckWriteFault());
-  if (::fsync(fd_) != 0) {
-    return Status::IoError("fsync of spill run '" + tmp_path_ +
-                           "' failed: " + std::strerror(errno));
-  }
+  QOX_RETURN_IF_ERROR(SyncFd(fd_, tmp_path_));
   if (::close(fd_) != 0) {
     fd_ = -1;
     return Status::IoError("close of spill run '" + tmp_path_ +
@@ -142,46 +113,35 @@ Result<SpillFile> SpillWriter::Finalize() {
 // SpillReader
 // ---------------------------------------------------------------------------
 
-SpillReader::SpillReader(const SpillFile& file) : file_(file) {
-  in_.open(file.path);
-  opened_ok_ = static_cast<bool>(in_);
-}
+SpillReader::SpillReader(const SpillFile& file)
+    : file_(file), reader_(file.path, kReadBlockBytes) {}
 
 Result<std::optional<Row>> SpillReader::Next() {
-  if (!opened_ok_) {
+  if (!reader_.is_open()) {
     return Status::IoError("cannot open spill run '" + file_.path + "'");
   }
-  if (!std::getline(in_, line_)) return std::optional<Row>();
-  ++line_no_;
-  const size_t comma = line_.rfind(',');
-  if (comma == std::string::npos) {
-    return Status::CorruptedData("spill run '" + file_.path + "' line " +
-                                 std::to_string(line_no_) +
-                                 ": missing checksum");
+  const auto corrupted = [this](const std::string& what) {
+    return Status::CorruptedData("spill run '" + file_.path + "' record " +
+                                 std::to_string(rows_read_ + 1) + ": " +
+                                 what);
+  };
+  if (!reader_.Next(&record_)) {
+    if (rows_read_ == file_.rows) return std::optional<Row>();
+    return corrupted("the run ends after " + std::to_string(rows_read_) +
+                     " of its " + std::to_string(file_.rows) + " rows");
   }
-  const uint64_t expected =
-      std::strtoull(line_.c_str() + comma + 1, nullptr, 10);
-  if (Fnv1a64(line_.data(), comma) != expected) {
-    return Status::CorruptedData("spill run '" + file_.path + "' line " +
-                                 std::to_string(line_no_) +
-                                 " failed checksum verification");
+  if (rows_read_ == file_.rows) {
+    return corrupted("the run holds more than its " +
+                     std::to_string(file_.rows) + " rows");
   }
-  line_.resize(comma);  // the payload: every cell before the checksum
-  CsvDecodeLine(line_, &cells_);
-  if (cells_.size() != file_.schema.num_fields()) {
-    return Status::CorruptedData(
-        "spill run '" + file_.path + "' line " + std::to_string(line_no_) +
-        ": expected " + std::to_string(file_.schema.num_fields()) +
-        " cells, got " + std::to_string(cells_.size()));
+  const std::optional<std::string_view> payload = OpenSealed(record_);
+  if (!reader_.terminated() || !payload.has_value()) {
+    return corrupted("failed checksum verification");
   }
-  std::vector<Value> values;
-  values.reserve(cells_.size());
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    QOX_ASSIGN_OR_RETURN(Value v,
-                         Value::Parse(cells_[i], file_.schema.field(i).type));
-    values.push_back(std::move(v));
-  }
-  return std::optional<Row>(Row(std::move(values)));
+  Result<Row> row = ParseRow(*payload, file_.schema, &cells_);
+  if (!row.ok()) return corrupted(row.status().message());
+  ++rows_read_;
+  return std::optional<Row>(row.TakeValue());
 }
 
 // ---------------------------------------------------------------------------

@@ -3,26 +3,28 @@
 //
 // When a blocking operator's working set is refused by the flow's
 // MemoryBudget, it writes the overflow to a spill run under this manager
-// instead of growing. Spill runs reuse the JournalFile durability
-// discipline (storage/journal_file.h): every record line carries an FNV-1a
-// checksum verified on read-back, writes go to a `.spill.tmp` file that is
-// fsync'd and atomically renamed to `.spill` at finalize, so a reader only
-// ever sees complete runs and a SIGKILL mid-spill leaves at most a
-// `.spill.tmp` orphan. Orphans cannot corrupt results — spill runs are
-// strictly intra-attempt temporaries — but they can leak disk, so the
-// manager supports RemoveAll() at attempt end and CleanupDir() on
-// supervised restart (the flow journal records the spill directory so a
-// successor process knows where a dead incarnation spilled).
+// instead of growing. A spill run is a line file of the record codec
+// (storage/record_io.h), sealed like the flow journal's records: every
+// record carries an FNV-1a checksum verified on read-back, and the reader
+// checks that the run holds exactly the rows its writer counted. Writes go
+// to a `.spill.tmp` file that is fsync'd and atomically renamed to
+// `.spill` at finalize, so a reader only ever sees complete runs and a
+// SIGKILL mid-spill leaves at most a `.spill.tmp` orphan. Orphans cannot
+// corrupt results — spill runs are strictly intra-attempt temporaries —
+// but they can leak disk, so the manager supports RemoveAll() at attempt
+// end and CleanupDir() on supervised restart (the flow journal records the
+// spill directory so a successor process knows where a dead incarnation
+// spilled).
 //
-// Record format, one row per line:  payload,checksum  where payload is the
-// row's cells CSV-encoded (the FlatFile value encoding) and checksum is
-// the FNV-1a 64 hash of the payload, in decimal.
+// Record format, one sealed CSV record per row:  payload,checksum  where
+// payload is the row's cells CSV-encoded (the FlatFile value encoding; a
+// cell holding a newline is quoted and stays in its record) and checksum
+// is the FNV-1a 64 hash of the payload, in decimal.
 
 #ifndef QOX_STORAGE_SPILL_MANAGER_H_
 #define QOX_STORAGE_SPILL_MANAGER_H_
 
 #include <atomic>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -33,6 +35,7 @@
 #include "common/row.h"
 #include "common/schema.h"
 #include "common/status.h"
+#include "storage/record_io.h"
 
 namespace qox {
 
@@ -47,7 +50,8 @@ struct SpillFile {
 };
 
 /// Streams a finalized run back in write order, verifying every record's
-/// checksum (kCorruptedData on the first mismatch).
+/// checksum. kCorruptedData on the first record that fails it, and when
+/// the run ends before or after `SpillFile::rows` records.
 class SpillReader {
  public:
   explicit SpillReader(const SpillFile& file);
@@ -56,12 +60,15 @@ class SpillReader {
   Result<std::optional<Row>> Next();
 
  private:
+  // A sort merge holds one reader per run open at once, so each reads in
+  // small blocks.
+  static constexpr size_t kReadBlockBytes = size_t{8} << 10;
+
   const SpillFile file_;
-  std::ifstream in_;
-  size_t line_no_ = 0;
-  bool opened_ok_ = false;
-  // Reused across Next() calls: one line buffer, one decoded cell vector.
-  std::string line_;
+  RecordReader reader_;
+  size_t rows_read_ = 0;
+  // Reused across Next() calls: one record buffer, one decoded cell vector.
+  std::string record_;
   std::vector<std::string> cells_;
 };
 
@@ -91,6 +98,7 @@ class SpillWriter {
   const std::string tmp_path_;
   const Schema schema_;
   int fd_ = -1;
+  std::string payload_;  // the row being sealed, reused across Append calls
   std::string buffer_;
   size_t rows_ = 0;
   size_t bytes_ = 0;

@@ -66,6 +66,20 @@ TEST(StatusTest, ToStringIncludesCodeName) {
             "injected_failure: boom");
 }
 
+TEST(StatusTest, ParseStatusCodeInvertsStatusCodeName) {
+  for (int c = static_cast<int>(StatusCode::kOk);
+       c <= static_cast<int>(StatusCode::kResourceExhausted); ++c) {
+    const auto code = static_cast<StatusCode>(c);
+    EXPECT_EQ(ParseStatusCode(StatusCodeName(code)), code)
+        << StatusCodeName(code);
+  }
+  EXPECT_EQ(ParseStatusCode("resource_exhausted"),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(ParseStatusCode("no_such_code"), std::nullopt);
+  EXPECT_EQ(ParseStatusCode(""), std::nullopt);
+  EXPECT_EQ(ParseStatusCode("unknown"), std::nullopt);
+}
+
 TEST(StatusTest, EqualityComparesCodeAndMessage) {
   EXPECT_EQ(Status::Invalid("a"), Status::Invalid("a"));
   EXPECT_FALSE(Status::Invalid("a") == Status::Invalid("b"));

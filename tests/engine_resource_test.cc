@@ -264,6 +264,69 @@ TEST_P(BudgetIdentityTest, LookupBuildSpillsAndMatchesUnbudgetedRun) {
   EXPECT_EQ(SpillArtifactsUnder(config.spill_dir), 0u);
 }
 
+/// SimpleRows whose note cell holds a newline, a quote and a comma: each
+/// spilled row is a record spanning two lines of its run.
+std::vector<Row> MultiLineRows(size_t n) {
+  std::vector<Row> rows = SimpleRows(n);
+  for (size_t i = 0; i < n; ++i) {
+    rows[i].Set(3, Value::String("line one\nline \"two\", " +
+                                 std::to_string(i)));
+  }
+  return rows;
+}
+
+TEST_P(BudgetIdentityTest, SortOfMultiLineCellsSpillsAndMatchesUnbudgetedRun) {
+  const bool streaming = GetParam();
+  const std::vector<Row> input = MultiLineRows(400);
+
+  auto clean_target = std::make_shared<MemTable>("wh0", SortTargetSchema());
+  ExecutionConfig clean;
+  clean.streaming = streaming;
+  const RunOutput clean_out =
+      RunFlow(SortFlow(MakeSource(SimpleSchema(), input), clean_target),
+              clean_target, clean);
+  ASSERT_EQ(clean_out.rows.size(), 350u);  // the filter drops NULL amounts
+
+  auto target = std::make_shared<MemTable>("wh1", SortTargetSchema());
+  ExecutionConfig config;
+  config.streaming = streaming;
+  config.memory_budget_bytes = 4 << 10;
+  config.spill_dir = FreshDir(streaming ? "sort_nl_s" : "sort_nl_p");
+  const RunOutput out =
+      RunFlow(SortFlow(MakeSource(SimpleSchema(), input), target), target,
+              config);
+
+  EXPECT_EQ(out.rows, clean_out.rows);
+  EXPECT_GT(out.metrics.spill_runs, 0u);
+  EXPECT_EQ(SpillArtifactsUnder(config.spill_dir), 0u);
+}
+
+TEST_P(BudgetIdentityTest, GroupOfMultiLineCellsSpillsAndMatchesUnbudgetedRun) {
+  const bool streaming = GetParam();
+  const std::vector<Row> input = MultiLineRows(3000);
+
+  auto clean_target = std::make_shared<MemTable>("wh0", GroupTargetSchema());
+  ExecutionConfig clean;
+  clean.streaming = streaming;
+  const RunOutput clean_out =
+      RunFlow(GroupFlow(MakeSource(SimpleSchema(), input), clean_target),
+              clean_target, clean);
+  ASSERT_EQ(clean_out.rows.size(), 3000u);
+
+  auto target = std::make_shared<MemTable>("wh1", GroupTargetSchema());
+  ExecutionConfig config;
+  config.streaming = streaming;
+  config.memory_budget_bytes = 8 << 10;
+  config.spill_dir = FreshDir(streaming ? "grp_nl_s" : "grp_nl_p");
+  const RunOutput out =
+      RunFlow(GroupFlow(MakeSource(SimpleSchema(), input), target), target,
+              config);
+
+  EXPECT_EQ(out.rows, clean_out.rows);
+  EXPECT_GT(out.metrics.spill_runs, 0u);
+  EXPECT_EQ(SpillArtifactsUnder(config.spill_dir), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(PhasedAndStreaming, BudgetIdentityTest,
                          ::testing::Values(false, true),
                          [](const ::testing::TestParamInfo<bool>& info) {

@@ -104,6 +104,25 @@ TEST_F(SupervisorTest, DeterministicFailureDoesNotRestart) {
   EXPECT_EQ(report.crashes, 0u);
 }
 
+TEST_F(SupervisorTest, EveryFailureStatusSurvivesTheVerdict) {
+  // The child's status crosses the process boundary in the verdict file:
+  // every code, and a message holding a newline, a comma and a quote, must
+  // come back unchanged.
+  const std::string message = "first line\nsecond, \"quoted\" line";
+  for (int c = static_cast<int>(StatusCode::kInvalidArgument);
+       c <= static_cast<int>(StatusCode::kResourceExhausted); ++c) {
+    const Status failure(static_cast<StatusCode>(c), message);
+    const auto report =
+        FlowSupervisor::Run(
+            std::string("f_") + StatusCodeName(failure.code()),
+            [&failure](const FlowEnv&) { return failure; }, options_)
+            .value();
+    EXPECT_FALSE(report.success);
+    EXPECT_EQ(report.final_status, failure);
+    EXPECT_EQ(report.incarnations, 1u);
+  }
+}
+
 TEST_F(SupervisorTest, IncarnationBudgetExhaustedIsUnavailable) {
   options_.max_incarnations = 3;
   const auto report =

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -117,6 +119,61 @@ TEST_F(JournalTest, CorruptRecordCutsTheSegmentThere) {
   ASSERT_EQ(reopened->records().size(), 1u);
   EXPECT_EQ(reopened->records()[0].type, "alpha");
   EXPECT_GT(reopened->truncated_bytes(), 0u);
+}
+
+TEST_F(JournalTest, RecordWithANewlineReopensWhole) {
+  const std::string path = Path("newline.journal");
+  {
+    auto journal = JournalFile::Open(path, JournalSync::kAlways).value();
+    ASSERT_TRUE(journal->Append("alpha", {"1"}).ok());
+    ASSERT_TRUE(journal->Append("beta", {"x\ny", "a,\"b\""}).ok());
+    ASSERT_TRUE(journal->Append("gamma", {"3"}).ok());
+  }
+  auto reopened = JournalFile::Open(path, JournalSync::kAlways).value();
+  ASSERT_EQ(reopened->records().size(), 3u);
+  EXPECT_EQ(reopened->truncated_bytes(), 0u);
+  EXPECT_EQ(reopened->records()[1].fields,
+            (std::vector<std::string>{"x\ny", "a,\"b\""}));
+  EXPECT_EQ(reopened->records()[2].type, "gamma");
+}
+
+TEST_F(JournalTest, FailedAppendLeavesNoPartialRecord) {
+  // A disk that fills part-way through a record: with RLIMIT_FSIZE just
+  // past the segment's end (and SIGXFSZ ignored), write(2) lands the first
+  // bytes of the record and then fails. Those bytes must be cut off again;
+  // left in place, the next record would read back glued to them and be
+  // truncated on reopen as a torn tail, fsync'd commits and all.
+  const std::string path = Path("partial.journal");
+  auto journal = JournalFile::Open(path, JournalSync::kCommit).value();
+  ASSERT_TRUE(journal->Append("before", {"1"}, /*commit=*/true).ok());
+  const auto boundary = std::filesystem::file_size(path);
+
+  struct rlimit saved {};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  struct rlimit limited = saved;
+  limited.rlim_cur = static_cast<rlim_t>(boundary + 8);
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  const bool limit_set = ::setrlimit(RLIMIT_FSIZE, &limited) == 0;
+  const Status failed = journal->Append("lost", {std::string(64, 'x')},
+                                        /*commit=*/true);
+  const auto size_after_failure = std::filesystem::file_size(path);
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+  ASSERT_TRUE(limit_set);
+
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(size_after_failure, boundary);
+  ASSERT_TRUE(journal->Append("after", {"2"}, /*commit=*/true).ok());
+  ASSERT_TRUE(journal->Append("last", {"3"}, /*commit=*/true).ok());
+  ASSERT_EQ(journal->records().size(), 3u);
+
+  auto reopened = JournalFile::Open(path, JournalSync::kCommit).value();
+  EXPECT_EQ(reopened->truncated_bytes(), 0u);
+  ASSERT_EQ(reopened->records().size(), 3u);
+  EXPECT_EQ(reopened->records()[0].type, "before");
+  EXPECT_EQ(reopened->records()[1].type, "after");
+  EXPECT_EQ(reopened->records()[1].seq, 2u);
+  EXPECT_EQ(reopened->records()[2].type, "last");
 }
 
 TEST_F(JournalTest, SyncPolicyControlsFsyncCount) {
@@ -364,6 +421,47 @@ TEST_F(JournalTest, EveryBytePrefixResumesAtARecordBoundary) {
     EXPECT_EQ(opened.value()->truncated_bytes(), len - boundaries[k]);
     ExpectStateEq(opened.value()->state(), snapshots[k],
                   "prefix " + std::to_string(len));
+  }
+}
+
+// The same property over records whose fields hold quoted newlines, so a
+// record spans several lines. The boundaries come from the writer (the
+// segment's size after each append), not from newline bytes.
+TEST_F(JournalTest, EveryBytePrefixOfMultiLineRecordsResumesAtARecordBoundary) {
+  const std::string path = Path("multiline.journal");
+  std::vector<JournalRecord> written;
+  std::vector<size_t> boundaries{0};
+  {
+    auto journal = JournalFile::Open(path, JournalSync::kNone).value();
+    for (int i = 0; i < 6; ++i) {
+      const std::string n = std::to_string(i);
+      ASSERT_TRUE(journal
+                      ->Append("t" + n, {"line " + n + "\nnext, \"q\"\n", "",
+                                         i % 2 == 0 ? "\n" : "plain"})
+                      .ok());
+      written.push_back(journal->records().back());
+      boundaries.push_back(std::filesystem::file_size(path));
+    }
+  }
+  const std::string bytes = ReadFile(path);
+  ASSERT_EQ(bytes.size(), boundaries.back());
+  const std::string prefix_path = Path("prefix.journal");
+  for (size_t len = 0; len <= bytes.size(); ++len) {
+    WriteFile(prefix_path, bytes.substr(0, len));
+    const auto opened = JournalFile::Open(prefix_path, JournalSync::kNone);
+    ASSERT_TRUE(opened.ok()) << "prefix " << len << ": " << opened.status();
+    size_t k = 0;
+    while (k + 1 < boundaries.size() && boundaries[k + 1] <= len) ++k;
+    std::error_code ec;
+    EXPECT_EQ(std::filesystem::file_size(prefix_path, ec), boundaries[k])
+        << "prefix " << len << " not truncated to a record boundary";
+    EXPECT_EQ(opened.value()->truncated_bytes(), len - boundaries[k]);
+    const std::vector<JournalRecord>& records = opened.value()->records();
+    ASSERT_EQ(records.size(), k) << "prefix " << len;
+    for (size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(records[i].type, written[i].type) << "prefix " << len;
+      EXPECT_EQ(records[i].fields, written[i].fields) << "prefix " << len;
+    }
   }
 }
 

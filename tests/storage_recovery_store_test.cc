@@ -278,5 +278,41 @@ TEST_F(RecoveryStoreTest, ValuesWithCommasSurvive) {
   EXPECT_EQ(loaded.value().row(0).value(1).string_value(), "a,b,\"c\"");
 }
 
+TEST_F(RecoveryStoreTest, MultiLineCellsRoundTrip) {
+  // A cell holding a newline is one quoted cell of one record: the loader
+  // must neither split it into two rows nor fail the point's checksum.
+  const RecoveryPointId id{"f", "multiline"};
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 400; ++i) {
+    rows.push_back(Row({Value::Int64(i),
+                        Value::String("line one\nline \"two\", " +
+                                      std::to_string(i))}));
+  }
+  ASSERT_TRUE(store_->Save(id, TestSchema(), rows).ok());
+  const Result<RowBatch> loaded = store_->Load(id, TestSchema());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded.value().rows(), rows);
+}
+
+TEST_F(RecoveryStoreTest, OneColumnNullAndEmptyRowsRoundTrip) {
+  // A one-column row holding NULL or "" is an empty record; every one of
+  // them is a row (read back as NULL: the empty cell parses as NULL).
+  const Schema schema({{"note", DataType::kString, true}});
+  const RecoveryPointId id{"f", "one_column"};
+  const std::vector<Row> rows{
+      Row({Value::Null()}),      Row({Value::String("")}),
+      Row({Value::String("x")}), Row({Value::Null()}),
+      Row({Value::String("")}),  Row({Value::String("y")})};
+  ASSERT_TRUE(store_->Save(id, schema, rows).ok());
+  const Result<RowBatch> loaded = store_->Load(id, schema);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(loaded.value().num_rows(), 6u);
+  for (const size_t i : {0u, 1u, 3u, 4u}) {
+    EXPECT_TRUE(loaded.value().row(i).value(0).is_null()) << "row " << i;
+  }
+  EXPECT_EQ(loaded.value().row(2).value(0).string_value(), "x");
+  EXPECT_EQ(loaded.value().row(5).value(0).string_value(), "y");
+}
+
 }  // namespace
 }  // namespace qox

@@ -28,6 +28,14 @@ Row MakeRow(int64_t id) {
                           : Value::Double(static_cast<double>(id) * 1.5)});
 }
 
+/// A row whose string cell holds newlines and quotes: a record that spans
+/// several lines of the run.
+Row MakeMultiLineRow(int64_t id) {
+  return Row({Value::Int64(id),
+              Value::String("line one\nline \"two\"\n" + std::to_string(id)),
+              Value::Double(static_cast<double>(id))});
+}
+
 class SpillTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -47,8 +55,12 @@ TEST_F(SpillTest, RoundTripPreservesRowsInWriteOrder) {
   SpillManager manager(dir_);
   auto writer = manager.CreateRun("sort", TestSchema()).value();
   constexpr size_t kRows = 5000;  // spans multiple flush buffers
+  const auto make_row = [](size_t i) {
+    const auto id = static_cast<int64_t>(i);
+    return i % 2 == 0 ? MakeRow(id) : MakeMultiLineRow(id);
+  };
   for (size_t i = 0; i < kRows; ++i) {
-    ASSERT_TRUE(writer->Append(MakeRow(static_cast<int64_t>(i))).ok());
+    ASSERT_TRUE(writer->Append(make_row(i)).ok());
   }
   const SpillFile file = writer->Finalize().value();
   EXPECT_EQ(file.rows, kRows);
@@ -60,7 +72,7 @@ TEST_F(SpillTest, RoundTripPreservesRowsInWriteOrder) {
   for (size_t i = 0; i < kRows; ++i) {
     const auto row = reader.Next().value();
     ASSERT_TRUE(row.has_value()) << "short read at row " << i;
-    EXPECT_EQ(*row, MakeRow(static_cast<int64_t>(i)));
+    EXPECT_EQ(*row, make_row(i));
   }
   EXPECT_FALSE(reader.Next().value().has_value());
 }
@@ -81,6 +93,42 @@ TEST_F(SpillTest, CorruptedPayloadSurfacesCorruptedData) {
   SpillReader reader(file);
   Status st = Status::OK();
   for (int i = 0; i < 10 && st.ok(); ++i) st = reader.Next().status();
+  EXPECT_EQ(st.code(), StatusCode::kCorruptedData) << st;
+}
+
+TEST_F(SpillTest, RunCutAtARecordBoundaryIsCorrupted) {
+  SpillManager manager(dir_);
+  // A run of the first 5 rows is a byte prefix of the 10-row run, so its
+  // size is where the 10-row run's 5th record ends.
+  auto prefix_writer = manager.CreateRun("p", TestSchema()).value();
+  auto writer = manager.CreateRun("g", TestSchema()).value();
+  for (int64_t i = 0; i < 10; ++i) {
+    if (i < 5) {
+      ASSERT_TRUE(prefix_writer->Append(MakeRow(i)).ok());
+    }
+    ASSERT_TRUE(writer->Append(MakeRow(i)).ok());
+  }
+  const SpillFile prefix = prefix_writer->Finalize().value();
+  const SpillFile file = writer->Finalize().value();
+  ASSERT_LT(prefix.bytes, file.bytes);
+  std::filesystem::resize_file(file.path, prefix.bytes);
+
+  SpillReader reader(file);
+  for (int64_t i = 0; i < 5; ++i) {
+    const auto row = reader.Next();
+    ASSERT_TRUE(row.ok()) << row.status();
+    ASSERT_TRUE(row.value().has_value());
+    EXPECT_EQ(*row.value(), MakeRow(i));
+  }
+  // Ending here would silently drop the last 5 rows from a sort or group.
+  EXPECT_EQ(reader.Next().status().code(), StatusCode::kCorruptedData);
+
+  // A run holding more records than its writer counted is corrupted too.
+  SpillFile short_count = prefix;
+  short_count.rows = 4;
+  SpillReader over(short_count);
+  Status st = Status::OK();
+  for (int i = 0; i < 5 && st.ok(); ++i) st = over.Next().status();
   EXPECT_EQ(st.code(), StatusCode::kCorruptedData) << st;
 }
 
