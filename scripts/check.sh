@@ -34,8 +34,10 @@ REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 MODE="${1:-all}"
 # ctest label regex of the TSan leg: the engine_* binaries plus the shared
-# suite labels, and storage_snapshot (hash-partitioned Δ branches classify
-# against one snapshot concurrently).
+# suite labels, and storage_snapshot (several threads classify against one
+# snapshot, as a partitioned Δ's branches do). The branches of a
+# partitioned Δ and the instances of a redundant run handing their landings
+# to one run are covered in engine_landing_test.
 TSAN_LABELS="^engine_|plan|robustness|crash|resource|service|cdc|storage_snapshot"
 
 run_suite() {

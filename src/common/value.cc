@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <sstream>
 
 namespace qox {
 
@@ -138,10 +137,21 @@ std::string Value::ToString() const {
     case DataType::kTimestamp:
       return std::to_string(std::get<int64_t>(repr_));
     case DataType::kDouble: {
-      std::ostringstream oss;
-      oss.precision(15);
-      oss << double_value();
-      return oss.str();
+      // 15 significant digits, as printf's %.15g; 17 when 15 do not parse
+      // back to the same double, so every line file round-trips it.
+      const double v = double_value();
+      char buf[32];
+      char* end = std::to_chars(buf, buf + sizeof(buf), v,
+                                std::chars_format::general, 15)
+                      .ptr;
+      double parsed = 0.0;
+      std::from_chars(buf, end, parsed);
+      if (parsed != v && !std::isnan(v)) {
+        end = std::to_chars(buf, buf + sizeof(buf), v,
+                            std::chars_format::general, 17)
+                  .ptr;
+      }
+      return std::string(buf, end);
     }
     case DataType::kString:
       return string_value();

@@ -76,10 +76,6 @@ Status SalesScenario::Build(const SalesScenarioConfig& config) {
   }
 
   // --- sources --------------------------------------------------------------
-  // Raw (unthrottled) handles: post-success snapshot commits read the
-  // landed staging copy, not the remote channel.
-  DataStorePtr s1_raw;
-  DataStorePtr s2_raw;
   {
     const std::vector<Row> s1_rows = GenerateSalesTransactions(
         config.workload, config.s1_rows, /*first_tran_id=*/0, &rng_);
@@ -91,8 +87,6 @@ Status SalesScenario::Build(const SalesScenarioConfig& config) {
                           config.staff_update_fraction, &rng_);
     QOX_ASSIGN_OR_RETURN(s2_, MakeSource("SALES_STAFF", SalesStaffSchema(),
                                          s2_rows, config.data_dir));
-    s1_raw = s1_;
-    s2_raw = s2_;
     if (config.source_bandwidth_bytes_per_s > 0) {
       s1_ = std::make_shared<ThrottledStore>(
           s1_, config.source_bandwidth_bytes_per_s);
@@ -155,12 +149,6 @@ Status SalesScenario::Build(const SalesScenarioConfig& config) {
                          BindLogicalChain(s1_->schema(), ops));
     dw1_ = std::make_shared<MemTable>("SALES", schemas.back());
     bottom_flow_ = LogicalFlow("sales_bottom", s1_, std::move(ops), dw1_);
-    const DataStorePtr s1 = s1_raw;
-    const SnapshotStorePtr snapshot = sales_snapshot_;
-    bottom_flow_.set_post_success([s1, snapshot]() -> Status {
-      QOX_ASSIGN_OR_RETURN(RowBatch landed, s1->ReadAll());
-      return snapshot->Commit(std::move(landed.rows()));
-    });
   }
 
   // --- middle flow: S2 -> DW2 SALES_REP ---------------------------------------
@@ -177,12 +165,6 @@ Status SalesScenario::Build(const SalesScenarioConfig& config) {
                          BindLogicalChain(s2_->schema(), ops));
     dw2_ = std::make_shared<MemTable>("SALES_REP", schemas.back());
     middle_flow_ = LogicalFlow("staff_middle", s2_, std::move(ops), dw2_);
-    const DataStorePtr s2 = s2_raw;
-    const SnapshotStorePtr snapshot = staff_snapshot_;
-    middle_flow_.set_post_success([s2, snapshot]() -> Status {
-      QOX_ASSIGN_OR_RETURN(RowBatch landed, s2->ReadAll());
-      return snapshot->Commit(std::move(landed.rows()));
-    });
   }
 
   // --- top flow: S3 -> DW3 CUSTOMER (streaming, freshness-pressed) -----------

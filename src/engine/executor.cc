@@ -13,6 +13,7 @@
 
 #include "common/clock.h"
 #include "engine/memory_budget.h"
+#include "engine/ops/delta_op.h"
 #include "engine/streaming.h"
 #include "storage/spill_manager.h"
 
@@ -40,6 +41,15 @@ namespace {
 std::string CutPointId(int instance, size_t cut) {
   return "i" + std::to_string(instance) + ".cut" + std::to_string(cut);
 }
+
+/// The landings an attempt's Δs compared, by snapshot and then by
+/// partition: part 0 for a Δ outside a partitioned range, one part per
+/// branch inside one. Resume marks made after a Δ ran share its parts.
+using StagedLandings =
+    std::map<SnapshotStorePtr, std::map<size_t, std::shared_ptr<Landing>>>;
+
+/// The landings a successful run commits, one per Δ snapshot.
+using CommitLandings = std::vector<std::pair<SnapshotStorePtr, Landing>>;
 
 /// Per-instance flow execution: one attempt driver over the lowered
 /// ExecutionPlan with recovery semantics. Every attempt spawns one stage
@@ -80,6 +90,14 @@ class FlowRunner {
     ctx_.columnar_rows = &columnar_rows_;
     ctx_.memory_budget = &memory_budget_;
     ctx_.spill = &spill_;
+    ctx_.stage_landing = [this](const SnapshotStorePtr& store,
+                                size_t partition, Landing landing) {
+      StageLanding(store, partition, std::move(landing));
+    };
+    for (first_delta_ = 0; first_delta_ < NumOps(); ++first_delta_) {
+      const OperatorPtr op = flow_.transforms[first_delta_]();
+      if (std::string_view(op->kind()) == "delta") break;
+    }
     metrics_.streaming = config_.streaming;
     if (config_.reject_store != nullptr) {
       ctx_.reject_sink = [this](const Row& row) -> Status {
@@ -147,6 +165,29 @@ class FlowRunner {
 
   RunMetrics& metrics() { return metrics_; }
   size_t rejected() const { return rejected_.load(); }
+
+  /// Hands over the landings of the run's successful attempt, each Δ's
+  /// parts folded in partition order.
+  Result<CommitLandings> TakeLandings() {
+    budget_marks_.clear();  // the parts are now held by landings_ alone
+    CommitLandings out;
+    for (auto& [store, parts] : landings_) {
+      auto part = parts.begin();
+      Landing folded = std::move(*part->second);
+      for (++part; part != parts.end(); ++part) {
+        QOX_RETURN_IF_ERROR(folded.Absorb(std::move(*part->second)));
+      }
+      out.emplace_back(store, std::move(folded));
+    }
+    landings_.clear();
+    return out;
+  }
+
+  /// Frees the landings a losing redundant instance staged.
+  void DropLandings() {
+    budget_marks_.clear();
+    landings_.clear();
+  }
 
  private:
   size_t NumOps() const { return flow_.transforms.size(); }
@@ -290,13 +331,21 @@ class FlowRunner {
   /// -1 (from scratch). Pass NumOps() + 1 for "the latest anywhere"; pass a
   /// cut that failed verification to find the next older fallback. The
   /// candidate cuts are the plan's (deduplicated, sorted) barrier cuts;
-  /// the voted output is an in-memory point at the last cut.
+  /// the voted output is an in-memory point at the last cut. A point past
+  /// a Δ qualifies only if this runner made it: its mark holds the landing
+  /// the Δ compared, which the run commits. A point an earlier run or a
+  /// dead process left has no mark, so the run resumes below the Δ and
+  /// the Δ runs again.
   int FindResumeCut(int below) const {
     if (voted_ != nullptr) return static_cast<int>(NumOps());
     if (config_.rp_store == nullptr) return -1;
     int best = -1;
     for (const size_t cut : plan_.rp_cuts()) {
       if (static_cast<int>(cut) >= below) break;
+      if (cut > first_delta_ &&
+          !budget_marks_.contains(static_cast<int>(cut))) {
+        continue;
+      }
       if (config_.rp_store->Has(
               {flow_.id, CutPointId(instance_id_, cut)})) {
         best = static_cast<int>(cut);
@@ -305,13 +354,23 @@ class FlowRunner {
     return best;
   }
 
-  /// Records the budget's standing at the point made at `cut` (a recovery
-  /// point, or the voted output): no stage downstream of it has seen a row
-  /// yet. Callers hold stage_mu_.
+  /// Records the budget's standing and the landings staged so far at the
+  /// point made at `cut` (a recovery point, or the voted output): every Δ
+  /// upstream of it has finished, and no stage downstream of it has seen a
+  /// row yet. Callers hold stage_mu_.
   void MarkBudget(size_t cut) {
     budget_marks_[static_cast<int>(cut)] = BudgetMark{
         budget_state_.skipped(), budget_state_.quarantined() - shed_before_,
-        fed_rows_};
+        fed_rows_, landings_};
+  }
+
+  /// Keeps the landing a Δ of this attempt compared
+  /// (OperatorContext::stage_landing).
+  void StageLanding(const SnapshotStorePtr& store, size_t partition,
+                    Landing landing) {
+    auto part = std::make_shared<Landing>(std::move(landing));
+    std::lock_guard<std::mutex> lock(stage_mu_);
+    landings_[store][partition] = std::move(part);
   }
 
   Status WriteRp(size_t cut, const std::vector<Row>& rows) {
@@ -414,10 +473,11 @@ class FlowRunner {
   /// shared containment state and execution mode. Every transform and
   /// branch stage builds its pipeline here, so all of them enforce
   /// identical containment semantics. `expected_rows` feeds the
-  /// failure-fraction denominators.
-  Result<std::unique_ptr<Pipeline>> MakePipeline(size_t begin, size_t end,
-                                                 int attempt,
-                                                 size_t expected_rows) {
+  /// failure-fraction denominators; `ctx` (default: the instance's) is a
+  /// partition branch's own copy.
+  Result<std::unique_ptr<Pipeline>> MakePipeline(
+      size_t begin, size_t end, int attempt, size_t expected_rows,
+      OperatorContext* ctx = nullptr) {
     std::vector<OperatorPtr> ops;
     ops.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) ops.push_back(flow_.transforms[i]());
@@ -431,7 +491,8 @@ class FlowRunner {
     pc.error_policies = &config_.error_policies;
     pc.error_budget = &budget_state_;
     pc.quarantine_sink = quarantine_sink_;
-    return Pipeline::Create(cut_schemas_[begin], std::move(ops), &ctx_, pc);
+    return Pipeline::Create(cut_schemas_[begin], std::move(ops),
+                            ctx != nullptr ? ctx : &ctx_, pc);
   }
 
   void AccumulateOpsLocked(const std::vector<OpStats>& stats) {
@@ -666,10 +727,13 @@ class FlowRunner {
            branch_id = unit.branches[p]](StageStats* stats) -> Status {
             const StopWatch timer;
             stats->node_id = static_cast<int64_t>(branch_id);
+            OperatorContext branch_ctx = ctx_;
+            branch_ctx.partition = p;
+            branch_ctx.slice = 0;
             QOX_ASSIGN_OR_RETURN(
                 std::unique_ptr<Pipeline> pipeline,
                 MakePipeline(begin, end, attempt,
-                             InputRows(*inp, per_part_rows)));
+                             InputRows(*inp, per_part_rows), &branch_ctx));
             // One output batch per input slice, empty or not: the merge
             // relies on every branch keeping the router's schedule.
             auto emit = [&]() -> Status {
@@ -683,6 +747,7 @@ class FlowRunner {
                                    inp->Pop(&stats->stall_micros));
               if (!item.has_value()) break;
               QOX_RETURN_IF_ERROR(pipeline->Push(std::move(*item)));
+              ++*branch_ctx.slice;
               QOX_RETURN_IF_ERROR(emit());
             }
             QOX_RETURN_IF_ERROR(pipeline->Finish());
@@ -928,7 +993,11 @@ class FlowRunner {
     const auto mark = budget_marks_.find(resumed_cut);
     const BudgetMark start = mark != budget_marks_.end()
                                  ? mark->second
-                                 : BudgetMark{0, 0, resume_rows.size()};
+                                 : BudgetMark{0, 0, resume_rows.size(), {}};
+    // The Δs upstream of the resume point do not run again, so their
+    // landings are the ones the point's mark kept (FindResumeCut resumes
+    // past a Δ only from a marked point).
+    landings_ = start.landings;
     shed_before_ = metrics_.rows_shed;
     budget_state_.Reset(start.skipped, start.quarantined + shed_before_);
     fed_rows_ = start.fed_rows;
@@ -1058,10 +1127,16 @@ class FlowRunner {
   /// Rows the source fed the attempt that produced the current attempt's
   /// input: the error budget's fraction denominator.
   size_t fed_rows_ = 0;
-  /// The budget's standing per resume cut: the rows contained before the
-  /// point (shed rows apart) and the rows the source had fed.
+  /// The landings this attempt's Δs staged (guarded by stage_mu_ while
+  /// stages run), and the index of the flow's first Δ (NumOps() if none).
+  StagedLandings landings_;
+  size_t first_delta_ = 0;
+  /// The standing per resume cut: the budget's (the rows contained before
+  /// the point, shed rows apart, and the rows the source had fed) and the
+  /// landings staged before the point.
   struct BudgetMark {
     size_t skipped, quarantined, fed_rows;
+    StagedLandings landings;
   };
   std::map<int, BudgetMark> budget_marks_;
   /// Redundant instance: the voter's buffer, filled by the collect stage
@@ -1103,15 +1178,46 @@ PlanInput MakePlanInput(const FlowSpec& flow, const ExecutionConfig& config) {
   return input;
 }
 
+/// Fails unless every Δ inside a hash-partitioned range hashes on one of
+/// its snapshot's key columns. The branches' parts of a Δ's landing fold
+/// by router slice, which keeps the serial run's last row of a key only
+/// when every row of that key went to one branch; a hash on another column
+/// can split a key inside one slice.
+Status CheckPartitionedDeltas(const FlowSpec& flow,
+                              const ExecutionConfig& config,
+                              const ExecutionPlan& plan) {
+  if (config.parallel.scheme != PartitionScheme::kHash) return Status::OK();
+  for (size_t i = plan.parallel_begin(); i < plan.parallel_end(); ++i) {
+    const OperatorPtr op = flow.transforms[i]();
+    const auto* delta = dynamic_cast<const DeltaOp*>(op.get());
+    if (delta == nullptr) continue;
+    const SnapshotStore& snapshot = *delta->snapshot();
+    bool keyed = false;
+    for (const size_t c : snapshot.key_columns()) {
+      keyed |= snapshot.schema().field(c).name == config.parallel.hash_column;
+    }
+    if (!keyed) {
+      return Status::Invalid("delta op '" + delta->name() +
+                             "' inside a range hashed on '" +
+                             config.parallel.hash_column +
+                             "', which is not a key column of snapshot '" +
+                             snapshot.name() + "'");
+    }
+  }
+  return Status::OK();
+}
+
 /// Instance dispatch, redundancy 1: a single FlowRunner with retries.
 Status RunSingleInstance(const FlowSpec& flow, const ExecutionConfig& config,
                          const ExecutionPlan& plan,
                          const std::vector<Schema>& cut_schemas,
-                         const ExecContext& exec, RunMetrics* metrics) {
+                         const ExecContext& exec, RunMetrics* metrics,
+                         CommitLandings* landings) {
   std::atomic<bool> cancelled{false};
   FlowRunner runner(flow, config, plan, cut_schemas, exec, /*instance_id=*/0,
                     &cancelled);
   QOX_RETURN_IF_ERROR(runner.Run());
+  QOX_ASSIGN_OR_RETURN(*landings, runner.TakeLandings());
   *metrics = runner.metrics();
   metrics->rows_rejected = runner.rejected();
   return Status::OK();
@@ -1119,12 +1225,14 @@ Status RunSingleInstance(const FlowSpec& flow, const ExecutionConfig& config,
 
 /// Instance dispatch, n-modular redundancy: k instances race over the
 /// same plan; a majority vote over the output fingerprints accepts a
-/// result and cancels the stragglers, and the winner loads it.
+/// result and cancels the stragglers, and the winner loads it and hands
+/// over its landings.
 Status RunRedundantInstances(const FlowSpec& flow,
                              const ExecutionConfig& config,
                              const ExecutionPlan& plan,
                              const std::vector<Schema>& cut_schemas,
-                             const ExecContext& exec, RunMetrics* metrics) {
+                             const ExecContext& exec, RunMetrics* metrics,
+                             CommitLandings* landings) {
   const size_t k = config.redundancy;
   const size_t majority = k / 2 + 1;
   std::atomic<bool> cancelled{false};
@@ -1201,9 +1309,12 @@ Status RunRedundantInstances(const FlowSpec& flow,
   }
   InstanceSlot& winner = slots[accepted_instance];
   for (InstanceSlot& slot : slots) {  // only the accepted output loads
-    if (&slot != &winner) std::vector<Row>().swap(slot.output);
+    if (&slot == &winner) continue;
+    std::vector<Row>().swap(slot.output);
+    slot.runner->DropLandings();
   }
   QOX_RETURN_IF_ERROR(winner.runner->LoadVoted(winner.output));
+  QOX_ASSIGN_OR_RETURN(*landings, winner.runner->TakeLandings());
   *metrics = winner.runner->metrics();
   metrics->rows_rejected = winner.runner->rejected();
   // Failures that killed minority instances still count.
@@ -1337,6 +1448,7 @@ Result<RunMetrics> Executor::Run(const FlowSpec& flow,
                        BindChain(flow, config));
   QOX_ASSIGN_OR_RETURN(const ExecutionPlan plan,
                        ExecutionPlan::Lower(MakePlanInput(flow, config)));
+  QOX_RETURN_IF_ERROR(CheckPartitionedDeltas(flow, config, plan));
   // Execution substrate: the caller's shared pool (FlowService) or a
   // private one sized by num_threads — the solo behavior. Either way every
   // task of this flow carries the flow's absolute deadline, so a shared
@@ -1357,17 +1469,23 @@ Result<RunMetrics> Executor::Run(const FlowSpec& flow,
   const ExecContext exec(pool, tag);
 
   RunMetrics metrics;
+  CommitLandings landings;
   if (config.redundancy <= 1) {
     QOX_RETURN_IF_ERROR(RunSingleInstance(flow, config, plan, cut_schemas,
-                                          exec, &metrics));
+                                          exec, &metrics, &landings));
   } else {
-    QOX_RETURN_IF_ERROR(RunRedundantInstances(flow, config, plan, cut_schemas,
-                                              exec, &metrics));
+    QOX_RETURN_IF_ERROR(RunRedundantInstances(
+        flow, config, plan, cut_schemas, exec, &metrics, &landings));
   }
   metrics.threads = config.num_threads;
   metrics.partitions = config.parallel.partitions;
   metrics.redundancy = config.redundancy;
 
+  // The load succeeded: each Δ's snapshot becomes the landing it compared.
+  for (auto& [store, landing] : landings) {
+    metrics.landing_rows_committed += landing.size();
+    QOX_RETURN_IF_ERROR(store->Commit(std::move(landing)));
+  }
   if (flow.post_success) {
     QOX_RETURN_IF_ERROR(flow.post_success());
   }

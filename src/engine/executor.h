@@ -62,8 +62,9 @@ struct FlowSpec {
   /// own operators.
   std::vector<OperatorFactory> transforms;
   DataStorePtr target;
-  /// Invoked once after a successful (voted, loaded) run — e.g., the
-  /// snapshot commit of a delta flow. May be empty.
+  /// Invoked once after a successful (voted, loaded) run, once the run has
+  /// committed the landing each of its Δs compared into that Δ's snapshot.
+  /// May be empty.
   std::function<Status()> post_success;
 };
 

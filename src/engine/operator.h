@@ -19,6 +19,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "common/status.h"
 #include "engine/memory_budget.h"
 #include "engine/run_metrics.h"
+#include "storage/snapshot_store.h"
 #include "storage/spill_manager.h"
 
 namespace qox {
@@ -66,6 +68,20 @@ struct OperatorContext {
   /// Where refused working sets spill. Null when memory_budget is null;
   /// when a budget is set the executor always provides a manager.
   SpillManager* spill = nullptr;
+
+  /// Receives the landing a Δ compared, with the partition of the branch
+  /// that ran it, for the commit into its snapshot once the run's load
+  /// succeeds (engine/executor.cc). Null: the landing is dropped.
+  std::function<void(const SnapshotStorePtr& store, size_t partition,
+                     Landing landing)>
+      stage_landing;
+
+  /// Inside a partitioned range: the branch's partition and the ordinal of
+  /// the router slice it is pushing, which a Δ stamps on its landing's rows
+  /// so the branches' parts fold in serial order. Elsewhere partition 0 and
+  /// no slice.
+  size_t partition = 0;
+  std::optional<uint32_t> slice;
 
   /// True when the operator should enforce the byte budget (both pieces
   /// wired and a finite limit configured).

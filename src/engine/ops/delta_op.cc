@@ -19,12 +19,21 @@ Result<Schema> DeltaOp::Bind(const Schema& input) {
                            "': input schema does not match snapshot schema");
   }
   buffered_.clear();
+  slices_.clear();
   if (change_type_column_.empty()) return input;
   return input.AddField({change_type_column_, DataType::kString, false});
 }
 
+Status DeltaOp::Open(OperatorContext* ctx) {
+  ctx_ = ctx;
+  return Status::OK();
+}
+
 Status DeltaOp::Push(RowBatch input, RowBatch* output) {
   (void)output;
+  if (ctx_ != nullptr && ctx_->slice.has_value()) {
+    slices_.insert(slices_.end(), input.num_rows(), *ctx_->slice);
+  }
   buffered_.insert(buffered_.end(),
                    std::make_move_iterator(input.rows().begin()),
                    std::make_move_iterator(input.rows().end()));
@@ -33,8 +42,12 @@ Status DeltaOp::Push(RowBatch input, RowBatch* output) {
 
 Status DeltaOp::Finish(RowBatch* output) {
   QOX_ASSIGN_OR_RETURN(DeltaResult delta,
-                       snapshot_->ComputeDelta(std::move(buffered_)));
+                       snapshot_->ComputeDelta(std::move(buffered_), slices_));
   buffered_.clear();
+  slices_.clear();
+  if (ctx_ != nullptr && ctx_->stage_landing) {
+    ctx_->stage_landing(snapshot_, ctx_->partition, std::move(delta.landing));
+  }
   output->Reserve(delta.inserts.size() + delta.updates.size());
   const bool tag = !change_type_column_.empty();
   for (Row& row : delta.inserts) {

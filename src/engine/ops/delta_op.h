@@ -8,9 +8,10 @@
 // DeltaOp is blocking: it moves its input rows into its buffer, hands the
 // buffer to the SnapshotStore at Finish(), and emits only inserts and
 // updates (optionally tagged with a change-type column) — inserts first,
-// then updates, each in first-seen key order. No landed row is copied.
-// Committing the fresh landing into the snapshot is NOT done here — the
-// executor commits only after the flow loads successfully, so
+// then updates, each in first-seen key order. No landed row is copied
+// into the output. The de-duplicated landing the store classified goes to
+// the run through OperatorContext::stage_landing; the executor commits it
+// into the snapshot only after the flow loads successfully, so
 // failed/restarted runs see the same delta again (exactly-once semantics;
 // asserted by recovery tests).
 
@@ -26,8 +27,6 @@
 
 namespace qox {
 
-using SnapshotStorePtr = std::shared_ptr<SnapshotStore>;
-
 class DeltaOp : public Operator {
  public:
   /// When `change_type_column` is non-empty, a string column with values
@@ -38,9 +37,11 @@ class DeltaOp : public Operator {
   const char* kind() const override { return "delta"; }
   const std::string& name() const override { return name_; }
   Result<Schema> Bind(const Schema& input) override;
+  Status Open(OperatorContext* ctx) override;
   Status Push(RowBatch input, RowBatch* output) override;
   Status Finish(RowBatch* output) override;
   bool IsBlocking() const override { return true; }
+  const SnapshotStorePtr& snapshot() const { return snapshot_; }
   double CostPerRow() const override { return 2.2; }
   double Selectivity() const override { return 0.6; }  // typical change rate
 
@@ -48,7 +49,11 @@ class DeltaOp : public Operator {
   const std::string name_;
   const SnapshotStorePtr snapshot_;
   const std::string change_type_column_;
+  OperatorContext* ctx_ = nullptr;
   std::vector<Row> buffered_;
+  /// The router slice each buffered row arrived in; empty outside a
+  /// partitioned range.
+  std::vector<uint32_t> slices_;
 };
 
 }  // namespace qox

@@ -36,6 +36,9 @@ std::string RunMetrics::Summary() const {
   if (rows_skipped > 0) oss << " skipped=" << rows_skipped;
   if (rows_quarantined > 0) oss << " quarantined=" << rows_quarantined;
   if (rows_shed > 0) oss << " shed=" << rows_shed;
+  if (landing_rows_committed > 0) {
+    oss << " landing_committed=" << landing_rows_committed;
+  }
   if (spill_runs > 0) {
     oss << " spill=" << spill_runs << " runs/" << spill_rows << " rows/"
         << spill_bytes << "B";

@@ -146,6 +146,10 @@ struct RunMetrics {
   size_t rows_quarantined = 0;
   size_t rp_bytes_written = 0;
   size_t rp_points_written = 0;
+  /// Rows committed into Δ snapshots (storage/snapshot_store.h): the
+  /// de-duplicated landings the run's Δs compared, each made its
+  /// snapshot once the load succeeded.
+  size_t landing_rows_committed = 0;
 
   // --- resource pressure ----------------------------------------------------
   /// Peak bytes charged to the flow's MemoryBudget. Operators only charge

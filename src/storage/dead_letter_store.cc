@@ -49,35 +49,66 @@ Row EncodeRecordRow(const QuarantineRecord& record) {
   return row;
 }
 
-/// Decodes and checksum-verifies a whole ledger batch.
+/// Decodes and checksum-verifies a whole ledger batch. A ledger kept in a
+/// line file reads an empty text cell back as NULL, so a NULL text cell
+/// decodes as ""; any other cell not of its column's type is corrupted.
 Result<std::vector<QuarantineRecord>> DecodeLedger(const RowBatch& all) {
+  const size_t width = DeadLetterStoreSchema().num_fields();
   std::vector<QuarantineRecord> records;
   records.reserve(all.num_rows());
   for (size_t i = 0; i < all.num_rows(); ++i) {
     const Row& row = all.row(i);
-    if (row.num_values() != DeadLetterStoreSchema().num_fields()) {
-      return Status::CorruptedData("dead-letter record " + std::to_string(i) +
-                                   " has wrong arity");
+    const std::string record = "dead-letter record " + std::to_string(i);
+    if (row.num_values() != width) {
+      return Status::CorruptedData(record + " has wrong arity");
     }
+    bool typed = true;
+    const auto text = [&](size_t c) -> std::string {
+      const Value& v = row.value(c);
+      if (v.is_string()) return v.string_value();
+      typed = typed && v.is_null();
+      return "";
+    };
+    const auto number = [&](size_t c) -> int64_t {
+      const Value& v = row.value(c);
+      if (v.is_int64()) return v.int64_value();
+      typed = false;
+      return 0;
+    };
     QuarantineRecord r;
-    r.flow_id = row.value(0).string_value();
-    r.node_id = row.value(1).int64_value();
-    r.op_index = row.value(2).int64_value();
-    r.op_name = row.value(3).string_value();
-    r.instance = row.value(4).int64_value();
-    r.attempt = row.value(5).int64_value();
-    r.row_index = row.value(6).int64_value();
-    r.status_code = row.value(7).string_value();
-    r.status_message = row.value(8).string_value();
-    r.payload = row.value(9).string_value();
-    if (row.value(10).int64_value() != ChecksumOf(r)) {
-      return Status::CorruptedData(
-          "dead-letter record " + std::to_string(i) + " (op '" + r.op_name +
-          "') failed checksum verification");
+    r.flow_id = text(0);
+    r.node_id = number(1);
+    r.op_index = number(2);
+    r.op_name = text(3);
+    r.instance = number(4);
+    r.attempt = number(5);
+    r.row_index = number(6);
+    r.status_code = text(7);
+    r.status_message = text(8);
+    r.payload = text(9);
+    const int64_t checksum = number(10);
+    if (!typed) {
+      return Status::CorruptedData(record + " has a cell of the wrong type");
+    }
+    if (checksum != ChecksumOf(r)) {
+      return Status::CorruptedData(record + " (op '" + r.op_name +
+                                   "') failed checksum verification");
     }
     records.push_back(std::move(r));
   }
   return records;
+}
+
+/// Reads and decodes the whole ledger in `inner`. A row the inner store
+/// cannot parse under DeadLetterStoreSchema is corrupted data as well.
+Result<std::vector<QuarantineRecord>> ReadLedger(const DataStore& inner) {
+  Result<RowBatch> all = inner.ReadAll();
+  if (all.status().code() == StatusCode::kInvalidArgument) {
+    return Status::CorruptedData("dead-letter ledger '" + inner.name() +
+                                 "': " + all.status().message());
+  }
+  QOX_RETURN_IF_ERROR(all.status());
+  return DecodeLedger(all.value());
 }
 
 }  // namespace
@@ -169,9 +200,8 @@ Status DeadLetterStore::Quarantine(const QuarantineRecord& record) {
   if (cap_.max_bytes > 0) {
     if (!bytes_initialized_) {
       // Pre-existing ledger contents count against the cap.
-      QOX_ASSIGN_OR_RETURN(RowBatch all, inner_->ReadAll());
       QOX_ASSIGN_OR_RETURN(std::vector<QuarantineRecord> existing,
-                           DecodeLedger(all));
+                           ReadLedger(*inner_));
       bytes_used_ = 0;
       for (const QuarantineRecord& r : existing) bytes_used_ += RecordBytes(r);
       bytes_initialized_ = true;
@@ -199,9 +229,8 @@ Status DeadLetterStore::EvictForLocked(size_t incoming_bytes) {
         " bytes cannot fit cap of " + std::to_string(cap_.max_bytes) +
         " even with an empty ledger");
   }
-  QOX_ASSIGN_OR_RETURN(RowBatch all, inner_->ReadAll());
   QOX_ASSIGN_OR_RETURN(std::vector<QuarantineRecord> records,
-                       DecodeLedger(all));
+                       ReadLedger(*inner_));
   size_t total = 0;
   for (const QuarantineRecord& r : records) total += RecordBytes(r);
   // Evict whole attempt-groups, oldest first, until the new record fits.
@@ -248,12 +277,8 @@ size_t DeadLetterStore::groups_evicted() const {
 }
 
 Result<std::vector<QuarantineRecord>> DeadLetterStore::ReadAll() const {
-  RowBatch all(DeadLetterStoreSchema());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    QOX_ASSIGN_OR_RETURN(all, inner_->ReadAll());
-  }
-  return DecodeLedger(all);
+  std::lock_guard<std::mutex> lock(mu_);
+  return ReadLedger(*inner_);
 }
 
 Result<size_t> DeadLetterStore::NumRecords() const {

@@ -1,86 +1,243 @@
 #include "storage/snapshot_store.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace qox {
+
+namespace {
+
+/// True when the key cells of `a` and `b` compare equal.
+bool SameKey(const std::vector<size_t>& key_columns, const Value* a,
+             const Value* b) {
+  for (const size_t c : key_columns) {
+    if (a[c].Compare(b[c]) != 0) return false;
+  }
+  return true;
+}
+
+/// True when all `width` cells of `a` and `b` compare equal.
+bool SameCells(size_t width, const Value* a, const Value* b) {
+  for (size_t c = 0; c < width; ++c) {
+    if (a[c].Compare(b[c]) != 0) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+Landing::Landing(size_t width, std::vector<size_t> key_columns)
+    : width_(width), key_columns_(std::move(key_columns)) {}
+
+std::vector<Row> Landing::Rows() const {
+  std::vector<Row> rows;
+  rows.reserve(size());
+  for (size_t pos = 0; pos < size(); ++pos) {
+    const Value* cells = row(pos);
+    rows.emplace_back(std::vector<Value>(cells, cells + width_));
+  }
+  return rows;
+}
+
+template <typename Same>
+size_t Landing::Probe(size_t hash, Same same) const {
+  if (slots_.empty()) return kNone;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = (hash * 0x9e3779b97f4a7c15ULL) >> shift_;;
+       i = (i + 1) & mask) {
+    const uint32_t slot = slots_[i];
+    if (slot == 0) return kNone;
+    const size_t pos = slot - 1;
+    if (hashes_[pos] == hash && same(pos)) return pos;
+  }
+}
+
+size_t Landing::Find(const Row& row, size_t hash) const {
+  const Value* key = row.values().data();
+  return Probe(hash, [&](size_t pos) {
+    return SameKey(key_columns_, this->row(pos), key);
+  });
+}
+
+void Landing::Rehash(size_t slots) {
+  slots_.assign(slots, 0);
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
+  const size_t mask = slots - 1;
+  for (size_t pos = 0; pos < hashes_.size(); ++pos) {
+    size_t i = (hashes_[pos] * 0x9e3779b97f4a7c15ULL) >> shift_;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = static_cast<uint32_t>(pos + 1);
+  }
+}
+
+void Landing::Reserve(size_t rows) {
+  const size_t slots = std::bit_ceil(std::max<size_t>(16, 2 * rows));
+  if (slots > slots_.size()) Rehash(slots);
+  hashes_.reserve(rows);
+  chunks_.reserve((rows + kChunkRows - 1) / kChunkRows);
+}
+
+size_t Landing::Add(size_t hash) {
+  const size_t pos = hashes_.size();
+  if (2 * (pos + 1) > slots_.size()) Reserve(2 * (pos + 1));
+  if (pos % kChunkRows == 0) {
+    chunks_.emplace_back(kChunkRows * width_);
+  }
+  hashes_.push_back(hash);
+  const size_t mask = slots_.size() - 1;
+  size_t i = (hash * 0x9e3779b97f4a7c15ULL) >> shift_;
+  while (slots_[i] != 0) i = (i + 1) & mask;
+  slots_[i] = static_cast<uint32_t>(pos + 1);
+  return pos;
+}
+
+Status Landing::Absorb(Landing later) {
+  if (later.width_ != width_ || later.key_columns_ != key_columns_) {
+    return Status::Invalid("landing parts of different shapes");
+  }
+  if (slices_.size() != size() || later.slices_.size() != later.size()) {
+    return Status::Invalid("landing parts without router slices");
+  }
+  Reserve(size() + later.size());
+  slices_.reserve(size() + later.size());
+  for (size_t q = 0; q < later.size(); ++q) {
+    Value* cells = later.mutable_row(q);
+    const size_t hash = later.hashes_[q];
+    const uint32_t slice = later.slices_[q];
+    size_t pos = Probe(hash, [&](size_t p) {
+      return SameKey(key_columns_, row(p), cells);
+    });
+    if (pos == kNone) {
+      pos = Add(hash);
+      slices_.push_back(slice);
+    } else if (slices_[pos] > slice) {
+      continue;
+    } else {
+      slices_[pos] = slice;
+    }
+    std::move(cells, cells + width_, mutable_row(pos));
+  }
+  return Status::OK();
+}
 
 SnapshotStore::SnapshotStore(std::string name, Schema schema,
                              std::vector<size_t> key_columns)
     : name_(std::move(name)),
       schema_(std::move(schema)),
       key_columns_(std::move(key_columns)),
-      snapshot_(MakeSet(0)) {
+      snapshot_(EmptyLanding()) {
   for (const size_t c : key_columns_) min_width_ = std::max(min_width_, c + 1);
 }
 
-bool SnapshotStore::KeyEqual::operator()(const Row& a, const Row& b) const {
-  for (const size_t c : *columns) {
-    if (a.value(c).Compare(b.value(c)) != 0) return false;
+Status SnapshotStore::CheckRow(const Row& row) const {
+  if (row.num_values() < min_width_) {
+    return Status::Invalid(
+        "key column index " + std::to_string(min_width_ - 1) +
+        " out of range for row with " + std::to_string(row.num_values()) +
+        " values");
   }
-  return true;
+  if (row.num_values() != schema_.num_fields()) {
+    return Status::Invalid("snapshot '" + name_ + "' expects rows of " +
+                           std::to_string(schema_.num_fields()) +
+                           " values, got " +
+                           std::to_string(row.num_values()));
+  }
+  return Status::OK();
 }
 
-SnapshotStore::RowSet SnapshotStore::MakeSet(size_t rows) const {
-  return RowSet(rows, KeyHash{&key_columns_}, KeyEqual{&key_columns_});
-}
-
-Status SnapshotStore::CheckKeyColumns(const Row& row) const {
-  if (row.num_values() >= min_width_) return Status::OK();
-  return Status::Invalid("key column index " + std::to_string(min_width_ - 1) +
-                         " out of range for row with " +
-                         std::to_string(row.num_values()) + " values");
-}
-
-Result<DeltaResult> SnapshotStore::ComputeDelta(std::vector<Row> fresh) const {
-  // De-duplicate in place by key: fresh[0, kept) ends up holding one row
-  // per key, in first-seen key order, each slot holding the last
-  // occurrence. `slots` indexes those positions by the key of their row.
-  const KeyHash hash{&key_columns_};
-  const KeyEqual equal{&key_columns_};
-  const auto slot_hash = [&](size_t i) { return hash(fresh[i]); };
-  const auto slot_equal = [&](size_t a, size_t b) {
-    return equal(fresh[a], fresh[b]);
-  };
-  std::unordered_set<size_t, decltype(slot_hash), decltype(slot_equal)> slots(
-      fresh.size(), slot_hash, slot_equal);
-  size_t kept = 0;
-  for (size_t i = 0; i < fresh.size(); ++i) {
-    QOX_RETURN_IF_ERROR(CheckKeyColumns(fresh[i]));
-    if (i != kept) fresh[kept] = std::move(fresh[i]);
-    const auto [slot, inserted] = slots.insert(kept);
-    if (inserted) {
-      ++kept;
-    } else {
-      fresh[*slot] = std::move(fresh[kept]);
-    }
+Result<DeltaResult> SnapshotStore::ComputeDelta(
+    std::vector<Row> fresh, const std::vector<uint32_t>& slices) const {
+  if (!slices.empty() && slices.size() != fresh.size()) {
+    return Status::Invalid("router slices cover " +
+                           std::to_string(slices.size()) + " of " +
+                           std::to_string(fresh.size()) + " rows");
   }
   DeltaResult result;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < kept; ++i) {
-    Row& row = fresh[i];
-    const auto it = snapshot_.find(row);
-    if (it == snapshot_.end()) {
-      result.inserts.push_back(std::move(row));
-    } else if (!(*it == row)) {
-      result.updates.push_back(std::move(row));
+  Landing& landing = result.landing;
+  landing = EmptyLanding();
+  landing.Reserve(fresh.size());
+  // De-duplicate by key: landing position p stands for the p-th distinct
+  // key, and last[p] is the index in `fresh` of its last occurrence. The
+  // cells are filled once the rows are classified.
+  std::vector<size_t> last;
+  last.reserve(fresh.size());
+  if (!slices.empty()) landing.slices_.reserve(fresh.size());
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    QOX_RETURN_IF_ERROR(CheckRow(fresh[i]));
+    const size_t hash = fresh[i].HashColumns(key_columns_);
+    const Value* key = fresh[i].values().data();
+    const size_t pos = landing.Probe(hash, [&](size_t p) {
+      return SameKey(key_columns_, fresh[last[p]].values().data(), key);
+    });
+    if (pos == Landing::kNone) {
+      landing.Add(hash);
+      last.push_back(i);
+      if (!slices.empty()) landing.slices_.push_back(slices[i]);
     } else {
-      ++result.unchanged;
+      last[pos] = i;
+      if (!slices.empty()) landing.slices_[pos] = slices[i];
     }
+  }
+  enum : uint8_t { kInsert, kUpdate, kUnchanged };
+  std::vector<uint8_t> kind(landing.size());
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t p = 0; p < landing.size(); ++p) {
+      const Row& row = fresh[last[p]];
+      const size_t at = snapshot_.Find(row, landing.hashes_[p]);
+      kind[p] = at == Landing::kNone ? kInsert
+                : SameCells(row.num_values(), snapshot_.row(at),
+                            row.values().data())
+                    ? kUnchanged
+                    : kUpdate;
+    }
+  }
+  const size_t width = schema_.num_fields();
+  for (size_t p = 0; p < landing.size(); ++p) {
+    Row& row = fresh[last[p]];
+    Value* cells = landing.mutable_row(p);
+    if (kind[p] == kUnchanged) {
+      for (size_t c = 0; c < width; ++c) cells[c] = std::move(row.value(c));
+      ++result.unchanged;
+      continue;
+    }
+    std::copy(row.values().begin(), row.values().end(), cells);
+    (kind[p] == kInsert ? result.inserts : result.updates)
+        .push_back(std::move(row));
   }
   return result;
 }
 
-Status SnapshotStore::Commit(std::vector<Row> fresh) {
-  RowSet next = MakeSet(fresh.size());
-  // Newest first: the last occurrence of a key is the one that lands, and
-  // the set ignores the older duplicates after it.
-  for (auto it = fresh.rbegin(); it != fresh.rend(); ++it) {
-    QOX_RETURN_IF_ERROR(CheckKeyColumns(*it));
-    next.insert(std::move(*it));
+Result<Landing> SnapshotStore::MakeLanding(std::vector<Row> rows) const {
+  Landing landing = EmptyLanding();
+  landing.Reserve(rows.size());
+  for (Row& row : rows) {
+    QOX_RETURN_IF_ERROR(CheckRow(row));
+    const size_t hash = row.HashColumns(key_columns_);
+    size_t pos = landing.Find(row, hash);
+    if (pos == Landing::kNone) pos = landing.Add(hash);
+    Value* cells = landing.mutable_row(pos);
+    for (size_t c = 0; c < row.num_values(); ++c) {
+      cells[c] = std::move(row.value(c));
+    }
   }
+  return landing;
+}
+
+Status SnapshotStore::Commit(Landing landing) {
+  if (landing.width() != schema_.num_fields() ||
+      landing.key_columns() != key_columns_) {
+    return Status::Invalid("landing does not match snapshot '" + name_ + "'");
+  }
+  std::vector<uint32_t>().swap(landing.slices_);  // only Absorb reads them
   std::lock_guard<std::mutex> lock(mu_);
-  snapshot_ = std::move(next);
+  std::swap(snapshot_, landing);
   return Status::OK();
+}
+
+Status SnapshotStore::Commit(std::vector<Row> rows) {
+  QOX_ASSIGN_OR_RETURN(Landing landing, MakeLanding(std::move(rows)));
+  return Commit(std::move(landing));
 }
 
 size_t SnapshotStore::snapshot_size() const {
@@ -88,10 +245,11 @@ size_t SnapshotStore::snapshot_size() const {
   return snapshot_.size();
 }
 
-Status SnapshotStore::Clear() {
+std::vector<Row> SnapshotStore::Rows() const {
   std::lock_guard<std::mutex> lock(mu_);
-  snapshot_.clear();
-  return Status::OK();
+  return snapshot_.Rows();
 }
+
+Status SnapshotStore::Clear() { return Commit(EmptyLanding()); }
 
 }  // namespace qox

@@ -4,13 +4,17 @@
 // The bottom flow lands source data and compares it "against the previous
 // landing (snapshot table) for identifying the changed tuples". The
 // SnapshotStore keeps the previous landing keyed by the business key and
-// classifies a fresh landing into inserts and updates; committing the fresh
-// landing makes it the snapshot for the next run.
+// classifies a fresh landing into inserts and updates. The classification
+// also returns the fresh landing itself, de-duplicated, and committing
+// that landing (after a successful load) makes it the snapshot for the
+// next run — so the snapshot advances to exactly the rows the Δ compared,
+// without reading the source a second time.
 //
-// Rows are keyed in place: the snapshot is one set of full rows, hashed and
-// compared on the key columns only, so neither a landing nor a commit
-// builds a separate key row per input row. Both take the landing by value
-// and move its rows into their result.
+// A landing is held as a compact table (Landing): one row per key, the
+// rows' cells stored back to back in chunks of kChunkRows rows, and an
+// open-addressing index of row positions by key hash (Row::HashColumns
+// over the key columns; keys compare by Value::Compare). Neither a landing
+// nor a commit allocates per row.
 //
 // The snapshot lives entirely in memory — there are no file writes here,
 // so the disk-write audit (checked write/fsync/close returns) that covers
@@ -19,15 +23,85 @@
 #ifndef QOX_STORAGE_SNAPSHOT_STORE_H_
 #define QOX_STORAGE_SNAPSHOT_STORE_H_
 
+#include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/row.h"
 #include "common/status.h"
 
 namespace qox {
+
+/// One landing, keyed: at most one row per key, in the order the keys
+/// were first seen. A part of a partitioned Δ's landing also carries, per
+/// row, the router slice its last occurrence arrived in, which is what
+/// Absorb orders the parts by; other landings carry none.
+class Landing {
+ public:
+  static constexpr size_t kChunkRows = 64;
+  static constexpr size_t kNone = static_cast<size_t>(-1);
+
+  Landing() = default;
+  Landing(size_t width, std::vector<size_t> key_columns);
+
+  size_t size() const { return hashes_.size(); }
+  size_t width() const { return width_; }
+  const std::vector<size_t>& key_columns() const { return key_columns_; }
+
+  /// The width() cells of the row at `pos`.
+  const Value* row(size_t pos) const {
+    return chunks_[pos / kChunkRows].data() + (pos % kChunkRows) * width_;
+  }
+
+  /// The rows, copied out, in landing order.
+  std::vector<Row> Rows() const;
+
+  /// Position of the row whose key equals `row`'s, where `hash` is
+  /// row.HashColumns(key_columns()); kNone when no row has that key.
+  size_t Find(const Row& row, size_t hash) const;
+
+  /// Folds in `later`, another partition's part of the same Δ's landing
+  /// (same width and key columns, both stamped with router slices),
+  /// moving its rows. Parts fold in partition order; a key both hold keeps
+  /// the row that arrived in the later router slice, `later`'s on a tie —
+  /// which is the serial run's last occurrence when the router dealt
+  /// contiguous rows (round robin), or when every occurrence of a key went
+  /// to one partition (a hash on a key column).
+  Status Absorb(Landing later);
+
+ private:
+  friend class SnapshotStore;
+
+  Value* mutable_row(size_t pos) {
+    return chunks_[pos / kChunkRows].data() + (pos % kChunkRows) * width_;
+  }
+  /// Makes index room for `rows` rows in all.
+  void Reserve(size_t rows);
+  /// Appends a row of NULL cells under `hash` and indexes it; returns its
+  /// position.
+  size_t Add(size_t hash);
+  /// Position of a row under `hash` for which `same(pos)` holds, or kNone.
+  template <typename Same>
+  size_t Probe(size_t hash, Same same) const;
+  /// Rebuilds the slot array with `slots` slots (a power of two).
+  void Rehash(size_t slots);
+
+  size_t width_ = 0;
+  std::vector<size_t> key_columns_;
+  /// kChunkRows rows of width_ cells each.
+  std::vector<std::vector<Value>> chunks_;
+  /// By position: the key hash, and the arrival slice (empty when the
+  /// landing is not a part of a partitioned Δ's).
+  std::vector<size_t> hashes_;
+  std::vector<uint32_t> slices_;
+  /// Linear-probing slots holding position + 1 (0 = free), at most half
+  /// full; a hash picks its first slot by its top `64 - shift_` bits after
+  /// a Fibonacci multiply.
+  std::vector<uint32_t> slots_;
+  unsigned shift_ = 64;
+};
 
 /// Classification of a fresh landing against the previous snapshot.
 struct DeltaResult {
@@ -37,6 +111,9 @@ struct DeltaResult {
   std::vector<Row> updates;
   /// Count of rows identical to the snapshot (dropped by the Δ operator).
   size_t unchanged = 0;
+  /// The fresh landing, de-duplicated: what Commit makes the snapshot once
+  /// the changes are loaded.
+  Landing landing;
 };
 
 class SnapshotStore {
@@ -51,39 +128,43 @@ class SnapshotStore {
   const std::vector<size_t>& key_columns() const { return key_columns_; }
 
   /// Classifies `fresh` against the current snapshot, moving its rows into
-  /// the result. Duplicate keys within `fresh` keep the last occurrence's
-  /// row (standard landing semantics); inserts and updates each follow the
-  /// order in which their keys first appear in `fresh`. Safe to call from
-  /// several threads at once.
-  Result<DeltaResult> ComputeDelta(std::vector<Row> fresh) const;
+  /// the result and its de-duplicated landing into `landing` (a changed
+  /// row's cells are copied there, an unchanged row's moved). Duplicate
+  /// keys within `fresh` keep the last occurrence's row (standard landing
+  /// semantics); inserts and updates each follow the order in which their
+  /// keys first appear in `fresh`. `slices`, when not empty, gives the
+  /// router slice each fresh row arrived in, and the landing keeps its
+  /// rows' slices for Landing::Absorb. Safe to call from several threads
+  /// at once.
+  Result<DeltaResult> ComputeDelta(
+      std::vector<Row> fresh, const std::vector<uint32_t>& slices = {}) const;
 
-  /// Replaces the snapshot with `fresh` (called after a successful load),
-  /// moving its rows in. Duplicate keys keep the last occurrence's row.
-  Status Commit(std::vector<Row> fresh);
+  /// The landing of `rows` for this store, moving their cells in.
+  /// Duplicate keys keep the last occurrence's row.
+  Result<Landing> MakeLanding(std::vector<Row> rows) const;
+
+  /// Makes `landing` — ComputeDelta's or MakeLanding's — the snapshot
+  /// (called after a successful load), without its router slices. The
+  /// previous snapshot is freed outside the lock.
+  Status Commit(Landing landing);
+  /// Commits MakeLanding(rows).
+  Status Commit(std::vector<Row> rows);
 
   size_t snapshot_size() const;
+
+  /// A copy of the snapshot's rows, in landing order.
+  std::vector<Row> Rows() const;
 
   Status Clear();
 
  private:
-  /// Hash and equality over the key columns of full rows.
-  struct KeyHash {
-    const std::vector<size_t>* columns;
-    size_t operator()(const Row& row) const {
-      return row.HashColumns(*columns);
-    }
-  };
-  struct KeyEqual {
-    const std::vector<size_t>* columns;
-    bool operator()(const Row& a, const Row& b) const;
-  };
-  using RowSet = std::unordered_set<Row, KeyHash, KeyEqual>;
+  /// Fails unless `row` has exactly one cell per schema column and holds
+  /// every key column.
+  Status CheckRow(const Row& row) const;
 
-  /// An empty set keyed on key_columns_, sized for `rows` rows.
-  RowSet MakeSet(size_t rows) const;
-
-  /// Fails when `row` is too narrow to hold every key column.
-  Status CheckKeyColumns(const Row& row) const;
+  Landing EmptyLanding() const {
+    return Landing(schema_.num_fields(), key_columns_);
+  }
 
   const std::string name_;
   const Schema schema_;
@@ -91,8 +172,10 @@ class SnapshotStore {
   /// One past the largest key column: the narrowest row that can be keyed.
   size_t min_width_ = 0;
   mutable std::mutex mu_;
-  RowSet snapshot_;
+  Landing snapshot_;
 };
+
+using SnapshotStorePtr = std::shared_ptr<SnapshotStore>;
 
 }  // namespace qox
 

@@ -1,12 +1,16 @@
 // Decoder mutation sweep over the record codec's checksummed files: a
-// spill run, a recovery point (data file and commit marker) and a journal
-// segment, each holding quotes, commas, newlines and NULLs, are read back
-// after one seeded edit — a flipped bit, a CSV-special byte written over
-// or inserted, a deleted byte, a truncation, or a whole record deleted.
-// The contract: a spill run or recovery point reads back exactly the rows
-// written or fails with kCorruptedData (Adopt may instead decline the
-// point), and a journal opens to a prefix of the records written. Nothing
-// may crash or trip a sanitizer. A violation names its seed and edit.
+// spill run, a recovery point (data file and commit marker), a journal
+// segment and a dead-letter ledger kept in a flat file, each holding
+// quotes, commas, newlines and NULLs, are read back after one seeded edit
+// — a flipped bit, a CSV-special byte written over or inserted, a deleted
+// byte, a truncation, or a whole record deleted. The contract: a spill run
+// or recovery point reads back exactly the rows written or fails with
+// kCorruptedData (Adopt may instead decline the point), a journal opens to
+// a prefix of the records written, and a ledger reads back records written,
+// each exactly and in order, or fails with kCorruptedData (its records are
+// checksummed one by one, so a whole record cut out is not detectable).
+// Nothing may crash or trip a sanitizer. A violation names its seed and
+// edit.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +22,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "storage/dead_letter_store.h"
+#include "storage/flat_file.h"
 #include "storage/journal_file.h"
 #include "storage/recovery_store.h"
 #include "storage/spill_manager.h"
@@ -265,6 +271,122 @@ TEST_F(DecoderMutationTest, JournalOpensToAPrefixOfItsRecords) {
           << where << ", record " << i;
     }
   }
+}
+
+std::vector<QuarantineRecord> LedgerRecords() {
+  const std::vector<Row> rows = TestRows();
+  std::vector<QuarantineRecord> records;
+  for (size_t i = 0; i < 8; ++i) {
+    QuarantineRecord r;
+    r.flow_id = "flow";
+    r.node_id = static_cast<int64_t>(i % 3);
+    r.op_index = static_cast<int64_t>(i % 3) + 1;
+    r.op_name = i % 2 == 0 ? "Flt_NN" : "Lkp,store";
+    r.attempt = static_cast<int64_t>(i / 4) + 1;
+    r.row_index = static_cast<int64_t>(i);
+    r.status_code = "invalid_argument";
+    // An empty message reads back from the flat file as NULL.
+    r.status_message = i == 5 ? "" : "bad \"row\"\nat " + std::to_string(i);
+    r.payload = EncodeQuarantinePayload(rows[i]);
+    records.push_back(std::move(r));
+  }
+  return records;
+}
+
+bool SameRecord(const QuarantineRecord& a, const QuarantineRecord& b) {
+  return a.flow_id == b.flow_id && a.node_id == b.node_id &&
+         a.op_index == b.op_index && a.op_name == b.op_name &&
+         a.instance == b.instance && a.attempt == b.attempt &&
+         a.row_index == b.row_index && a.status_code == b.status_code &&
+         a.status_message == b.status_message && a.payload == b.payload;
+}
+
+Result<std::vector<QuarantineRecord>> ReadLedgerFile(const std::string& path) {
+  QOX_ASSIGN_OR_RETURN(auto file,
+                       FlatFile::Open("dlq", DeadLetterStoreSchema(), path));
+  QOX_ASSIGN_OR_RETURN(auto ledger, DeadLetterStore::Wrap(file));
+  return ledger->ReadAll();
+}
+
+TEST_F(DecoderMutationTest, EmptiedLedgerCellIsCorruptedData) {
+  const std::string path = dir_ + "/ledger.csv";
+  std::vector<size_t> ends;
+  {
+    auto ledger = DeadLetterStore::Wrap(FlatFile::Open("dlq",
+                                                       DeadLetterStoreSchema(),
+                                                       path)
+                                            .value())
+                      .value();
+    ends.push_back(std::filesystem::file_size(path));
+    for (const QuarantineRecord& r : LedgerRecords()) {
+      ASSERT_TRUE(ledger->Quarantine(r).ok());
+      ends.push_back(std::filesystem::file_size(path));
+    }
+  }
+  const std::string clean = ReadFile(path);
+  const Result<std::vector<QuarantineRecord>> read = ReadLedgerFile(path);
+  ASSERT_TRUE(read.ok()) << read.status();
+  ASSERT_EQ(read.value().size(), LedgerRecords().size());
+  // Record 2 starts "flow,<node_id>,": empty its flow_id, then its node_id.
+  const size_t record = ends[2];
+  ASSERT_EQ(clean.substr(record, 5), "flow,");
+  for (const auto& [from, len] :
+       std::vector<std::pair<size_t, size_t>>{{0, 4}, {5, 1}}) {
+    std::string bytes = clean;
+    bytes.erase(record + from, len);
+    WriteBytes(path, bytes);
+    const Result<std::vector<QuarantineRecord>> emptied = ReadLedgerFile(path);
+    ASSERT_FALSE(emptied.ok());
+    EXPECT_EQ(emptied.status().code(), StatusCode::kCorruptedData)
+        << emptied.status();
+    EXPECT_NE(emptied.status().message().find("dead-letter record 2"),
+              std::string::npos)
+        << emptied.status();
+  }
+}
+
+TEST_F(DecoderMutationTest, LedgerReadsBackItsRecordsOrIsCorrupted) {
+  const std::vector<QuarantineRecord> written = LedgerRecords();
+  const std::string clean_path = dir_ + "/clean_ledger.csv";
+  // Record ends from the writer; the header line counts as record 0.
+  std::vector<size_t> ends;
+  {
+    auto ledger = DeadLetterStore::Wrap(FlatFile::Open("dlq",
+                                                       DeadLetterStoreSchema(),
+                                                       clean_path)
+                                            .value())
+                      .value();
+    ends.push_back(std::filesystem::file_size(clean_path));
+    for (const QuarantineRecord& r : written) {
+      ASSERT_TRUE(ledger->Quarantine(r).ok());
+      ends.push_back(std::filesystem::file_size(clean_path));
+    }
+  }
+  const std::string clean = ReadFile(clean_path);
+  const std::string path = dir_ + "/mutated_ledger.csv";
+  size_t corrupted = 0;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    Rng rng(static_cast<uint64_t>(seed));
+    const Mutation m = Mutate(clean, ends, rng);
+    const std::string where = "seed " + std::to_string(seed) + ", " + m.edit;
+    WriteBytes(path, m.bytes);
+    const Result<std::vector<QuarantineRecord>> read = ReadLedgerFile(path);
+    if (!read.ok()) {
+      ++corrupted;
+      EXPECT_EQ(read.status().code(), StatusCode::kCorruptedData)
+          << where << ": " << read.status();
+      continue;
+    }
+    size_t next = 0;  // the written record the next one read may match
+    for (const QuarantineRecord& r : read.value()) {
+      while (next < written.size() && !SameRecord(written[next], r)) ++next;
+      ASSERT_LT(next, written.size())
+          << where << ": read back a record never written, op '" << r.op_name
+          << "', message '" << r.status_message << "'";
+      ++next;
+    }
+  }
+  EXPECT_GT(corrupted, static_cast<size_t>(kSeeds) / 2);
 }
 
 }  // namespace

@@ -163,7 +163,88 @@ TEST(SnapshotStoreTest, ConcurrentComputeDeltaMatchesSerial) {
     EXPECT_EQ(result.value().inserts, serial.value().inserts);
     EXPECT_EQ(result.value().updates, serial.value().updates);
     EXPECT_EQ(result.value().unchanged, serial.value().unchanged);
+    EXPECT_EQ(result.value().landing.Rows(), serial.value().landing.Rows());
   }
+}
+
+TEST(SnapshotStoreTest, ComputeDeltaReturnsTheDeduplicatedLanding) {
+  SnapshotStore store("snap", TestSchema(), {0});
+  ASSERT_TRUE(store.Commit({MakeRow(1, "a", 1), MakeRow(2, "b", 2)}).ok());
+  Result<DeltaResult> delta = store.ComputeDelta({
+      MakeRow(3, "c", 3),       // insert
+      MakeRow(1, "a", 1),       // unchanged
+      MakeRow(3, "c-last", 4),  // the landing keeps this row for key 3
+      MakeRow(2, "b", 9),       // update
+  });
+  ASSERT_TRUE(delta.ok()) << delta.status();
+  const std::vector<Row> landed = {MakeRow(3, "c-last", 4), MakeRow(1, "a", 1),
+                                   MakeRow(2, "b", 9)};
+  EXPECT_EQ(delta.value().landing.Rows(), landed);
+  EXPECT_EQ(delta.value().inserts, std::vector<Row>{MakeRow(3, "c-last", 4)});
+  EXPECT_EQ(delta.value().updates, std::vector<Row>{MakeRow(2, "b", 9)});
+  EXPECT_EQ(delta.value().unchanged, 1u);
+
+  // Committing it makes exactly those rows the snapshot, key 3 included.
+  ASSERT_TRUE(store.Commit(std::move(delta.value().landing)).ok());
+  EXPECT_EQ(store.Rows(), landed);
+  const Result<DeltaResult> again = store.ComputeDelta(landed);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value().unchanged, 3u);
+}
+
+TEST(SnapshotStoreTest, LandingsSpanManyChunksAndCopyDeeply) {
+  SnapshotStore store("snap", TestSchema(), {0});
+  std::vector<Row> rows;
+  for (int64_t id = 0; id < 1000; ++id) {
+    rows.push_back(MakeRow(id % 700, "p" + std::to_string(id), id));
+  }
+  Result<Landing> landing = store.MakeLanding(rows);
+  ASSERT_TRUE(landing.ok()) << landing.status();
+  ASSERT_EQ(landing.value().size(), 700u);
+  const Landing copy = landing.value();
+  for (int64_t id = 0; id < 700; ++id) {
+    const Row& last = rows[static_cast<size_t>(id < 300 ? id + 700 : id)];
+    const size_t pos = copy.Find(last, last.HashColumns({0}));
+    ASSERT_NE(pos, Landing::kNone) << id;
+    EXPECT_EQ(Row(std::vector<Value>(copy.row(pos), copy.row(pos) + 3)), last);
+  }
+  ASSERT_TRUE(store.Commit(std::move(landing.value())).ok());
+  EXPECT_EQ(store.Rows(), copy.Rows());
+}
+
+TEST(SnapshotStoreTest, AbsorbKeepsTheRowOfTheLaterSlice) {
+  // Two partitions' parts of one landing: partition 0 saw key 2 in router
+  // slice 1, partition 1 saw it in slice 0, so partition 0's row is the
+  // serial run's last; key 1 arrived in slice 0 in both, and the later
+  // partition's row wins.
+  SnapshotStore store("snap", TestSchema(), {0});
+  Result<DeltaResult> first =
+      store.ComputeDelta({MakeRow(1, "p0", 1), MakeRow(2, "p0", 2)}, {0, 1});
+  Result<DeltaResult> second = store.ComputeDelta(
+      {MakeRow(1, "p1", 1), MakeRow(2, "p1", 2), MakeRow(3, "p1", 3)},
+      {0, 0, 2});
+  ASSERT_TRUE(first.ok() && second.ok());
+  Landing folded = std::move(first.value().landing);
+  ASSERT_TRUE(folded.Absorb(std::move(second.value().landing)).ok());
+  EXPECT_EQ(folded.Rows(),
+            (std::vector<Row>{MakeRow(1, "p1", 1), MakeRow(2, "p0", 2),
+                              MakeRow(3, "p1", 3)}));
+
+  SnapshotStore other("other", TestSchema(), {1});
+  EXPECT_FALSE(folded.Absorb(other.MakeLanding({}).value()).ok());
+  // A landing made without router slices is not a part to fold.
+  EXPECT_FALSE(
+      folded.Absorb(store.MakeLanding({MakeRow(4, "s", 4)}).value()).ok());
+  EXPECT_FALSE(
+      store.ComputeDelta({MakeRow(1, "a", 1), MakeRow(2, "b", 2)}, {0}).ok());
+  EXPECT_FALSE(other.Commit(std::move(folded)).ok());
+}
+
+TEST(SnapshotStoreTest, RowsOfTheWrongWidthError) {
+  SnapshotStore store("snap", TestSchema(), {0});
+  EXPECT_FALSE(
+      store.ComputeDelta({Row({Value::Int64(1), Value::String("a")})}).ok());
+  EXPECT_FALSE(store.Commit({Row({Value::Int64(1)})}).ok());
 }
 
 }  // namespace
