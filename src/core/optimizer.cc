@@ -78,6 +78,16 @@ bool Dominates(const QoxVector& a, const QoxVector& b,
   return strictly_better;
 }
 
+/// The op range `extent` partitions on `flow` once lowered.
+std::pair<size_t, size_t> LoweredRange(const LogicalFlow& flow,
+                                       const ParallelSpec& extent) {
+  PhysicalDesign design;
+  design.flow = flow;
+  design.parallel = extent;
+  const ExecutionPlan plan = CostModel::PlanFor(design);
+  return {plan.parallel_begin(), plan.parallel_end()};
+}
+
 }  // namespace
 
 std::vector<std::vector<size_t>> QoxOptimizer::RecoveryPointChoices(
@@ -158,7 +168,9 @@ Result<OptimizationResult> QoxOptimizer::Optimize(
     const std::vector<std::vector<size_t>> rp_choices =
         RecoveryPointChoices(ordering);
     for (const size_t partitions : options_.partition_choices) {
-      // Parallel extents: none, pipelineable segment, whole chain.
+      // Parallel extents: none, whole chain, pipelineable segment. The
+      // segment is a design of its own only when it lowers to another
+      // range than the whole chain does.
       std::vector<ParallelSpec> extents;
       if (partitions <= 1) {
         extents.push_back(ParallelSpec{});
@@ -166,12 +178,11 @@ Result<OptimizationResult> QoxOptimizer::Optimize(
         ParallelSpec whole;
         whole.partitions = partitions;
         extents.push_back(whole);
+        ParallelSpec part = whole;
+        part.range_begin = segment.first;
+        part.range_end = segment.second;
         if (segment.second > segment.first &&
-            (segment.first != 0 || segment.second != ordering.num_ops())) {
-          ParallelSpec part;
-          part.partitions = partitions;
-          part.range_begin = segment.first;
-          part.range_end = segment.second;
+            LoweredRange(ordering, part) != LoweredRange(ordering, whole)) {
           extents.push_back(part);
         }
       }

@@ -511,16 +511,21 @@ Result<DesignSpec> ParseDesignXml(const std::string& xml) {
   QOX_ASSIGN_OR_RETURN(
       spec.error_budget_max_fraction,
       ParseDouble(AttributeOr(root, "error_budget_max_fraction", "1")));
+  // The journal sync and the resource policy count only beside their gate
+  // (journaled, a memory budget), as the export writes them, so a parsed
+  // spec re-exports to itself. Their names are validated at parse time.
   spec.journaled = AttributeOr(root, "journaled", "0") == "1";
-  spec.journal_sync = AttributeOr(root, "journal_sync", "always");
-  // Validate the policy name now so a bad document fails at parse time,
-  // not when somebody later maps the spec onto a design.
-  QOX_RETURN_IF_ERROR(ParseJournalSync(spec.journal_sync).status());
+  if (spec.journaled) {
+    spec.journal_sync = AttributeOr(root, "journal_sync", "always");
+    QOX_RETURN_IF_ERROR(ParseJournalSync(spec.journal_sync).status());
+  }
   QOX_ASSIGN_OR_RETURN(
       spec.memory_budget_bytes,
       ParseSize(AttributeOr(root, "memory_budget_bytes", "0")));
-  spec.resource_policy = AttributeOr(root, "resource_policy", "fail_flow");
-  QOX_RETURN_IF_ERROR(ParseResourcePolicy(spec.resource_policy).status());
+  if (spec.memory_budget_bytes > 0) {
+    spec.resource_policy = AttributeOr(root, "resource_policy", "fail_flow");
+    QOX_RETURN_IF_ERROR(ParseResourcePolicy(spec.resource_policy).status());
+  }
   // Schema evolution: documents written before the SLA / service additions
   // simply lack these attributes and fall back to the defaults.
   QOX_ASSIGN_OR_RETURN(spec.sla_deadline_s,

@@ -14,6 +14,7 @@
 #include "common/clock.h"
 #include "engine/memory_budget.h"
 #include "engine/ops/delta_op.h"
+#include "engine/ops/group_op.h"
 #include "engine/streaming.h"
 #include "storage/spill_manager.h"
 
@@ -44,7 +45,8 @@ std::string CutPointId(int instance, size_t cut) {
 
 /// The landings an attempt's Δs compared, by snapshot and then by
 /// partition: part 0 for a Δ outside a partitioned range, one part per
-/// branch inside one. Resume marks made after a Δ ran share its parts.
+/// branch inside a hash range, whose parts hold disjoint keys. Resume
+/// marks made after a Δ ran share its parts.
 using StagedLandings =
     std::map<SnapshotStorePtr, std::map<size_t, std::shared_ptr<Landing>>>;
 
@@ -167,7 +169,7 @@ class FlowRunner {
   size_t rejected() const { return rejected_.load(); }
 
   /// Hands over the landings of the run's successful attempt, each Δ's
-  /// parts folded in partition order.
+  /// key-disjoint parts appended in partition order.
   Result<CommitLandings> TakeLandings() {
     budget_marks_.clear();  // the parts are now held by landings_ alone
     CommitLandings out;
@@ -729,7 +731,6 @@ class FlowRunner {
             stats->node_id = static_cast<int64_t>(branch_id);
             OperatorContext branch_ctx = ctx_;
             branch_ctx.partition = p;
-            branch_ctx.slice = 0;
             QOX_ASSIGN_OR_RETURN(
                 std::unique_ptr<Pipeline> pipeline,
                 MakePipeline(begin, end, attempt,
@@ -747,7 +748,6 @@ class FlowRunner {
                                    inp->Pop(&stats->stall_micros));
               if (!item.has_value()) break;
               QOX_RETURN_IF_ERROR(pipeline->Push(std::move(*item)));
-              ++*branch_ctx.slice;
               QOX_RETURN_IF_ERROR(emit());
             }
             QOX_RETURN_IF_ERROR(pipeline->Finish());
@@ -1178,30 +1178,31 @@ PlanInput MakePlanInput(const FlowSpec& flow, const ExecutionConfig& config) {
   return input;
 }
 
-/// Fails unless every Δ inside a hash-partitioned range hashes on one of
-/// its snapshot's key columns. The branches' parts of a Δ's landing fold
-/// by router slice, which keeps the serial run's last row of a key only
-/// when every row of that key went to one branch; a hash on another column
-/// can split a key inside one slice.
-Status CheckPartitionedDeltas(const FlowSpec& flow,
-                              const ExecutionConfig& config,
-                              const ExecutionPlan& plan) {
+/// Fails unless every Δ or group inside a hash-partitioned range hashes on
+/// one of its key columns: the snapshot's key columns for a Δ, the group
+/// columns for a group. A branch's keyed op sees only the rows routed to
+/// it, so it splits only when every row of a key goes to one branch.
+Status CheckHashRangeKeys(const FlowSpec& flow, const ExecutionConfig& config,
+                          const ExecutionPlan& plan) {
   if (config.parallel.scheme != PartitionScheme::kHash) return Status::OK();
+  const std::string& column = config.parallel.hash_column;
   for (size_t i = plan.parallel_begin(); i < plan.parallel_end(); ++i) {
     const OperatorPtr op = flow.transforms[i]();
-    const auto* delta = dynamic_cast<const DeltaOp*>(op.get());
-    if (delta == nullptr) continue;
-    const SnapshotStore& snapshot = *delta->snapshot();
-    bool keyed = false;
-    for (const size_t c : snapshot.key_columns()) {
-      keyed |= snapshot.schema().field(c).name == config.parallel.hash_column;
+    std::vector<std::string> keys;
+    if (const auto* delta = dynamic_cast<const DeltaOp*>(op.get())) {
+      const SnapshotStore& snapshot = *delta->snapshot();
+      for (const size_t c : snapshot.key_columns()) {
+        keys.push_back(snapshot.schema().field(c).name);
+      }
+    } else if (const auto* group = dynamic_cast<const GroupOp*>(op.get())) {
+      keys = group->group_columns();
+    } else {
+      continue;
     }
-    if (!keyed) {
-      return Status::Invalid("delta op '" + delta->name() +
-                             "' inside a range hashed on '" +
-                             config.parallel.hash_column +
-                             "', which is not a key column of snapshot '" +
-                             snapshot.name() + "'");
+    if (std::find(keys.begin(), keys.end(), column) == keys.end()) {
+      return Status::Invalid(std::string(op->kind()) + " op '" + op->name() +
+                             "' inside a range hashed on '" + column +
+                             "', which is not one of its key columns");
     }
   }
   return Status::OK();
@@ -1448,7 +1449,7 @@ Result<RunMetrics> Executor::Run(const FlowSpec& flow,
                        BindChain(flow, config));
   QOX_ASSIGN_OR_RETURN(const ExecutionPlan plan,
                        ExecutionPlan::Lower(MakePlanInput(flow, config)));
-  QOX_RETURN_IF_ERROR(CheckPartitionedDeltas(flow, config, plan));
+  QOX_RETURN_IF_ERROR(CheckHashRangeKeys(flow, config, plan));
   // Execution substrate: the caller's shared pool (FlowService) or a
   // private one sized by num_threads — the solo behavior. Either way every
   // task of this flow carries the flow's absolute deadline, so a shared

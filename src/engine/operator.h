@@ -19,7 +19,6 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,12 +75,9 @@ struct OperatorContext {
                      Landing landing)>
       stage_landing;
 
-  /// Inside a partitioned range: the branch's partition and the ordinal of
-  /// the router slice it is pushing, which a Δ stamps on its landing's rows
-  /// so the branches' parts fold in serial order. Elsewhere partition 0 and
-  /// no slice.
+  /// Inside a partitioned range: the branch's partition, which keys the
+  /// part of the landing a Δ stages. Elsewhere 0.
   size_t partition = 0;
-  std::optional<uint32_t> slice;
 
   /// True when the operator should enforce the byte budget (both pieces
   /// wired and a finite limit configured).

@@ -19,7 +19,6 @@ Result<Schema> DeltaOp::Bind(const Schema& input) {
                            "': input schema does not match snapshot schema");
   }
   buffered_.clear();
-  slices_.clear();
   if (change_type_column_.empty()) return input;
   return input.AddField({change_type_column_, DataType::kString, false});
 }
@@ -31,9 +30,6 @@ Status DeltaOp::Open(OperatorContext* ctx) {
 
 Status DeltaOp::Push(RowBatch input, RowBatch* output) {
   (void)output;
-  if (ctx_ != nullptr && ctx_->slice.has_value()) {
-    slices_.insert(slices_.end(), input.num_rows(), *ctx_->slice);
-  }
   buffered_.insert(buffered_.end(),
                    std::make_move_iterator(input.rows().begin()),
                    std::make_move_iterator(input.rows().end()));
@@ -42,9 +38,8 @@ Status DeltaOp::Push(RowBatch input, RowBatch* output) {
 
 Status DeltaOp::Finish(RowBatch* output) {
   QOX_ASSIGN_OR_RETURN(DeltaResult delta,
-                       snapshot_->ComputeDelta(std::move(buffered_), slices_));
+                       snapshot_->ComputeDelta(std::move(buffered_)));
   buffered_.clear();
-  slices_.clear();
   if (ctx_ != nullptr && ctx_->stage_landing) {
     ctx_->stage_landing(snapshot_, ctx_->partition, std::move(delta.landing));
   }

@@ -51,9 +51,6 @@ class DeltaOp : public Operator {
   const std::string change_type_column_;
   OperatorContext* ctx_ = nullptr;
   std::vector<Row> buffered_;
-  /// The router slice each buffered row arrived in; empty outside a
-  /// partitioned range.
-  std::vector<uint32_t> slices_;
 };
 
 }  // namespace qox

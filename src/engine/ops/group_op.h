@@ -64,6 +64,9 @@ class GroupOp : public Operator {
   double Selectivity() const override { return 0.1; }  // group reduction
 
   std::vector<std::string> InputColumns() const;
+  const std::vector<std::string>& group_columns() const {
+    return group_columns_;
+  }
 
  private:
   struct AggState {

@@ -150,16 +150,25 @@ Result<ExecutionPlan> ExecutionPlan::Lower(const PlanInput& input) {
     cursor = plan.rp0_barrier_node_;
   }
 
-  // The partitioned range ends before its first sort: the merge re-joins
-  // the branches in the router's batch order, which a sort's output order
-  // does not survive.
+  // The partitioned range is the first run of ops inside the requested
+  // range that the scheme can split. A sort never splits: the merge
+  // re-joins the branches in the router's batch order, which a sort's
+  // output order does not survive. A branch's Δ or group sees only the
+  // rows routed to it, so round robin, which deals rows by position,
+  // splits no blocking op; a hash range keeps them, and the executor
+  // checks that it hashes on their key.
   if (input.parallel.partitions > 1) {
-    plan.parallel_begin_ = std::min(input.parallel.range_begin, n);
-    plan.parallel_end_ = std::max(plan.parallel_begin_,
-                                  std::min(input.parallel.range_end, n));
-    for (size_t i = plan.parallel_begin_;
-         i < plan.parallel_end_ && i < input.sorts.size(); ++i) {
-      if (input.sorts[i]) plan.parallel_end_ = i;
+    const bool hash = input.parallel.scheme == PartitionScheme::kHash;
+    const auto splits = [&](size_t i) {
+      if (i < input.sorts.size() && input.sorts[i]) return false;
+      return hash || i >= input.blocking.size() || !input.blocking[i];
+    };
+    const size_t end = std::min(input.parallel.range_end, n);
+    size_t begin = std::min(input.parallel.range_begin, n);
+    while (begin < end && !splits(begin)) ++begin;
+    plan.parallel_begin_ = plan.parallel_end_ = begin;
+    while (plan.parallel_end_ < end && splits(plan.parallel_end_)) {
+      ++plan.parallel_end_;
     }
   }
   const size_t rb = plan.parallel_begin_;

@@ -57,12 +57,14 @@ struct ParallelSpec {
   size_t partitions = 1;  ///< 1 = no parallelism
   PartitionScheme scheme = PartitionScheme::kRoundRobin;
   std::string hash_column;  ///< required for kHash
-  /// Global op range [range_begin, range_end) executed partitioned; ops
+  /// Global op range [range_begin, range_end) requested partitioned; ops
   /// outside the range run sequentially. Defaults cover the whole chain
   /// ("4PF-f"); narrowing them yields the paper's "parallelize parts of the
-  /// flow" ("4PF-p"). A sort ends the range: lowering stops it before the
-  /// first sort inside it, so the sort and everything after it run
-  /// sequentially behind the merge.
+  /// flow" ("4PF-p"). Lowering partitions the first run of ops inside it
+  /// that the scheme can split: never a sort, and under round robin no
+  /// blocking op (sort, group, Δ). A range that begins at such an op
+  /// starts after it, and the next one ends it; the ops outside the run
+  /// execute sequentially.
   size_t range_begin = 0;
   size_t range_end = static_cast<size_t>(-1);
 };
@@ -73,11 +75,11 @@ struct ParallelSpec {
 /// needs live stores or operator instances.
 struct PlanInput {
   size_t num_ops = 0;
-  /// Per-op blocking flags (soft barriers). May be empty = none blocking.
+  /// Per-op blocking flags (soft barriers; a round-robin range splits
+  /// none of these ops). May be empty = none blocking.
   std::vector<bool> blocking;
-  /// Per-op sort flags: a parallel range ends before the first sort in it,
-  /// since the merge keeps arrival order, not sort order. May be empty =
-  /// no sorts.
+  /// Per-op sort flags: no range splits a sort, since the merge keeps
+  /// arrival order, not sort order. May be empty = no sorts.
   std::vector<bool> sorts;
   ParallelSpec parallel;
   std::vector<size_t> recovery_points;  ///< cut positions (hard barriers)
@@ -219,9 +221,9 @@ class ExecutionPlan {
   /// True when a recovery point sits at cut 0 (right after extraction).
   bool rp_after_extract() const { return rp_after_extract_; }
 
-  /// Op range [begin, end) that runs partitioned: ParallelSpec's range
-  /// clamped to the chain and ended before its first sort. Empty (begin ==
-  /// end) when nothing runs partitioned.
+  /// Op range [begin, end) that runs partitioned: the first run of ops
+  /// inside ParallelSpec's range (clamped to the chain) that its scheme can
+  /// split. Empty (begin == end) when nothing runs partitioned.
   size_t parallel_begin() const { return parallel_begin_; }
   size_t parallel_end() const { return parallel_end_; }
 

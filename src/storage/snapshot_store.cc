@@ -91,31 +91,20 @@ size_t Landing::Add(size_t hash) {
   return pos;
 }
 
-Status Landing::Absorb(Landing later) {
-  if (later.width_ != width_ || later.key_columns_ != key_columns_) {
+Status Landing::Absorb(Landing part) {
+  if (part.width_ != width_ || part.key_columns_ != key_columns_) {
     return Status::Invalid("landing parts of different shapes");
   }
-  if (slices_.size() != size() || later.slices_.size() != later.size()) {
-    return Status::Invalid("landing parts without router slices");
-  }
-  Reserve(size() + later.size());
-  slices_.reserve(size() + later.size());
-  for (size_t q = 0; q < later.size(); ++q) {
-    Value* cells = later.mutable_row(q);
-    const size_t hash = later.hashes_[q];
-    const uint32_t slice = later.slices_[q];
-    size_t pos = Probe(hash, [&](size_t p) {
-      return SameKey(key_columns_, row(p), cells);
-    });
-    if (pos == kNone) {
-      pos = Add(hash);
-      slices_.push_back(slice);
-    } else if (slices_[pos] > slice) {
-      continue;
-    } else {
-      slices_[pos] = slice;
+  Reserve(size() + part.size());
+  for (size_t q = 0; q < part.size(); ++q) {
+    Value* cells = part.mutable_row(q);
+    const size_t hash = part.hashes_[q];
+    if (Probe(hash, [&](size_t p) {
+          return SameKey(key_columns_, row(p), cells);
+        }) != kNone) {
+      return Status::Invalid("landing parts share a key");
     }
-    std::move(cells, cells + width_, mutable_row(pos));
+    std::move(cells, cells + width_, mutable_row(Add(hash)));
   }
   return Status::OK();
 }
@@ -145,13 +134,7 @@ Status SnapshotStore::CheckRow(const Row& row) const {
   return Status::OK();
 }
 
-Result<DeltaResult> SnapshotStore::ComputeDelta(
-    std::vector<Row> fresh, const std::vector<uint32_t>& slices) const {
-  if (!slices.empty() && slices.size() != fresh.size()) {
-    return Status::Invalid("router slices cover " +
-                           std::to_string(slices.size()) + " of " +
-                           std::to_string(fresh.size()) + " rows");
-  }
+Result<DeltaResult> SnapshotStore::ComputeDelta(std::vector<Row> fresh) const {
   DeltaResult result;
   Landing& landing = result.landing;
   landing = EmptyLanding();
@@ -161,7 +144,6 @@ Result<DeltaResult> SnapshotStore::ComputeDelta(
   // cells are filled once the rows are classified.
   std::vector<size_t> last;
   last.reserve(fresh.size());
-  if (!slices.empty()) landing.slices_.reserve(fresh.size());
   for (size_t i = 0; i < fresh.size(); ++i) {
     QOX_RETURN_IF_ERROR(CheckRow(fresh[i]));
     const size_t hash = fresh[i].HashColumns(key_columns_);
@@ -172,10 +154,8 @@ Result<DeltaResult> SnapshotStore::ComputeDelta(
     if (pos == Landing::kNone) {
       landing.Add(hash);
       last.push_back(i);
-      if (!slices.empty()) landing.slices_.push_back(slices[i]);
     } else {
       last[pos] = i;
-      if (!slices.empty()) landing.slices_[pos] = slices[i];
     }
   }
   enum : uint8_t { kInsert, kUpdate, kUnchanged };
@@ -229,7 +209,6 @@ Status SnapshotStore::Commit(Landing landing) {
       landing.key_columns() != key_columns_) {
     return Status::Invalid("landing does not match snapshot '" + name_ + "'");
   }
-  std::vector<uint32_t>().swap(landing.slices_);  // only Absorb reads them
   std::lock_guard<std::mutex> lock(mu_);
   std::swap(snapshot_, landing);
   return Status::OK();

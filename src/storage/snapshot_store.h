@@ -35,9 +35,7 @@
 namespace qox {
 
 /// One landing, keyed: at most one row per key, in the order the keys
-/// were first seen. A part of a partitioned Δ's landing also carries, per
-/// row, the router slice its last occurrence arrived in, which is what
-/// Absorb orders the parts by; other landings carry none.
+/// were first seen.
 class Landing {
  public:
   static constexpr size_t kChunkRows = 64;
@@ -62,14 +60,11 @@ class Landing {
   /// row.HashColumns(key_columns()); kNone when no row has that key.
   size_t Find(const Row& row, size_t hash) const;
 
-  /// Folds in `later`, another partition's part of the same Δ's landing
-  /// (same width and key columns, both stamped with router slices),
-  /// moving its rows. Parts fold in partition order; a key both hold keeps
-  /// the row that arrived in the later router slice, `later`'s on a tie —
-  /// which is the serial run's last occurrence when the router dealt
-  /// contiguous rows (round robin), or when every occurrence of a key went
-  /// to one partition (a hash on a key column).
-  Status Absorb(Landing later);
+  /// Appends `part`, another partition's part of the same Δ's landing
+  /// (same width and key columns), moving its rows. The parts of a Δ in a
+  /// range hashed on one of its key columns hold disjoint keys; a key both
+  /// landings hold fails, leaving this landing partly appended.
+  Status Absorb(Landing part);
 
  private:
   friend class SnapshotStore;
@@ -92,10 +87,8 @@ class Landing {
   std::vector<size_t> key_columns_;
   /// kChunkRows rows of width_ cells each.
   std::vector<std::vector<Value>> chunks_;
-  /// By position: the key hash, and the arrival slice (empty when the
-  /// landing is not a part of a partitioned Δ's).
+  /// The key hash of the row at each position.
   std::vector<size_t> hashes_;
-  std::vector<uint32_t> slices_;
   /// Linear-probing slots holding position + 1 (0 = free), at most half
   /// full; a hash picks its first slot by its top `64 - shift_` bits after
   /// a Fibonacci multiply.
@@ -132,20 +125,17 @@ class SnapshotStore {
   /// row's cells are copied there, an unchanged row's moved). Duplicate
   /// keys within `fresh` keep the last occurrence's row (standard landing
   /// semantics); inserts and updates each follow the order in which their
-  /// keys first appear in `fresh`. `slices`, when not empty, gives the
-  /// router slice each fresh row arrived in, and the landing keeps its
-  /// rows' slices for Landing::Absorb. Safe to call from several threads
-  /// at once.
-  Result<DeltaResult> ComputeDelta(
-      std::vector<Row> fresh, const std::vector<uint32_t>& slices = {}) const;
+  /// keys first appear in `fresh`. Safe to call from several threads at
+  /// once.
+  Result<DeltaResult> ComputeDelta(std::vector<Row> fresh) const;
 
   /// The landing of `rows` for this store, moving their cells in.
   /// Duplicate keys keep the last occurrence's row.
   Result<Landing> MakeLanding(std::vector<Row> rows) const;
 
   /// Makes `landing` — ComputeDelta's or MakeLanding's — the snapshot
-  /// (called after a successful load), without its router slices. The
-  /// previous snapshot is freed outside the lock.
+  /// (called after a successful load). The previous snapshot is freed
+  /// outside the lock.
   Status Commit(Landing landing);
   /// Commits MakeLanding(rows).
   Status Commit(std::vector<Row> rows);

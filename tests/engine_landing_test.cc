@@ -1,11 +1,12 @@
 // The Δ landing path end to end. A Δ hands the landing it compared to the
 // run, and Executor::Run commits that landing into the Δ's snapshot once
 // the load has succeeded. The snapshot must then equal the de-duplicated
-// landing the Δ compared — in serial, partitioned (round robin and hash),
-// streaming, retried, resumed and redundant runs — and a failed run must
-// commit nothing. A run resumes past a Δ only from a recovery point it
-// made itself, since only then does it hold the landing the Δ compared.
-// The partition branches of a partitioned Δ and the
+// landing the Δ compared — in serial, partitioned (a round-robin range
+// runs the Δ serially, a range hashed on its key splits it into
+// key-disjoint parts), streaming, retried, resumed and redundant runs — and
+// a failed run must commit nothing. A run resumes past a Δ only from a
+// recovery point it made itself, since only then does it hold the landing
+// the Δ compared. The partition branches of a hash-partitioned Δ and the
 // instances of a redundant run hand their landings over concurrently, so
 // this binary is in the TSan leg of scripts/check.sh.
 
@@ -259,14 +260,8 @@ TEST_F(LandingSweepTest, SnapshotIsTheDeduplicatedLandingInEveryShape) {
         ASSERT_TRUE(first.ok()) << first.status();
         EXPECT_EQ(SnapshotByKey(*c.snapshot), *c.expected);
         EXPECT_EQ(first.value().landing_rows_committed, c.expected->size());
-        // A round-robin range holding the Δ splits a repeated key across
-        // branches, and each branch emits its own last row of it: only a
-        // Δ that sees every occurrence of its keys is quiet on a rerun.
-        const bool split_keys =
-            c.snapshot == scenario_->staff_snapshot().get() &&
-            config.parallel.partitions > 1 &&
-            config.parallel.range_begin == 0;
-        if (split_keys) continue;
+        // A round-robin range never splits the Δ, so the rerun over an
+        // unchanged source is quiet in every shape.
         const Result<RunMetrics> second = RunFlow(*c.flow, config);
         ASSERT_TRUE(second.ok()) << second.status();
         EXPECT_EQ(second.value().rows_loaded, 0u);
@@ -296,8 +291,8 @@ TEST_F(LandingSweepTest, HashRangeOnTheKeyCommitsTheSerialSnapshot) {
 }
 
 TEST_F(LandingSweepTest, HashRangeOnAnotherColumnIsRefused) {
-  // A hash on `branch` can send one rep_id's rows to two branches within
-  // one router slice, where no fold can tell which came last.
+  // A hash on `branch` can send one rep_id's rows to two branches, and
+  // each would emit and land its own row of the key.
   ASSERT_TRUE(scenario_->ResetWarehouse().ok());
   ExecutionConfig config;
   config.num_threads = 4;
@@ -342,9 +337,10 @@ std::vector<Row> KeyedRows(int64_t first, size_t n, int64_t period = 0) {
   return rows;
 }
 
-TEST(LandingTest, PartitionedDeltaFoldsItsPartsInSerialOrder) {
-  // Keys repeat across batches and partitions; the serial landing keeps
-  // each key's last row, and so must the parts of a round-robin Δ.
+TEST(LandingTest, HashPartitionedDeltaAppendsItsKeyDisjointParts) {
+  // Keys repeat across batches; a hash on the key sends every occurrence
+  // of a key to one branch, so each branch's part keeps that key's last
+  // row and the parts append without a shared key.
   const std::vector<Row> rows = KeyedRows(0, 300, 37);
   for (const bool streaming : {false, true}) {
     SCOPED_TRACE(streaming ? "streaming" : "phased");
@@ -354,6 +350,8 @@ TEST(LandingTest, PartitionedDeltaFoldsItsPartsInSerialOrder) {
     ExecutionConfig config;
     config.num_threads = 4;
     config.parallel.partitions = 4;
+    config.parallel.scheme = PartitionScheme::kHash;
+    config.parallel.hash_column = "id";
     config.batch_size = 16;
     config.streaming = streaming;
     const Result<RunMetrics> metrics = Executor::Run(

@@ -3,7 +3,8 @@
 // configurations), verified as a parameterized property suite, plus the
 // exact row order of the merge against independently computed oracles
 // (round robin, hash, batches smaller than the partition count, a hash
-// group) and a sort that a requested range holds.
+// group), a sort that a requested range holds, and a group that only a
+// hash on its key splits.
 
 #include <gtest/gtest.h>
 
@@ -49,6 +50,28 @@ Schema BoundSchema() {
   Schema schema = SimpleSchema();
   FunctionOp fn("fn", {ColumnTransform::Scale("scaled", "amount", 3.0)});
   return fn.Bind(schema).value();
+}
+
+/// A flow of one group: the row count and the amount total by category.
+FlowSpec GroupFlow(const DataStorePtr& source,
+                   const std::shared_ptr<MemTable>& target) {
+  FlowSpec spec;
+  spec.id = "group_flow";
+  spec.source = source;
+  spec.transforms.push_back([]() -> OperatorPtr {
+    return std::make_unique<GroupOp>(
+        "grp", std::vector<std::string>{"category"},
+        std::vector<Aggregate>{Aggregate::Count("n"),
+                               Aggregate::Sum("amount", "total")});
+  });
+  spec.target = target;
+  return spec;
+}
+
+Schema GroupSchema() {
+  GroupOp prototype("grp", {"category"},
+                    {Aggregate::Count("n"), Aggregate::Sum("amount", "total")});
+  return prototype.Bind(SimpleSchema()).value();
 }
 
 struct ParallelCase {
@@ -330,25 +353,11 @@ TEST(ParallelExecutionTest, HashGroupEmitsPartitionsInIndexOrder) {
         static_cast<double>(i % 37) / 4.0));
   }
   const DataStorePtr source = testing_util::MakeSource(SimpleSchema(), input);
-  const auto make_flow = [&source](const std::shared_ptr<MemTable>& target) {
-    FlowSpec spec;
-    spec.id = "hash_group_flow";
-    spec.source = source;
-    spec.transforms.push_back([]() -> OperatorPtr {
-      return std::make_unique<GroupOp>(
-          "grp", std::vector<std::string>{"category"},
-          std::vector<Aggregate>{Aggregate::Count("n"),
-                                 Aggregate::Sum("amount", "total")});
-    });
-    spec.target = target;
-    return spec;
-  };
-  GroupOp prototype("grp", {"category"},
-                    {Aggregate::Count("n"), Aggregate::Sum("amount", "total")});
-  const Schema out_schema = prototype.Bind(SimpleSchema()).value();
+  const Schema out_schema = GroupSchema();
 
   auto serial_target = std::make_shared<MemTable>("tgt", out_schema);
-  ASSERT_TRUE(Executor::Run(make_flow(serial_target), ExecutionConfig{}).ok());
+  ASSERT_TRUE(
+      Executor::Run(GroupFlow(source, serial_target), ExecutionConfig{}).ok());
   const std::vector<Row> serial = serial_target->ReadAll().value().rows();
   ASSERT_EQ(serial.size(), kKeys);
   std::vector<Row> expected;
@@ -372,7 +381,7 @@ TEST(ParallelExecutionTest, HashGroupEmitsPartitionsInIndexOrder) {
       config.streaming = streaming;
       auto target = std::make_shared<MemTable>("tgt", out_schema);
       const Result<RunMetrics> metrics =
-          Executor::Run(make_flow(target), config);
+          Executor::Run(GroupFlow(source, target), config);
       ASSERT_TRUE(metrics.ok()) << metrics.status();
       EXPECT_TRUE(target->ReadAll().value().rows() == expected);
     }
@@ -395,40 +404,67 @@ TEST(ParallelExecutionTest, MergeCostReported) {
 TEST(ParallelExecutionTest, GroupByWithHashPartitioningOnGroupKey) {
   // Hash partitioning on the group key keeps groups partition-local, so a
   // partitioned group-by equals the sequential one.
-  const std::vector<Row> input = SimpleRows(999);
   const DataStorePtr source =
-      testing_util::MakeSource(SimpleSchema(), input);
-  const auto make_flow = [&source](const std::shared_ptr<MemTable>& target) {
-    FlowSpec spec;
-    spec.id = "group_flow";
-    spec.source = source;
-    spec.transforms.push_back([]() -> OperatorPtr {
-      return std::make_unique<GroupOp>(
-          "grp", std::vector<std::string>{"category"},
-          std::vector<Aggregate>{Aggregate::Count("n"),
-                                 Aggregate::Sum("amount", "total")});
-    });
-    spec.target = target;
-    return spec;
-  };
-  GroupOp prototype("grp", {"category"},
-                    {Aggregate::Count("n"), Aggregate::Sum("amount", "total")});
-  const Schema out_schema = prototype.Bind(SimpleSchema()).value();
+      testing_util::MakeSource(SimpleSchema(), SimpleRows(999));
+  auto seq_target = std::make_shared<MemTable>("tgt", GroupSchema());
+  ASSERT_TRUE(
+      Executor::Run(GroupFlow(source, seq_target), ExecutionConfig{}).ok());
 
-  auto seq_target = std::make_shared<MemTable>("tgt", out_schema);
-  ASSERT_TRUE(Executor::Run(make_flow(seq_target), ExecutionConfig{}).ok());
-
-  auto par_target = std::make_shared<MemTable>("tgt", out_schema);
+  auto par_target = std::make_shared<MemTable>("tgt", GroupSchema());
   ExecutionConfig config;
   config.num_threads = 4;
   config.parallel.partitions = 4;
   config.parallel.scheme = PartitionScheme::kHash;
   config.parallel.hash_column = "category";
-  ASSERT_TRUE(Executor::Run(make_flow(par_target), config).ok());
+  ASSERT_TRUE(Executor::Run(GroupFlow(source, par_target), config).ok());
   // The partitions' groups come out of Finish concatenated in partition
   // order, not in the serial first-seen order: compare as multisets.
   EXPECT_TRUE(SameMultiset(seq_target->ReadAll().value().rows(),
                            par_target->ReadAll().value().rows()));
+}
+
+// Round robin deals rows by position, so a branch's group would see a part
+// of every group and emit a partial one. A round-robin range that begins
+// at the group starts after it: the group runs serially and the run loads
+// the serial groups byte for byte.
+TEST(ParallelExecutionTest, RoundRobinRangeRunsTheGroupSerially) {
+  const DataStorePtr source =
+      testing_util::MakeSource(SimpleSchema(), SimpleRows(999));
+  auto seq_target = std::make_shared<MemTable>("tgt", GroupSchema());
+  ASSERT_TRUE(
+      Executor::Run(GroupFlow(source, seq_target), ExecutionConfig{}).ok());
+  const std::vector<Row> serial = seq_target->ReadAll().value().rows();
+  ASSERT_EQ(serial.size(), 3u);
+  for (const bool streaming : {false, true}) {
+    SCOPED_TRACE(streaming ? "streaming" : "phased");
+    auto target = std::make_shared<MemTable>("tgt", GroupSchema());
+    ExecutionConfig config;
+    config.num_threads = 4;
+    config.parallel.partitions = 4;
+    config.streaming = streaming;
+    const Result<RunMetrics> metrics =
+        Executor::Run(GroupFlow(source, target), config);
+    ASSERT_TRUE(metrics.ok()) << metrics.status();
+    EXPECT_TRUE(target->ReadAll().value().rows() == serial);
+  }
+}
+
+// A hash on a column that is not a group column splits every group across
+// branches: the run is refused before any row moves.
+TEST(ParallelExecutionTest, HashRangeOffTheGroupKeyIsRefused) {
+  const DataStorePtr source =
+      testing_util::MakeSource(SimpleSchema(), SimpleRows(999));
+  auto target = std::make_shared<MemTable>("tgt", GroupSchema());
+  ExecutionConfig config;
+  config.num_threads = 4;
+  config.parallel.partitions = 4;
+  config.parallel.scheme = PartitionScheme::kHash;
+  config.parallel.hash_column = "id";
+  const Result<RunMetrics> metrics =
+      Executor::Run(GroupFlow(source, target), config);
+  ASSERT_FALSE(metrics.ok());
+  EXPECT_EQ(metrics.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(target->NumRows().value(), 0u);
 }
 
 TEST(ParallelExecutionTest, MorePartitionsThanRows) {

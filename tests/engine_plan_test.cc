@@ -130,20 +130,51 @@ TEST(ExecutionPlanTest, SortEndsTheParallelRange) {
   EXPECT_EQ(units[2].begin, 2u);
   EXPECT_EQ(units[2].end, 5u);
 
-  // A range that starts at the sort runs nothing partitioned.
+  // A range that starts at the sort starts after it.
   input.parallel.range_begin = 2;
-  const ExecutionPlan empty = MustLower(input);
-  EXPECT_EQ(empty.parallel_begin(), empty.parallel_end());
-  EXPECT_EQ(CountKind(empty, PlanNodeKind::kPartitionRouter), 0u);
-  ASSERT_EQ(empty.sections()[0].units.size(), 1u);
-  for (const ExecutionPlan::CostChunk& chunk : empty.cost_chunks()) {
-    EXPECT_FALSE(chunk.parallel);
-  }
+  const ExecutionPlan after = MustLower(input);
+  EXPECT_EQ(after.parallel_begin(), 3u);
+  EXPECT_EQ(after.parallel_end(), 5u);
+  ASSERT_EQ(after.sections()[0].units.size(), 2u);  // [0,3) seq, [3,5) par
+  EXPECT_FALSE(after.sections()[0].units[0].parallel);
+  EXPECT_TRUE(after.sections()[0].units[1].parallel);
 
-  // Other blocking ops stay inside the range.
-  input.sorts.assign(5, false);
+  // A hash range splits no sort either, but it keeps other blocking ops.
+  input.parallel.scheme = PartitionScheme::kHash;
   input.parallel.range_begin = 1;
+  EXPECT_EQ(MustLower(input).parallel_end(), 2u);
+  input.sorts.assign(5, false);
   EXPECT_EQ(MustLower(input).parallel_end(), 5u);
+}
+
+// Round robin deals rows by position, so a branch's group or Δ would see a
+// part of every key: a round-robin range splits no blocking op.
+TEST(ExecutionPlanTest, RoundRobinRangeSplitsNoBlockingOp) {
+  PlanInput input = SimpleInput(6);
+  input.blocking = {true, false, false, true, false, false};
+  input.parallel.partitions = 4;
+  // A group in the middle of the range ends it.
+  input.parallel.range_begin = 1;
+  ExecutionPlan plan = MustLower(input);
+  EXPECT_EQ(plan.parallel_begin(), 1u);
+  EXPECT_EQ(plan.parallel_end(), 3u);
+  // A Δ at the range start moves the start past it.
+  input.parallel.range_begin = 0;
+  plan = MustLower(input);
+  EXPECT_EQ(plan.parallel_begin(), 1u);
+  EXPECT_EQ(plan.parallel_end(), 3u);
+  // Only the first splittable run is partitioned.
+  input.parallel.range_begin = 3;
+  plan = MustLower(input);
+  EXPECT_EQ(plan.parallel_begin(), 4u);
+  EXPECT_EQ(plan.parallel_end(), 6u);
+  // A range of blocking ops alone partitions nothing.
+  input.blocking = {true, true, false, false, false, false};
+  input.parallel.range_begin = 0;
+  input.parallel.range_end = 2;
+  plan = MustLower(input);
+  EXPECT_EQ(plan.parallel_begin(), plan.parallel_end());
+  EXPECT_EQ(CountKind(plan, PlanNodeKind::kPartitionRouter), 0u);
 }
 
 // A requested range that covers no op (empty, inverted, or starting past
@@ -221,6 +252,10 @@ TEST(ExecutionPlanTest, CostChunksMatchHandDerivedBarriers) {
   input.blocking = {false, true, false, false, true, false};
   input.recovery_points = {3};
   input.parallel.partitions = 4;
+  // Hashed, so the range keeps the blocking op 4 (round robin would end
+  // the range before it).
+  input.parallel.scheme = PartitionScheme::kHash;
+  input.parallel.hash_column = "id";
   input.parallel.range_begin = 2;
   input.parallel.range_end = 5;
   const ExecutionPlan plan = MustLower(input);

@@ -9,6 +9,9 @@
 // a prefix of the records written, and a ledger reads back records written,
 // each exactly and in order, or fails with kCorruptedData (its records are
 // checksummed one by one, so a whole record cut out is not detectable).
+// The same edits run over an exported design's plan XML (a line counts as
+// a record), which carries no checksum: it must fail with kInvalidArgument
+// or parse to a design that re-exports and re-parses to itself.
 // Nothing may crash or trip a sanitizer. A violation names its seed and
 // edit.
 
@@ -22,11 +25,13 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/plan_io.h"
 #include "storage/dead_letter_store.h"
 #include "storage/flat_file.h"
 #include "storage/journal_file.h"
 #include "storage/recovery_store.h"
 #include "storage/spill_manager.h"
+#include "test_util.h"
 
 namespace qox {
 namespace {
@@ -387,6 +392,72 @@ TEST_F(DecoderMutationTest, LedgerReadsBackItsRecordsOrIsCorrupted) {
     }
   }
   EXPECT_GT(corrupted, static_cast<size_t>(kSeeds) / 2);
+}
+
+/// An exported design that sets every element and optional attribute of
+/// the plan XML.
+std::string DesignXml() {
+  const DataStorePtr source = testing_util::MakeSource(
+      testing_util::SimpleSchema(), testing_util::SimpleRows(10), "src");
+  std::vector<LogicalOp> ops;
+  ops.push_back(MakeFilter("flt", {Predicate::NotNull("amount")}, 0.9));
+  ops.push_back(MakeFunction(
+      "fn", {ColumnTransform::Scale("scaled", "amount", 2.0),
+             ColumnTransform::Drop("note")}));
+  ops.push_back(MakeSort("srt", {{"id", false}}));
+  const std::vector<Schema> schemas =
+      BindLogicalChain(source->schema(), ops).value();
+  PhysicalDesign design;
+  design.flow = LogicalFlow("xml_flow", source, std::move(ops),
+                            std::make_shared<MemTable>("tgt", schemas.back()));
+  design.threads = 4;
+  design.parallel.partitions = 4;
+  design.parallel.scheme = PartitionScheme::kHash;
+  design.parallel.hash_column = "id";
+  design.parallel.range_end = 2;
+  design.recovery_points = {0, 2};
+  design.streaming = true;
+  design.error_policies = {ErrorPolicy::kSkip, ErrorPolicy::kQuarantine};
+  design.error_budget.max_rows = 5;
+  design.error_budget.max_fraction = 0.25;
+  design.journaled = true;
+  design.journal_sync = JournalSync::kCommit;
+  design.memory_budget_bytes = 65536;
+  design.resource_policy = ResourcePolicy::kShedToQuarantine;
+  design.sla_deadline_s = 1.5;
+  design.cdc_shards = 4;
+  design.cdc_update_rate_per_s = 200.0;
+  DesignSpec spec = SpecOf(design);
+  spec.has_service = true;
+  spec.service_policy = "fifo";
+  return ExportDesignXml(spec);
+}
+
+TEST_F(DecoderMutationTest, PlanXmlParsesToAFixpointOrIsRefused) {
+  const std::string clean = DesignXml();
+  ASSERT_TRUE(ParseDesignXml(clean).ok());
+  std::vector<size_t> ends;  // one element per line
+  for (size_t i = 0; i < clean.size(); ++i) {
+    if (clean[i] == '\n') ends.push_back(i + 1);
+  }
+  size_t refused = 0;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    Rng rng(static_cast<uint64_t>(seed));
+    const Mutation m = Mutate(clean, ends, rng);
+    const std::string where = "seed " + std::to_string(seed) + ", " + m.edit;
+    const Result<DesignSpec> parsed = ParseDesignXml(m.bytes);
+    if (!parsed.ok()) {
+      ++refused;
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+          << where << ": " << parsed.status();
+      continue;
+    }
+    const Result<DesignSpec> again =
+        ParseDesignXml(ExportDesignXml(parsed.value()));
+    ASSERT_TRUE(again.ok()) << where << ": " << again.status();
+    EXPECT_TRUE(again.value() == parsed.value()) << where;
+  }
+  EXPECT_GT(refused, static_cast<size_t>(kSeeds) / 2);
 }
 
 }  // namespace

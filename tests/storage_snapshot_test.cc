@@ -212,31 +212,41 @@ TEST(SnapshotStoreTest, LandingsSpanManyChunksAndCopyDeeply) {
   EXPECT_EQ(store.Rows(), copy.Rows());
 }
 
-TEST(SnapshotStoreTest, AbsorbKeepsTheRowOfTheLaterSlice) {
-  // Two partitions' parts of one landing: partition 0 saw key 2 in router
-  // slice 1, partition 1 saw it in slice 0, so partition 0's row is the
-  // serial run's last; key 1 arrived in slice 0 in both, and the later
-  // partition's row wins.
+TEST(SnapshotStoreTest, AbsorbAppendsADisjointPartInOrder) {
+  // Two partitions' parts of one landing under a hash on the key: each
+  // keeps its keys' last rows, and the second part's rows follow the
+  // first's.
   SnapshotStore store("snap", TestSchema(), {0});
-  Result<DeltaResult> first =
-      store.ComputeDelta({MakeRow(1, "p0", 1), MakeRow(2, "p0", 2)}, {0, 1});
-  Result<DeltaResult> second = store.ComputeDelta(
-      {MakeRow(1, "p1", 1), MakeRow(2, "p1", 2), MakeRow(3, "p1", 3)},
-      {0, 0, 2});
+  Result<DeltaResult> first = store.ComputeDelta(
+      {MakeRow(2, "old", 2), MakeRow(4, "p0", 4), MakeRow(2, "p0", 2)});
+  Result<DeltaResult> second =
+      store.ComputeDelta({MakeRow(3, "p1", 3), MakeRow(1, "p1", 1)});
   ASSERT_TRUE(first.ok() && second.ok());
   Landing folded = std::move(first.value().landing);
   ASSERT_TRUE(folded.Absorb(std::move(second.value().landing)).ok());
   EXPECT_EQ(folded.Rows(),
-            (std::vector<Row>{MakeRow(1, "p1", 1), MakeRow(2, "p0", 2),
-                              MakeRow(3, "p1", 3)}));
+            (std::vector<Row>{MakeRow(2, "p0", 2), MakeRow(4, "p0", 4),
+                              MakeRow(3, "p1", 3), MakeRow(1, "p1", 1)}));
+  // The appended rows are indexed.
+  const std::vector<Row> rows = folded.Rows();
+  for (size_t pos = 0; pos < rows.size(); ++pos) {
+    EXPECT_EQ(folded.Find(rows[pos], rows[pos].HashColumns({0})), pos);
+  }
+}
 
+TEST(SnapshotStoreTest, AbsorbRefusesAKeyBothPartsHold) {
+  SnapshotStore store("snap", TestSchema(), {0});
+  Landing folded =
+      store.MakeLanding({MakeRow(1, "p0", 1), MakeRow(2, "p0", 2)}).value();
+  EXPECT_FALSE(
+      folded.Absorb(store.MakeLanding({MakeRow(2, "p1", 2)}).value()).ok());
+}
+
+TEST(SnapshotStoreTest, AbsorbRefusesAPartOfAnotherShape) {
+  SnapshotStore store("snap", TestSchema(), {0});
+  Landing folded = store.MakeLanding({MakeRow(1, "a", 1)}).value();
   SnapshotStore other("other", TestSchema(), {1});
   EXPECT_FALSE(folded.Absorb(other.MakeLanding({}).value()).ok());
-  // A landing made without router slices is not a part to fold.
-  EXPECT_FALSE(
-      folded.Absorb(store.MakeLanding({MakeRow(4, "s", 4)}).value()).ok());
-  EXPECT_FALSE(
-      store.ComputeDelta({MakeRow(1, "a", 1), MakeRow(2, "b", 2)}, {0}).ok());
   EXPECT_FALSE(other.Commit(std::move(folded)).ok());
 }
 
