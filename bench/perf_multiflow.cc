@@ -13,10 +13,13 @@
 // unless admission control demonstrably rejects an over-capacity
 // submission with kResourceExhausted.
 //
-// Deadlines are calibrated from a measured run of the same flows THROUGH
-// THE SERVICE (a no-SLA FIFO warmup load point), not from a solo
-// Executor::Run — service tenancy (shared pool, live neighbour working
-// sets) is part of the per-flow time the deadlines must be expressed in.
+// The deadlines the queue orders by are calibrated from a measured run of
+// the same flows THROUGH THE SERVICE (a no-SLA FIFO warmup load point),
+// not from a solo Executor::Run — service tenancy (shared pool, live
+// neighbour working sets) is part of the per-flow time the deadlines must
+// be expressed in. Hits are then judged in the load point's own unit (the
+// FIFO run's makespan per flow), so a host that runs faster or slower
+// than during calibration cannot hand both policies every deadline.
 // Like perf_transform this measures real wall time and skips the
 // google-benchmark harness. Results go to stdout AND BENCH_multiflow.json.
 //
@@ -163,15 +166,26 @@ struct PolicyResult {
   size_t flows = 0;
   double hit_rate = 0.0;
   int64_t p95_lateness_us = 0;
+};
+
+/// One load point's run under one policy: when each flow finished,
+/// counted from the first submission, and its deadline in flow units.
+struct PolicyRun {
+  std::vector<int64_t> finish_us;
+  std::vector<double> deadline_flows;
   bool ok = false;
+
+  int64_t makespan_us() const {
+    return *std::max_element(finish_us.begin(), finish_us.end());
+  }
 };
 
 /// Runs one load point under one policy: K flows — the loose half
-/// submitted first, the tight half last (FIFO's worst case).
-PolicyResult RunLoadPoint(QueuePolicy policy, size_t flows, size_t pool,
-                          size_t rows, int64_t flow_micros) {
-  PolicyResult result;
-  result.flows = flows;
+/// submitted first, the tight half last (FIFO's worst case). The service
+/// queues them by deadlines in `flow_micros`, the calibrated unit.
+PolicyRun RunLoadPoint(QueuePolicy policy, size_t flows, size_t pool,
+                       size_t rows, int64_t flow_micros) {
+  PolicyRun run;
   FlowServiceConfig service_config;
   service_config.num_workers = pool;
   service_config.max_concurrent_flows = pool;
@@ -185,50 +199,65 @@ PolicyResult RunLoadPoint(QueuePolicy policy, size_t flows, size_t pool,
     targets.push_back(std::make_shared<MemTable>("tgt", BoundSchema()));
   }
   const size_t tight = flows / 2;
-  const int64_t tight_deadline = static_cast<int64_t>(
-      (static_cast<double>(tight) + kTightSlackFlows) *
-      static_cast<double>(flow_micros));
-  const int64_t loose_deadline = static_cast<int64_t>(
-      kLooseBudgetFlows * static_cast<double>(flows) *
-      static_cast<double>(flow_micros));
+  const double tight_flows = static_cast<double>(tight) + kTightSlackFlows;
+  const double loose_flows = kLooseBudgetFlows * static_cast<double>(flows);
+  run.finish_us.assign(flows, 0);
+  run.deadline_flows.assign(flows, 0.0);
   std::vector<uint64_t> tickets;
+  const int64_t start = NowMicros();
   // Submission order: the loose cohort first (indexes [tight, flows)),
   // then the tight cohort — FIFO serves the queue in exactly that order.
   for (size_t n = 0; n < flows; ++n) {
     const size_t i = (n + tight) % flows;
     const bool is_tight = i < tight;
+    run.deadline_flows[i] = is_tight ? tight_flows : loose_flows;
     FlowSubmission submission;
     submission.flow = MakeFlow(
         std::string(is_tight ? "tight" : "loose") + std::to_string(i),
         sources[i], targets[i]);
-    submission.config.sla.deadline_micros =
-        is_tight ? tight_deadline : loose_deadline;
+    submission.flow.post_success = [&run, i, start]() {
+      run.finish_us[i] = NowMicros() - start;
+      return Status::OK();
+    };
+    submission.config.sla.deadline_micros = static_cast<int64_t>(
+        run.deadline_flows[i] * static_cast<double>(flow_micros));
     submission.predicted_micros = flow_micros;
     const Result<uint64_t> ticket = service.Submit(std::move(submission));
     if (!ticket.ok()) {
       std::cerr << "submit failed: " << ticket.status() << "\n";
-      return result;
+      return run;
     }
     tickets.push_back(ticket.value());
   }
-  std::vector<int64_t> lateness;
   for (const uint64_t ticket : tickets) {
     const Result<RunMetrics> metrics = service.Wait(ticket);
     if (!metrics.ok()) {
       std::cerr << "flow failed: " << metrics.status() << "\n";
-      return result;
+      return run;
     }
-    lateness.push_back(
-        std::max<int64_t>(0, -metrics.value().deadline_slack_micros));
   }
-  result.hits = service.stats().deadline_hits;
+  run.ok = true;
+  return run;
+}
+
+/// Deadline hits and lateness of `run` with one flow unit of `unit_us`.
+PolicyResult Judge(const PolicyRun& run, double unit_us) {
+  PolicyResult result;
+  result.flows = run.finish_us.size();
+  std::vector<int64_t> lateness;
+  for (size_t i = 0; i < result.flows; ++i) {
+    const int64_t late =
+        run.finish_us[i] -
+        static_cast<int64_t>(run.deadline_flows[i] * unit_us);
+    if (late <= 0) ++result.hits;
+    lateness.push_back(std::max<int64_t>(0, late));
+  }
   result.hit_rate =
-      static_cast<double>(result.hits) / static_cast<double>(flows);
+      static_cast<double>(result.hits) / static_cast<double>(result.flows);
   std::sort(lateness.begin(), lateness.end());
   result.p95_lateness_us =
       lateness[std::min(lateness.size() - 1,
                         static_cast<size_t>(0.95 * lateness.size()))];
-  result.ok = true;
   return result;
 }
 
@@ -314,23 +343,30 @@ int RunBench(bool quick) {
   int failures = 0;
   bool first = true;
   for (const LoadPoint& point : points) {
-    // A gated point gets one recalibrated retry: a transient load spike
-    // can shift actual flow time away from the calibrated unit mid-point,
-    // which degrades BOTH policies' deadlines identically and can tie the
-    // hit counts by accident rather than by scheduling merit.
+    // Both policies are judged in one unit measured at this load point:
+    // the FIFO run's makespan per flow. A host that runs faster or slower
+    // here than during calibration then moves both runs' deadlines with
+    // it; the calibrated unit only sets the deadlines the queue orders by.
+    // A gated point still gets one recalibrated retry, for a load spike
+    // inside one of the two runs.
     PolicyResult edf;
     PolicyResult fifo;
+    double point_unit_us = 0.0;
     bool edf_beats_fifo = false;
     int attempts = 0;
     for (int attempt = 0; attempt < 2; ++attempt) {
       const int64_t unit =
           attempt == 0 ? flow_micros : CalibrateServiceMicros(rows);
       if (unit <= 0) return 1;
-      edf = RunLoadPoint(QueuePolicy::kEdf, point.flows, point.pool, rows,
-                         unit);
-      fifo = RunLoadPoint(QueuePolicy::kFifo, point.flows, point.pool, rows,
-                          unit);
-      if (!edf.ok || !fifo.ok) return 1;
+      const PolicyRun edf_run = RunLoadPoint(QueuePolicy::kEdf, point.flows,
+                                             point.pool, rows, unit);
+      const PolicyRun fifo_run = RunLoadPoint(
+          QueuePolicy::kFifo, point.flows, point.pool, rows, unit);
+      if (!edf_run.ok || !fifo_run.ok) return 1;
+      point_unit_us = static_cast<double>(fifo_run.makespan_us()) /
+                      static_cast<double>(point.flows);
+      edf = Judge(edf_run, point_unit_us);
+      fifo = Judge(fifo_run, point_unit_us);
       edf_beats_fifo = edf.hits > fifo.hits;
       ++attempts;
       if (edf_beats_fifo || !point.gate) break;
@@ -348,6 +384,7 @@ int RunBench(bool quick) {
     first = false;
     json << "{\"flows\":" << point.flows << ",\"pool\":" << point.pool
          << ",\"attempts\":" << attempts
+         << ",\"point_flow_us\":" << point_unit_us
          << ",\"edf\":{\"deadline_hits\":" << edf.hits
          << ",\"hit_rate\":" << edf.hit_rate
          << ",\"p95_lateness_us\":" << edf.p95_lateness_us

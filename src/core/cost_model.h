@@ -10,7 +10,11 @@
 //
 // Laws implemented (constants in CostModelParams, calibratable from a
 // measured run):
-//   extraction      rows * extract_ns (sequential: source scan + decode)
+//   extraction      rows * extract_ns, one rate whatever the threads: the
+//                   record split and the in-order hand-over are serial, and
+//                   the decode fans out on the flow's pool, so a fitted
+//                   rate already holds the pool's share; a throttled
+//                   source's channel bounds it regardless (Fig. 4)
 //   transformation  sum over ops of cost_per_row * rows_in * unit_ns,
 //                   volume shrinking by selectivity; ops inside the
 //                   parallel range divide by an Amdahl-style effective

@@ -358,6 +358,15 @@ std::string AttributeOr(const XmlNode& node, const std::string& name,
   return it == node.attributes.end() ? fallback : it->second;
 }
 
+/// A boolean attribute: "0", "1", or absent (false). Any other value is
+/// refused rather than read as false.
+Result<bool> BoolAttribute(const XmlNode& node, const std::string& name) {
+  const std::string value = AttributeOr(node, name, "0");
+  if (value == "0" || value == "1") return value == "1";
+  return Status::Invalid("<" + node.tag + "> attribute '" + name +
+                         "' must be 0 or 1, got '" + value + "'");
+}
+
 Result<size_t> ParseSize(const std::string& text) {
   QOX_ASSIGN_OR_RETURN(const Value v, Value::Parse(text, DataType::kInt64));
   if (v.is_null() || v.int64_value() < 0) {
@@ -495,10 +504,11 @@ Result<DesignSpec> ParseDesignXml(const std::string& xml) {
                        ParseSize(AttributeOr(root, "redundancy", "1")));
   QOX_ASSIGN_OR_RETURN(spec.loads_per_day,
                        ParseSize(AttributeOr(root, "loads_per_day", "24")));
-  spec.provenance_columns =
-      AttributeOr(root, "provenance_columns", "0") == "1";
-  spec.audit_rejects = AttributeOr(root, "audit_rejects", "0") == "1";
-  spec.streaming = AttributeOr(root, "streaming", "0") == "1";
+  QOX_ASSIGN_OR_RETURN(spec.provenance_columns,
+                       BoolAttribute(root, "provenance_columns"));
+  QOX_ASSIGN_OR_RETURN(spec.audit_rejects,
+                       BoolAttribute(root, "audit_rejects"));
+  QOX_ASSIGN_OR_RETURN(spec.streaming, BoolAttribute(root, "streaming"));
   QOX_ASSIGN_OR_RETURN(spec.channel_capacity,
                        ParseSize(AttributeOr(root, "channel_capacity", "8")));
   const std::string budget_rows =
@@ -514,7 +524,7 @@ Result<DesignSpec> ParseDesignXml(const std::string& xml) {
   // The journal sync and the resource policy count only beside their gate
   // (journaled, a memory budget), as the export writes them, so a parsed
   // spec re-exports to itself. Their names are validated at parse time.
-  spec.journaled = AttributeOr(root, "journaled", "0") == "1";
+  QOX_ASSIGN_OR_RETURN(spec.journaled, BoolAttribute(root, "journaled"));
   if (spec.journaled) {
     spec.journal_sync = AttributeOr(root, "journal_sync", "always");
     QOX_RETURN_IF_ERROR(ParseJournalSync(spec.journal_sync).status());
@@ -548,7 +558,7 @@ Result<DesignSpec> ParseDesignXml(const std::string& xml) {
     OpSpec op;
     QOX_ASSIGN_OR_RETURN(op.name, RequiredAttribute(child, "name"));
     QOX_ASSIGN_OR_RETURN(op.kind, RequiredAttribute(child, "kind"));
-    op.blocking = AttributeOr(child, "blocking", "0") == "1";
+    QOX_ASSIGN_OR_RETURN(op.blocking, BoolAttribute(child, "blocking"));
     QOX_ASSIGN_OR_RETURN(
         op.cost_per_row,
         ParseDouble(AttributeOr(child, "cost_per_row", "1")));
@@ -626,8 +636,8 @@ Result<DesignSpec> ParseDesignXml(const std::string& xml) {
       return Status::Invalid("unknown service queue policy '" +
                              spec.service_policy + "'");
     }
-    spec.service_admit_only_feasible =
-        AttributeOr(*service, "admit_only_feasible", "0") == "1";
+    QOX_ASSIGN_OR_RETURN(spec.service_admit_only_feasible,
+                         BoolAttribute(*service, "admit_only_feasible"));
   }
   if (const XmlNode* plan = root.FirstChild("execution_plan")) {
     for (const XmlNode& child : plan->children) {

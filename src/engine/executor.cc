@@ -502,9 +502,17 @@ class FlowRunner {
     for (const OpStats& s : stats) metrics_.AccumulateOp(s);
   }
 
-  /// Source stage: scans the source, streaming batches into `out`.
-  /// `total` is the source's row count, the injector's extraction-fraction
-  /// denominator (unused without an injector).
+  /// Source stage: scans the source, streaming batches into `out`. On a
+  /// pool of several core workers the source decodes or copies its batches
+  /// as CPU tasks of this flow (a BulkExecute fan-out under the flow's
+  /// deadline tag) and hands them over here in order. One worker has no
+  /// parallelism to offer, only a hand-off of every row to another core,
+  /// so there the scan stays serial on this thread. The stage never runs
+  /// on a core worker (a blocking task, or the runner's thread when
+  /// staged), so the fan-out's wait does not help: no other task runs
+  /// under a store lock the scan holds. `total` is the source's row count,
+  /// the injector's extraction-fraction denominator (unused without an
+  /// injector).
   void SpawnExtractStage(StageSet* stages, BatchChannelPtr out, int attempt,
                          size_t total) {
     const size_t node_id = plan_.extract_node();
@@ -518,9 +526,16 @@ class FlowRunner {
         QOX_RETURN_IF_ERROR(config_.injector->Check(
             instance_id_, attempt, /*op_index=*/-1, 0, total));
       }
+      const DataStore::FanOut pooled =
+          [this](size_t n, const std::function<void(size_t)>& fn) {
+            exec_.BulkExecute(n, fn);
+          };
+      const bool parallel =
+          exec_.pool() != nullptr && exec_.pool()->num_workers() > 1;
       size_t seen = 0;
       QOX_RETURN_IF_ERROR(flow_.source->Scan(
-          config_.batch_size, [&](RowBatch& batch) -> Status {
+          config_.batch_size, parallel ? pooled : DataStore::SerialFanOut(),
+          [&](RowBatch& batch) -> Status {
             if (cancelled_ != nullptr && cancelled_->load()) {
               return Status::Cancelled("extraction cancelled");
             }
@@ -890,9 +905,12 @@ class FlowRunner {
           st = config_.injector->Check(/*instance=*/0, attempt,
                                        FailureSpec::kAtLoad, seen, total);
         }
-        if (st.ok()) st = flow_.target->Append(acc);
+        // The target may move the rows in; a failed append leaves the
+        // rows it did not land in `acc` for the shed below.
+        const size_t rows = acc.num_rows();
+        if (st.ok()) st = flow_.target->Append(std::move(acc));
         if (st.ok()) {
-          appended += acc.num_rows();
+          appended += rows;
           acc.Clear();
           return Status::OK();
         }

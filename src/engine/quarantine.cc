@@ -131,8 +131,8 @@ Result<ReplayStats> ReplayQuarantine(const FlowSpec& flow,
       for (size_t i = durable; i < produced.size(); ++i) {
         load.Append(std::move(produced[i]));
       }
-      QOX_RETURN_IF_ERROR(flow.target->Append(load));
       stats.rows_loaded += load.num_rows();
+      QOX_RETURN_IF_ERROR(flow.target->Append(std::move(load)));
     }
     QOX_CRASH_POINT("replay.loaded");
     if (journal != nullptr) {

@@ -60,9 +60,8 @@ Row CdcSource::EventAt(size_t offset) const {
 
 Result<size_t> CdcSource::NumRows() const { return spec_.total_events; }
 
-Status CdcSource::Scan(
-    size_t batch_size,
-    const std::function<Status(RowBatch&)>& consumer) const {
+Status CdcSource::Scan(size_t batch_size, const FanOut& /*fan_out*/,
+                       const Consumer& consumer) const {
   if (batch_size == 0) return Status::Invalid("batch_size must be > 0");
   RowBatch batch(schema_);
   batch.Reserve(batch_size);
@@ -112,9 +111,8 @@ Result<size_t> CdcShardView::NumRows() const {
   return count;
 }
 
-Status CdcShardView::Scan(
-    size_t batch_size,
-    const std::function<Status(RowBatch&)>& consumer) const {
+Status CdcShardView::Scan(size_t batch_size, const FanOut& /*fan_out*/,
+                          const Consumer& consumer) const {
   if (batch_size == 0) return Status::Invalid("batch_size must be > 0");
   RowBatch batch(source_->schema());
   batch.Reserve(batch_size);

@@ -65,8 +65,10 @@ class CdcSource : public DataStore {
   const std::string& name() const override { return name_; }
   const Schema& schema() const override { return schema_; }
   Result<size_t> NumRows() const override;
-  Status Scan(size_t batch_size,
-              const std::function<Status(RowBatch&)>& consumer) const override;
+  /// Generates the events serially: each costs O(1) from the seed.
+  using DataStore::Scan;
+  Status Scan(size_t batch_size, const FanOut& fan_out,
+              const Consumer& consumer) const override;
   /// The stream is a source, not a sink.
   Status Append(const RowBatch& batch) override;
   Status Truncate() override;
@@ -96,8 +98,9 @@ class CdcShardView : public DataStore {
   const Schema& schema() const override;
   /// Events of the window owned by this shard (O(window) recount).
   Result<size_t> NumRows() const override;
-  Status Scan(size_t batch_size,
-              const std::function<Status(RowBatch&)>& consumer) const override;
+  using DataStore::Scan;
+  Status Scan(size_t batch_size, const FanOut& fan_out,
+              const Consumer& consumer) const override;
   Status Append(const RowBatch& batch) override;
   Status Truncate() override;
   std::string ContentVersion() const override;

@@ -32,17 +32,41 @@ class DataStore {
   /// Number of rows currently stored.
   virtual Result<size_t> NumRows() const = 0;
 
+  /// Runs `fn(0) .. fn(n-1)`, possibly in parallel, and returns when every
+  /// call has finished. The engine supplies one that runs the calls as CPU
+  /// tasks of the flow's worker pool; SerialFanOut runs them in order here.
+  using FanOut =
+      std::function<void(size_t n, const std::function<void(size_t)>& fn)>;
+  using Consumer = std::function<Status(RowBatch&)>;
+
+  static const FanOut& SerialFanOut();
+
   /// Streams the contents in batches of at most `batch_size` rows to the
-  /// consumer. The consumer may return a non-OK status to abort the scan
-  /// (propagated to the caller). Each batch is handed over mutably: the
-  /// consumer may move rows out of it (the store never re-reads a batch
-  /// after the consumer returns), which keeps the extract path copy-free.
-  virtual Status Scan(size_t batch_size,
-                      const std::function<Status(RowBatch&)>& consumer)
-      const = 0;
+  /// consumer, in store order, on the calling thread. The consumer may
+  /// return a non-OK status to abort the scan (propagated to the caller).
+  /// Each batch is handed over mutably: the consumer may move rows out of
+  /// it (the store never re-reads a batch after the consumer returns),
+  /// which keeps the extract path copy-free. The store may decode or copy
+  /// a bounded window of batches ahead through `fan_out`; the batches, and
+  /// the first error, are those of a serial scan.
+  virtual Status Scan(size_t batch_size, const FanOut& fan_out,
+                      const Consumer& consumer) const = 0;
+
+  /// The serial scan: Scan through SerialFanOut.
+  Status Scan(size_t batch_size, const Consumer& consumer) const {
+    return Scan(batch_size, SerialFanOut(), consumer);
+  }
 
   /// Appends a batch. The batch schema must equal the store schema.
   virtual Status Append(const RowBatch& batch) = 0;
+
+  /// Appends a batch the caller gives up: a store may move its rows in.
+  /// When the append fails, the rows the store did not land are still in
+  /// the batch, where they were. The default copies, through the `const&`
+  /// overload.
+  virtual Status Append(RowBatch&& batch) {
+    return Append(static_cast<const RowBatch&>(batch));
+  }
 
   /// Removes all rows.
   virtual Status Truncate() = 0;

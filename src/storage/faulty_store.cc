@@ -43,9 +43,8 @@ Status FaultyStore::MakeFault(const std::string& operation) const {
   return Status::Unavailable(msg);
 }
 
-Status FaultyStore::Scan(
-    size_t batch_size,
-    const std::function<Status(RowBatch&)>& consumer) const {
+Status FaultyStore::Scan(size_t batch_size, const FanOut& fan_out,
+                         const Consumer& consumer) const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++scan_calls_;
@@ -54,7 +53,7 @@ Status FaultyStore::Scan(
       return MakeFault("scan");
     }
   }
-  return inner_->Scan(batch_size, [&](RowBatch& batch) -> Status {
+  return inner_->Scan(batch_size, fan_out, [&](RowBatch& batch) -> Status {
     if (plan_.scan_fault_probability > 0.0) {
       std::lock_guard<std::mutex> lock(mu_);
       if (rng_.Bernoulli(plan_.scan_fault_probability)) {
@@ -66,22 +65,30 @@ Status FaultyStore::Scan(
   });
 }
 
+std::optional<double> FaultyStore::DrawAppendFault() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++append_calls_;
+  const bool fault = (plan_.append_fail_on_call > 0 &&
+                      append_calls_ == plan_.append_fail_on_call) ||
+                     (plan_.append_fault_probability > 0.0 &&
+                      rng_.Bernoulli(plan_.append_fault_probability));
+  if (!fault) return std::nullopt;
+  return plan_.torn_fraction < 0.0 ? rng_.NextDouble() : plan_.torn_fraction;
+}
+
 Status FaultyStore::Append(const RowBatch& batch) {
-  bool fault = false;
-  double torn_fraction = plan_.torn_fraction;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++append_calls_;
-    if (plan_.append_fail_on_call > 0 &&
-        append_calls_ == plan_.append_fail_on_call) {
-      fault = true;
-    } else if (plan_.append_fault_probability > 0.0 &&
-               rng_.Bernoulli(plan_.append_fault_probability)) {
-      fault = true;
-    }
-    if (fault && torn_fraction < 0.0) torn_fraction = rng_.NextDouble();
-  }
-  if (!fault) return inner_->Append(batch);
+  const std::optional<double> torn_fraction = DrawAppendFault();
+  if (!torn_fraction.has_value()) return inner_->Append(batch);
+  return FailAppend(batch, *torn_fraction);
+}
+
+Status FaultyStore::Append(RowBatch&& batch) {
+  const std::optional<double> torn_fraction = DrawAppendFault();
+  if (!torn_fraction.has_value()) return inner_->Append(std::move(batch));
+  return FailAppend(batch, *torn_fraction);
+}
+
+Status FaultyStore::FailAppend(const RowBatch& batch, double torn_fraction) {
   append_faults_.fetch_add(1);
   // kShortWrite durably lands a prefix (torn-write mechanics) regardless
   // of the torn_writes flag — that IS the fault being modelled.
@@ -99,7 +106,7 @@ Status FaultyStore::Append(const RowBatch& batch) {
     for (size_t i = 0; i < torn_rows && i < batch.num_rows(); ++i) {
       torn.Append(batch.row(i));
     }
-    if (!torn.empty()) QOX_RETURN_IF_ERROR(inner_->Append(torn));
+    if (!torn.empty()) QOX_RETURN_IF_ERROR(inner_->Append(std::move(torn)));
   }
   return MakeFault("append");
 }

@@ -19,6 +19,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "common/rng.h"
 #include "storage/data_store.h"
@@ -87,9 +88,14 @@ class FaultyStore : public DataStore {
   const std::string& name() const override { return inner_->name(); }
   const Schema& schema() const override { return inner_->schema(); }
   Result<size_t> NumRows() const override { return inner_->NumRows(); }
-  Status Scan(size_t batch_size,
-              const std::function<Status(RowBatch&)>& consumer) const override;
+  /// Forwards `fan_out`; scan faults strike per delivered batch.
+  using DataStore::Scan;
+  Status Scan(size_t batch_size, const FanOut& fan_out,
+              const Consumer& consumer) const override;
   Status Append(const RowBatch& batch) override;
+  /// Moves the rows into the inner store when no fault strikes. A failing
+  /// append leaves every row in the batch (a torn prefix lands as a copy).
+  Status Append(RowBatch&& batch) override;
   Status Truncate() override { return inner_->Truncate(); }
 
   const DataStorePtr& inner() const { return inner_; }
@@ -100,6 +106,11 @@ class FaultyStore : public DataStore {
 
  private:
   Status MakeFault(const std::string& operation) const;
+  /// Counts an append call; when it faults, returns the fraction of the
+  /// batch a torn write persists.
+  std::optional<double> DrawAppendFault();
+  /// Lands the torn prefix `batch` persists (if any) and returns the fault.
+  Status FailAppend(const RowBatch& batch, double torn_fraction);
 
   const DataStorePtr inner_;
   const FaultPlan plan_;

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <string_view>
 #include <vector>
 
 #include "common/crash_point.h"
@@ -22,6 +23,20 @@ namespace {
 bool IsRowRecord(const std::string& record, size_t width) {
   return !record.empty() || width == 1;
 }
+
+/// Batches Scan splits ahead and decodes in one fan-out: twice a 4-worker
+/// pool, and small enough that a large file is never held twice.
+constexpr size_t kWindowMorsels = 8;
+
+/// The records of one batch: split serially in file order, then decoded
+/// by one fan-out call.
+struct Morsel {
+  std::string text;           // the records back to back
+  std::vector<size_t> ends;   // where each record ends in `text`
+  std::vector<size_t> lines;  // the line each record starts on
+  RowBatch rows;
+  Status status = Status::OK();
+};
 
 }  // namespace
 
@@ -46,7 +61,7 @@ Status FlatFile::WriteHeader() {
 }
 
 Result<size_t> FlatFile::NumRows() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(mu_);
   RecordReader reader(path_);
   if (!reader.is_open()) {
     return Status::IoError("cannot open file '" + path_ + "'");
@@ -60,11 +75,10 @@ Result<size_t> FlatFile::NumRows() const {
   return rows;
 }
 
-Status FlatFile::Scan(
-    size_t batch_size,
-    const std::function<Status(RowBatch&)>& consumer) const {
+Status FlatFile::Scan(size_t batch_size, const FanOut& fan_out,
+                      const Consumer& consumer) const {
   if (batch_size == 0) return Status::Invalid("batch_size must be > 0");
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(mu_);
   RecordReader reader(path_);
   if (!reader.is_open()) {
     return Status::IoError("cannot open file '" + path_ + "'");
@@ -72,29 +86,56 @@ Status FlatFile::Scan(
   std::string record;
   if (!reader.Next(&record)) return Status::OK();  // empty file: no header
   const size_t width = schema_.num_fields();
-  RowBatch batch(schema_);
-  batch.Reserve(batch_size);
-  // Reused for every record, so decoding allocates no cell strings.
-  std::vector<std::string> cells;
-  while (true) {
-    const size_t first_line = reader.line_no() + 1;
-    if (!reader.Next(&record)) break;
-    if (!IsRowRecord(record, width)) continue;
-    Result<Row> row = ParseRow(record, schema_, &cells);
-    if (!row.ok()) {
-      return Status::Invalid("file '" + path_ + "' line " +
-                             std::to_string(first_line) + ": " +
-                             row.status().message());
+  const SchemaPtr schema = MakeSchemaPtr(schema_);
+  std::vector<Morsel> window(kWindowMorsels);
+  bool more = true;
+  while (more) {
+    size_t filled = 0;
+    while (more && filled < window.size()) {
+      Morsel& morsel = window[filled];
+      morsel.text.clear();
+      morsel.ends.clear();
+      morsel.lines.clear();
+      while (morsel.ends.size() < batch_size) {
+        const size_t first_line = reader.line_no() + 1;
+        if (!reader.Next(&record)) {
+          more = false;
+          break;
+        }
+        if (!IsRowRecord(record, width)) continue;
+        morsel.text += record;
+        morsel.ends.push_back(morsel.text.size());
+        morsel.lines.push_back(first_line);
+      }
+      if (!morsel.ends.empty()) ++filled;
     }
-    batch.Append(row.TakeValue());
-    if (batch.num_rows() >= batch_size) {
-      QOX_RETURN_IF_ERROR(consumer(batch));
-      // The consumer may have moved the rows (and their storage) out.
-      batch.Clear();
-      batch.Reserve(batch_size);
+    fan_out(filled, [&](size_t i) {
+      Morsel& morsel = window[i];
+      morsel.rows = RowBatch(schema);
+      morsel.rows.Reserve(morsel.ends.size());
+      morsel.status = Status::OK();
+      // Reused for every record, so decoding allocates no cell strings.
+      std::vector<std::string> cells;
+      const std::string_view text = morsel.text;
+      size_t begin = 0;
+      for (size_t r = 0; r < morsel.ends.size(); ++r) {
+        Result<Row> row = ParseRow(text.substr(begin, morsel.ends[r] - begin),
+                                   schema_, &cells);
+        if (!row.ok()) {
+          morsel.status = Status::Invalid(
+              "file '" + path_ + "' line " +
+              std::to_string(morsel.lines[r]) + ": " + row.status().message());
+          return;
+        }
+        morsel.rows.Append(row.TakeValue());
+        begin = morsel.ends[r];
+      }
+    });
+    for (size_t i = 0; i < filled; ++i) {
+      QOX_RETURN_IF_ERROR(window[i].status);
+      QOX_RETURN_IF_ERROR(consumer(window[i].rows));
     }
   }
-  if (!batch.empty()) QOX_RETURN_IF_ERROR(consumer(batch));
   return Status::OK();
 }
 
@@ -102,7 +143,7 @@ Status FlatFile::Append(const RowBatch& batch) {
   if (batch.schema() != schema_) {
     return Status::Invalid("append to '" + name_ + "': schema mismatch");
   }
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   QOX_CRASH_POINT("flat.append");
   // fd-based writes so every byte, the fsync, and the close are actually
   // checked — an ofstream append used to swallow short writes and never
@@ -140,12 +181,12 @@ Status FlatFile::Append(const RowBatch& batch) {
 }
 
 Status FlatFile::Truncate() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   return WriteHeader();
 }
 
 size_t FlatFile::bytes_written() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(mu_);
   return bytes_written_;
 }
 

@@ -15,7 +15,7 @@
 #ifndef QOX_STORAGE_FLAT_FILE_H_
 #define QOX_STORAGE_FLAT_FILE_H_
 
-#include <mutex>
+#include <shared_mutex>
 #include <string>
 
 #include "storage/data_store.h"
@@ -36,8 +36,12 @@ class FlatFile : public DataStore {
   const Schema& schema() const override { return schema_; }
   const std::string& path() const { return path_; }
   Result<size_t> NumRows() const override;
-  Status Scan(size_t batch_size,
-              const std::function<Status(RowBatch&)>& consumer) const override;
+  /// Splits the records of a window of batches serially, decodes the
+  /// window's batches through `fan_out`, and hands them over in file
+  /// order. Appends wait for the whole scan; other scans do not.
+  using DataStore::Scan;
+  Status Scan(size_t batch_size, const FanOut& fan_out,
+              const Consumer& consumer) const override;
   Status Append(const RowBatch& batch) override;
   Status Truncate() override;
 
@@ -57,7 +61,8 @@ class FlatFile : public DataStore {
   const Schema schema_;
   const std::string path_;
   const bool sync_every_append_;
-  mutable std::mutex mu_;
+  /// Scans and counts share it; appends and truncates take it alone.
+  mutable std::shared_mutex mu_;
   size_t bytes_written_ = 0;
 };
 

@@ -6,13 +6,14 @@
 
 namespace qox {
 
-Status ThrottledStore::Scan(
-    size_t batch_size,
-    const std::function<Status(RowBatch&)>& consumer) const {
-  if (bytes_per_second_ <= 0) return inner_->Scan(batch_size, consumer);
+Status ThrottledStore::Scan(size_t batch_size, const FanOut& fan_out,
+                            const Consumer& consumer) const {
+  if (bytes_per_second_ <= 0) {
+    return inner_->Scan(batch_size, fan_out, consumer);
+  }
   const int64_t start = NowMicros();
   size_t bytes_seen = 0;
-  return inner_->Scan(batch_size, [&](RowBatch& batch) -> Status {
+  return inner_->Scan(batch_size, fan_out, [&](RowBatch& batch) -> Status {
     bytes_seen += batch.ByteSize();
     // Pace delivery: this batch may not arrive before the channel could
     // have transferred its bytes.

@@ -26,10 +26,15 @@ class ThrottledStore : public DataStore {
   const std::string& name() const override { return inner_->name(); }
   const Schema& schema() const override { return inner_->schema(); }
   Result<size_t> NumRows() const override { return inner_->NumRows(); }
-  Status Scan(size_t batch_size,
-              const std::function<Status(RowBatch&)>& consumer) const override;
+  /// Paces each batch the inner scan delivers through `fan_out`.
+  using DataStore::Scan;
+  Status Scan(size_t batch_size, const FanOut& fan_out,
+              const Consumer& consumer) const override;
   Status Append(const RowBatch& batch) override {
     return inner_->Append(batch);
+  }
+  Status Append(RowBatch&& batch) override {
+    return inner_->Append(std::move(batch));
   }
   Status Truncate() override { return inner_->Truncate(); }
 

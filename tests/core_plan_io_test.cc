@@ -290,6 +290,42 @@ TEST(PlanIoTest, LegacyColumnarAttributeParsesToTheSameDesign) {
   EXPECT_TRUE(parsed.value() == original);
 }
 
+// A boolean attribute is 0 or 1. Any other value is refused, naming the
+// attribute, instead of parsing as false.
+TEST(PlanIoTest, MangledBooleanAttributesAreRefused) {
+  DesignSpec spec = SpecOf(MakeDesign());
+  spec.has_service = true;
+  const std::string xml = ExportDesignXml(spec);
+  ASSERT_TRUE(ParseDesignXml(xml).ok());
+  auto expect_refused = [](const std::string& doc,
+                           const std::string& attribute) {
+    const Result<DesignSpec> parsed = ParseDesignXml(doc);
+    ASSERT_FALSE(parsed.ok()) << doc;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("'" + attribute + "'"),
+              std::string::npos)
+        << parsed.status();
+  };
+  for (const std::string attribute :
+       {"provenance_columns", "audit_rejects", "streaming", "blocking",
+        "admit_only_feasible"}) {
+    const std::string key = " " + attribute + "=\"";
+    const size_t value = xml.find(key);
+    ASSERT_NE(value, std::string::npos) << attribute;
+    const size_t begin = value + key.size();
+    for (const std::string bad : {"9", "true", "", "01"}) {
+      std::string mangled = xml;
+      mangled.replace(begin, xml.find('"', begin) - begin, bad);
+      expect_refused(mangled, attribute);
+    }
+  }
+  // `journaled` appears only in journaled designs.
+  std::string journaled = xml;
+  const std::string root = "<physical_design";
+  journaled.insert(journaled.find(root) + root.size(), " journaled=\"19\"");
+  expect_refused(journaled, "journaled");
+}
+
 TEST(PlanIoTest, CommentsAndDeclarationsSkipped) {
   const std::string xml =
       "<?xml version=\"1.0\"?>\n"

@@ -184,10 +184,10 @@ class RowCountingStore : public DataStore {
     ++counts_;
     return inner_->NumRows();
   }
-  Status Scan(size_t batch_size,
-              const std::function<Status(RowBatch&)>& consumer)
-      const override {
-    return inner_->Scan(batch_size, consumer);
+  using DataStore::Scan;
+  Status Scan(size_t batch_size, const FanOut& fan_out,
+              const Consumer& consumer) const override {
+    return inner_->Scan(batch_size, fan_out, consumer);
   }
   Status Append(const RowBatch& batch) override {
     return inner_->Append(batch);

@@ -7,8 +7,9 @@
 // a failed run must commit nothing. A run resumes past a Δ only from a
 // recovery point it made itself, since only then does it hold the landing
 // the Δ compared. The partition branches of a hash-partitioned Δ and the
-// instances of a redundant run hand their landings over concurrently, so
-// this binary is in the TSan leg of scripts/check.sh.
+// instances of a redundant run hand their landings over concurrently, and
+// an extract decodes or copies its batches on the pool while other threads
+// append, so this binary is in the TSan leg of scripts/check.sh.
 
 #include <gtest/gtest.h>
 
@@ -19,13 +20,16 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/sales_workflow.h"
 #include "core/translate.h"
+#include "engine/exec_context.h"
 #include "engine/executor.h"
 #include "engine/flow_journal.h"
 #include "engine/ops/delta_op.h"
+#include "storage/flat_file.h"
 #include "storage/recovery_store.h"
 #include "test_util.h"
 
@@ -49,11 +53,11 @@ class ForwardingStore : public DataStore {
   const std::string& name() const override { return inner_->name(); }
   const Schema& schema() const override { return inner_->schema(); }
   Result<size_t> NumRows() const override { return inner_->NumRows(); }
-  Status Scan(size_t batch_size,
-              const std::function<Status(RowBatch&)>& consumer)
-      const override {
+  using DataStore::Scan;
+  Status Scan(size_t batch_size, const FanOut& fan_out,
+              const Consumer& consumer) const override {
     ++scans_;
-    QOX_RETURN_IF_ERROR(inner_->Scan(batch_size, consumer));
+    QOX_RETURN_IF_ERROR(inner_->Scan(batch_size, fan_out, consumer));
     if (after_scan_) {
       const std::function<Status()> hook = std::move(after_scan_);
       after_scan_ = nullptr;
@@ -171,6 +175,149 @@ TEST(LandingTest, TranslatedDeltaFlowCommitsItsLanding) {
   const Result<RunMetrics> second = RunFlow(flow.value());
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_EQ(second.value().rows_loaded, 0u);
+}
+
+// The bottom flow over a CSV S1 decodes its extract as CPU tasks of the
+// flow's pool when the pool has several workers, and on the extract's own
+// thread with one. Streaming and phased, on 1 and 4 threads, every run
+// loads the serial run's DW1 bytes and commits its snapshot.
+TEST(LandingTest, PooledExtractLoadsTheSerialRunsBytesInEveryMode) {
+  const std::string dir = ::testing::TempDir() + "/pooled_extract_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  SalesScenarioConfig scenario_config;
+  scenario_config.s1_rows = 3000;
+  scenario_config.s2_rows = 400;
+  scenario_config.s3_rows = 100;
+  scenario_config.data_dir = dir;
+  Result<std::unique_ptr<SalesScenario>> created =
+      SalesScenario::Create(scenario_config);
+  ASSERT_TRUE(created.ok()) << created.status();
+  SalesScenario& s = *created.value();
+  // 24 batches of S1: three of FlatFile's eight-batch decode windows.
+  constexpr size_t kBatch = 128;
+  const size_t s1_batches = (s.s1()->NumRows().value() + kBatch - 1) / kBatch;
+  ASSERT_GE(s1_batches, 24u);
+
+  ExecutionConfig serial;
+  serial.batch_size = kBatch;
+  ASSERT_TRUE(s.ResetWarehouse().ok());
+  ASSERT_TRUE(RunFlow(s.bottom_flow(), serial).ok());
+  const std::vector<Row> dw1 = s.dw1()->ReadAll().value().rows();
+  const std::vector<Row> snapshot = s.sales_snapshot()->Rows();
+  ASSERT_FALSE(dw1.empty());
+
+  for (const bool streaming : {false, true}) {
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(std::string(streaming ? "streaming" : "phased") + " on " +
+                   std::to_string(threads) + " threads");
+      WorkerPool pool(threads);
+      ExecutionConfig config = serial;
+      config.streaming = streaming;
+      config.worker_pool = &pool;
+      ASSERT_TRUE(s.ResetWarehouse().ok());
+      const Result<RunMetrics> metrics = RunFlow(s.bottom_flow(), config);
+      ASSERT_TRUE(metrics.ok()) << metrics.status();
+      EXPECT_EQ(s.dw1()->ReadAll().value().rows(), dw1);
+      EXPECT_EQ(s.sales_snapshot()->Rows(), snapshot);
+      // Each S1 batch was decoded by a CPU task of the caller's pool.
+      if (threads > 1) {
+        EXPECT_GE(pool.stats().tasks_run, s1_batches);
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Appends race scans that copy a MemTable's batches on a pool: every scan
+// sees whole appended batches, in order.
+TEST(PooledScanTest, AppendsBesideAFannedOutMemTableScan) {
+  constexpr int64_t kAppend = 50;
+  MemTable table("t", SimpleSchema());
+  auto append_batch = [&table](int64_t b) {
+    RowBatch batch(SimpleSchema());
+    for (int64_t i = 0; i < kAppend; ++i) {
+      batch.Append(SimpleRow(b * kAppend + i, "a", 1.0));
+    }
+    return table.Append(std::move(batch));
+  };
+  // Every scan copies at least these rows through the pool.
+  for (int64_t b = 0; b < 20; ++b) ASSERT_TRUE(append_batch(b).ok());
+  WorkerPool pool(4);
+  const ExecContext ctx(&pool, TaskTag());
+  const DataStore::FanOut fan_out =
+      [&ctx](size_t n, const std::function<void(size_t)>& fn) {
+        ctx.BulkExecute(n, fn);
+      };
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int64_t b = 20; b < 200; ++b) EXPECT_TRUE(append_batch(b).ok());
+    done.store(true);
+  });
+  size_t scans = 0;
+  while (!done.load() || scans < 10) {
+    int64_t next = 0;
+    const Status st = table.Scan(64, fan_out, [&](RowBatch& batch) {
+      for (const Row& row : batch.rows()) {
+        EXPECT_EQ(row.value(0).int64_value(), next);
+        ++next;
+      }
+      return Status::OK();
+    });
+    EXPECT_TRUE(st.ok()) << st;
+    EXPECT_GE(next, 20 * kAppend);
+    EXPECT_EQ(next % kAppend, 0);
+    ++scans;
+  }
+  writer.join();
+  EXPECT_EQ(table.NumRows().value(), static_cast<size_t>(200 * kAppend));
+  EXPECT_GE(pool.stats().tasks_run, scans);
+}
+
+// A fanned-out scan holds its store's lock while the pool's workers copy
+// or decode its batches. Scans running on those workers (a lookup build
+// in a partition branch) share the lock instead of waiting behind it, so
+// a one-worker pool cannot deadlock on them.
+TEST(PooledScanTest, ScansOnTheWorkersShareTheStoreWithAFannedOutScan) {
+  const std::string dir = ::testing::TempDir() + "/pooled_share_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  auto table = std::make_shared<MemTable>("t", SimpleSchema());
+  auto file = FlatFile::Open("f", SimpleSchema(), dir + "/f.csv").value();
+  RowBatch rows(SimpleSchema());
+  for (int64_t i = 0; i < 300; ++i) rows.Append(SimpleRow(i, "a", 1.0));
+  ASSERT_TRUE(table->Append(rows).ok());
+  ASSERT_TRUE(file->Append(rows).ok());
+  for (const DataStorePtr& store : {DataStorePtr(table), DataStorePtr(file)}) {
+    SCOPED_TRACE(store->name());
+    WorkerPool pool(1);
+    const ExecContext ctx(&pool, TaskTag());
+    std::atomic<size_t> inner_rows{0};
+    const DataStore::FanOut fan_out =
+        [&](size_t n, const std::function<void(size_t)>& fn) {
+          ctx.BulkExecute(n, [&](size_t i) {
+            const Status st = store->Scan(64, [&](RowBatch& batch) {
+              inner_rows += batch.num_rows();
+              return Status::OK();
+            });
+            EXPECT_TRUE(st.ok()) << st;
+            fn(i);
+          });
+        };
+    size_t outer_rows = 0;
+    ASSERT_TRUE(store
+                    ->Scan(100, fan_out,
+                           [&](RowBatch& batch) {
+                             outer_rows += batch.num_rows();
+                             return Status::OK();
+                           })
+                    .ok());
+    EXPECT_EQ(outer_rows, 300u);
+    EXPECT_EQ(inner_rows.load(), 3u * 300u);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 struct Shape {

@@ -37,11 +37,11 @@ class ScanCountingStore : public DataStore {
   const std::string& name() const override { return inner_->name(); }
   const Schema& schema() const override { return inner_->schema(); }
   Result<size_t> NumRows() const override { return inner_->NumRows(); }
-  Status Scan(size_t batch_size,
-              const std::function<Status(RowBatch&)>& consumer)
-      const override {
+  using DataStore::Scan;
+  Status Scan(size_t batch_size, const FanOut& fan_out,
+              const Consumer& consumer) const override {
     ++scans_;
-    return inner_->Scan(batch_size, consumer);
+    return inner_->Scan(batch_size, fan_out, consumer);
   }
   Status Append(const RowBatch& batch) override {
     return inner_->Append(batch);
@@ -304,6 +304,73 @@ TEST(QuarantineExecutionTest, ReplayYieldsExactlyTheMissingRows) {
   EXPECT_EQ(stats.rows_loaded, 2u);
   EXPECT_EQ(stats.rows_rejected, 0u);
   EXPECT_TRUE(SameMultiset(ReadRows(target), CleanOutput(input)));
+}
+
+// A target that moves the load's rows in and leaves each landed batch
+// empty: the run and the replay still count the rows they loaded.
+TEST(QuarantineExecutionTest, MovedLoadsCountTheRowsTheyLanded) {
+  const std::vector<Row> input = SimpleRows(64);
+  FailureInjector injector;
+  injector.AddPoison({/*at_op=*/1, /*id_value=*/3});
+  injector.AddPoison({/*at_op=*/1, /*id_value=*/5});
+  auto warehouse = std::make_shared<MemTable>("wh", TargetSchema());
+  auto target = std::make_shared<testing_util::DrainingStore>(warehouse);
+  auto dlq = DeadLetterStore::InMemory("dlq");
+  ExecutionConfig config;
+  config.injector = &injector;
+  config.error_policies = {ErrorPolicy::kFailFast, ErrorPolicy::kQuarantine,
+                           ErrorPolicy::kFailFast};
+  config.dead_letter = dlq;
+  config.batch_size = 16;
+  const FlowSpec flow = MakeFlow(MakeSource(SimpleSchema(), input), target);
+  const Result<RunMetrics> metrics = Executor::Run(flow, config);
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  EXPECT_EQ(metrics.value().rows_loaded, ReadRows(warehouse).size());
+
+  const size_t before = ReadRows(warehouse).size();
+  const ReplayStats stats =
+      ReplayQuarantine(flow, ExecutionConfig{}, *dlq).value();
+  EXPECT_EQ(stats.replayed, 2u);
+  EXPECT_EQ(stats.rows_loaded, 2u);
+  EXPECT_EQ(ReadRows(warehouse).size(), before + 2);
+  EXPECT_TRUE(SameMultiset(ReadRows(warehouse), CleanOutput(input)));
+}
+
+// When a moving append lands part of a batch and fails with ENOSPC, the
+// rows it did not land are still in the batch, and the load sheds exactly
+// those to the ledger, byte for byte.
+TEST(QuarantineExecutionTest, ShedTakesTheRowsATornMovedAppendLeft) {
+  const std::vector<Row> input = SimpleRows(200);
+  const std::vector<Row> clean = CleanOutput(input);
+  for (const bool streaming : {false, true}) {
+    SCOPED_TRACE(streaming ? "streaming" : "phased");
+    auto warehouse = std::make_shared<MemTable>("wh", TargetSchema());
+    auto target = std::make_shared<testing_util::DrainingStore>(
+        warehouse, /*enospc_on_call=*/2);
+    auto dlq = DeadLetterStore::InMemory("dlq");
+    ExecutionConfig config;
+    config.streaming = streaming;
+    config.batch_size = 16;
+    config.resource_policy = ResourcePolicy::kShedToQuarantine;
+    config.dead_letter = dlq;
+    const Result<RunMetrics> metrics =
+        Executor::Run(MakeFlow(MakeSource(SimpleSchema(), input), target),
+                      config);
+    ASSERT_TRUE(metrics.ok()) << metrics.status();
+    // The 2nd append landed rows [16, 24) and shed [24, 32).
+    std::vector<Row> landed(clean.begin(), clean.begin() + 24);
+    landed.insert(landed.end(), clean.begin() + 32, clean.end());
+    EXPECT_EQ(ReadRows(warehouse), landed);
+    std::vector<Row> shed;
+    const std::vector<QuarantineRecord> records = dlq->ReadAll().value();
+    for (const QuarantineRecord& record : records) {
+      shed.push_back(
+          DecodeQuarantinePayload(record.payload, TargetSchema()).value());
+    }
+    EXPECT_EQ(shed, std::vector<Row>(clean.begin() + 24, clean.begin() + 32));
+    EXPECT_EQ(metrics.value().rows_shed, 8u);
+    EXPECT_EQ(metrics.value().rows_loaded, clean.size() - 8);
+  }
 }
 
 TEST(QuarantineExecutionTest, ReplayDeduplicatesRetriedRecords) {

@@ -204,7 +204,9 @@ TEST(RedundancyTest, MetricsComeFromAcceptedInstance) {
 // the run backs off, and the next attempt (a redundant run's winner
 // replaying the voted output) skips the durable prefix. Two failing loads:
 // the target's 2nd append fails torn, or an injected failure strikes
-// mid-load.
+// mid-load. The load moves its rows into the target, which may leave a
+// landed batch empty; the winner copies the voted rows into its batches,
+// so the retried load reads the voted output intact.
 TEST(RedundancyTest, FailedLoadResumesLikeASingleInstance) {
   const DataStorePtr source =
       testing_util::MakeSource(SimpleSchema(), SimpleRows(400));
@@ -216,41 +218,48 @@ TEST(RedundancyTest, FailedLoadResumesLikeASingleInstance) {
   for (const bool torn : {true, false}) {
     for (const bool streaming : {false, true}) {
       for (const size_t redundancy : {1, 3}) {
-        SCOPED_TRACE(std::string(torn ? "torn append" : "injected") +
-                     (streaming ? " streaming" : " phased") +
-                     " redundancy=" + std::to_string(redundancy));
-        auto warehouse = std::make_shared<MemTable>("tgt", BoundSchema(false));
-        DataStorePtr target = warehouse;
-        FailureInjector injector;
-        if (torn) {
-          FaultPlan plan;
-          plan.append_fail_on_call = 2;
-          plan.torn_writes = true;
-          target = std::make_shared<FaultyStore>(warehouse, plan, /*seed=*/1);
-        } else {
-          FailureSpec spec;
-          spec.at_op = FailureSpec::kAtLoad;
-          spec.at_fraction = 0.5;
-          injector.AddFailure(spec);
+        for (const bool draining : {false, true}) {
+          SCOPED_TRACE(std::string(torn ? "torn append" : "injected") +
+                       (streaming ? " streaming" : " phased") +
+                       " redundancy=" + std::to_string(redundancy) +
+                       (draining ? " draining target" : ""));
+          auto warehouse =
+              std::make_shared<MemTable>("tgt", BoundSchema(false));
+          DataStorePtr target = warehouse;
+          if (draining) {
+            target = std::make_shared<testing_util::DrainingStore>(warehouse);
+          }
+          FailureInjector injector;
+          if (torn) {
+            FaultPlan plan;
+            plan.append_fail_on_call = 2;
+            plan.torn_writes = true;
+            target = std::make_shared<FaultyStore>(target, plan, /*seed=*/1);
+          } else {
+            FailureSpec spec;
+            spec.at_op = FailureSpec::kAtLoad;
+            spec.at_fraction = 0.5;
+            injector.AddFailure(spec);
+          }
+          ExecutionConfig config;
+          config.num_threads = 4;
+          config.streaming = streaming;
+          config.redundancy = redundancy;
+          config.batch_size = 64;
+          config.injector = &injector;
+          config.retry.initial_backoff_micros = 0;
+          const Result<RunMetrics> metrics =
+              Executor::Run(MakeFlow(source, target), config);
+          ASSERT_TRUE(metrics.ok()) << metrics.status();
+          EXPECT_EQ(metrics.value().attempts, 2u);
+          EXPECT_EQ(metrics.value().retries_by_cause,
+                    (std::map<std::string, size_t>{
+                        {torn ? "unavailable" : "injected_failure", 1}}));
+          EXPECT_EQ(metrics.value().failures_injected, torn ? 0u : 1u);
+          EXPECT_EQ(metrics.value().rows_loaded, clean.size());
+          // Exactly once, in the clean run's order.
+          EXPECT_EQ(warehouse->ReadAll().value().rows(), clean);
         }
-        ExecutionConfig config;
-        config.num_threads = 4;
-        config.streaming = streaming;
-        config.redundancy = redundancy;
-        config.batch_size = 64;
-        config.injector = &injector;
-        config.retry.initial_backoff_micros = 0;
-        const Result<RunMetrics> metrics =
-            Executor::Run(MakeFlow(source, target), config);
-        ASSERT_TRUE(metrics.ok()) << metrics.status();
-        EXPECT_EQ(metrics.value().attempts, 2u);
-        EXPECT_EQ(metrics.value().retries_by_cause,
-                  (std::map<std::string, size_t>{
-                      {torn ? "unavailable" : "injected_failure", 1}}));
-        EXPECT_EQ(metrics.value().failures_injected, torn ? 0u : 1u);
-        EXPECT_EQ(metrics.value().rows_loaded, clean.size());
-        // Exactly once, in the clean run's order.
-        EXPECT_EQ(warehouse->ReadAll().value().rows(), clean);
       }
     }
   }

@@ -239,5 +239,63 @@ TEST(ResourceChaosTest, ShedCompletesAndLedgerHoldsExactlyTheMissingRows) {
   }
 }
 
+// Torn appends (a transient fault that lands a random prefix) and ENOSPC
+// strike the same MemTable target: the torn ones fail the attempt, whose
+// retry skips the rows landed or shed before, and the ENOSPC ones shed
+// their batch. Walking the clean output in order, every row is the next
+// warehouse row or the next ledger row, byte for byte.
+TEST(ResourceChaosTest, ShedAfterTornAppendsLedgersExactlyTheRowsNotLanded) {
+  const size_t width = SweepWidth();
+  for (size_t seed = 0; seed < width; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    auto warehouse = std::make_shared<MemTable>("wh", TargetSchema());
+    FaultPlan torn;
+    torn.append_fault_probability = 0.15;
+    torn.torn_writes = true;
+    torn.torn_fraction = -1.0;
+    FaultPlan enospc;
+    enospc.append_fault_probability = 0.2;
+    enospc.disk_fault = DiskFaultKind::kEnospc;
+    auto target = std::make_shared<FaultyStore>(
+        std::make_shared<FaultyStore>(warehouse, torn, seed), enospc,
+        seed + 1000);
+    auto dlq = DeadLetterStore::InMemory("dlq");
+    const std::string spill_dir = FreshDir("torn" + std::to_string(seed));
+    ExecutionConfig config = BaseConfig(seed % 2 == 0, spill_dir);
+    config.resource_policy = ResourcePolicy::kShedToQuarantine;
+    config.dead_letter = dlq;
+    config.retry.max_attempts = 40;
+    const Result<RunMetrics> metrics = Executor::Run(
+        MakeFlow(MakeSource(SimpleSchema(), SimpleRows(kRows)), target),
+        config);
+    ASSERT_TRUE(metrics.ok()) << metrics.status();
+
+    const std::vector<Row> landed = warehouse->ReadAll().value().rows();
+    std::vector<Row> shed;
+    const std::vector<QuarantineRecord> records = dlq->ReadAll().value();
+    for (const QuarantineRecord& record : records) {
+      shed.push_back(
+          DecodeQuarantinePayload(record.payload, TargetSchema()).value());
+    }
+    size_t next_landed = 0;
+    size_t next_shed = 0;
+    for (const Row& row : CleanOutput()) {
+      if (next_landed < landed.size() && landed[next_landed] == row) {
+        ++next_landed;
+      } else {
+        ASSERT_LT(next_shed, shed.size()) << row.ToString();
+        ASSERT_EQ(shed[next_shed], row);
+        ++next_shed;
+      }
+    }
+    EXPECT_EQ(next_landed, landed.size());
+    EXPECT_EQ(next_shed, shed.size());
+    EXPECT_EQ(metrics.value().rows_loaded, landed.size());
+    EXPECT_EQ(metrics.value().rows_shed, shed.size());
+    EXPECT_EQ(SpillArtifactsUnder(spill_dir), 0u);
+    std::filesystem::remove_all(spill_dir);
+  }
+}
+
 }  // namespace
 }  // namespace qox

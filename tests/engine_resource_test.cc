@@ -543,9 +543,9 @@ class SyntheticWideSource : public DataStore {
   const std::string& name() const override { return name_; }
   const Schema& schema() const override { return schema_; }
   Result<size_t> NumRows() const override { return rows_; }
-  Status Scan(size_t batch_size,
-              const std::function<Status(RowBatch&)>& consumer)
-      const override {
+  using DataStore::Scan;
+  Status Scan(size_t batch_size, const FanOut& /*fan_out*/,
+              const Consumer& consumer) const override {
     RowBatch batch(schema_);
     for (size_t i = 0; i < rows_; ++i) {
       batch.Append(
@@ -582,8 +582,8 @@ class OrderCheckingSink : public DataStore {
   const std::string& name() const override { return name_; }
   const Schema& schema() const override { return schema_; }
   Result<size_t> NumRows() const override { return rows_; }
-  Status Scan(size_t, const std::function<Status(RowBatch&)>&)
-      const override {
+  using DataStore::Scan;
+  Status Scan(size_t, const FanOut&, const Consumer&) const override {
     return Status::Invalid("order_sink is write-only");
   }
   Status Append(const RowBatch& batch) override {

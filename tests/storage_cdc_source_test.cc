@@ -57,7 +57,9 @@ TEST(CdcSourceTest, VersionsAreGlobalAndPerKeyMonotone) {
     EXPECT_EQ(version, static_cast<int64_t>(i) + 1);
     EXPECT_TRUE(seen_versions.insert(version).second);
     const auto it = last_version.find(key);
-    if (it != last_version.end()) EXPECT_GT(version, it->second);
+    if (it != last_version.end()) {
+      EXPECT_GT(version, it->second);
+    }
     last_version[key] = version;
     EXPECT_GE(key, 0);
     EXPECT_LT(key, static_cast<int64_t>(SmallSpec().num_keys));

@@ -5,11 +5,78 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
+#include "engine/exec_context.h"
+
 namespace qox {
 namespace {
+
+/// Batches FlatFile::Scan splits ahead per fan-out (its window): the scans
+/// below cover more than three windows at every batch size.
+constexpr size_t kWindowMorsels = 8;
+
+/// What a scan handed over: each batch's rows, in order, and its status.
+struct Scanned {
+  Status status = Status::OK();
+  std::vector<std::vector<Row>> batches;
+};
+
+Scanned ScanAll(const DataStore& store, size_t batch_size,
+                const DataStore::FanOut& fan_out) {
+  Scanned out;
+  out.status = store.Scan(batch_size, fan_out, [&](RowBatch& batch) {
+    out.batches.push_back(std::move(batch.rows()));
+    return Status::OK();
+  });
+  return out;
+}
+
+/// Scans `store` serially and through a 4-worker pool's fan-out at batch
+/// sizes 1, 7 and 1024: both must hand over the same batches, and `rows`
+/// in order.
+void ExpectParallelScanMatchesSerial(const DataStore& store,
+                                     const std::vector<Row>& rows) {
+  WorkerPool pool(4);
+  const ExecContext ctx(&pool, TaskTag());
+  const DataStore::FanOut fan_out =
+      [&ctx](size_t n, const std::function<void(size_t)>& fn) {
+        ctx.BulkExecute(n, fn);
+      };
+  for (const size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+    ASSERT_GT(rows.size(), 3 * kWindowMorsels * batch_size);
+    const Scanned serial =
+        ScanAll(store, batch_size, DataStore::SerialFanOut());
+    const Scanned parallel = ScanAll(store, batch_size, fan_out);
+    ASSERT_TRUE(serial.status.ok()) << serial.status;
+    ASSERT_TRUE(parallel.status.ok()) << parallel.status;
+    ASSERT_EQ(serial.batches.size(), parallel.batches.size()) << batch_size;
+    size_t next = 0;
+    for (size_t b = 0; b < serial.batches.size(); ++b) {
+      ASSERT_EQ(serial.batches[b].size(),
+                std::min(batch_size, rows.size() - next));
+      ASSERT_TRUE(serial.batches[b] == parallel.batches[b])
+          << "batch " << b << " at batch size " << batch_size;
+      for (const Row& row : serial.batches[b]) {
+        ASSERT_TRUE(row == rows[next]) << "row " << next;
+        ++next;
+      }
+    }
+    EXPECT_EQ(next, rows.size());
+  }
+  EXPECT_GT(pool.stats().tasks_run, 0u);
+}
+
+void AppendRaw(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::app | std::ios::binary) << bytes;
+}
+
+/// Drops the file's final newline, so its last record is unterminated.
+void DropFinalNewline(const std::string& path) {
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 1);
+}
 
 class FlatFileTest : public ::testing::Test {
  protected:
@@ -202,6 +269,104 @@ TEST_F(FlatFileTest, QuotedNewlineCellRoundTrips) {
       EXPECT_TRUE(row.value(1).is_null()) << "row " << i;
     } else {
       EXPECT_EQ(row.value(1).string_value(), texts[i]) << "row " << i;
+    }
+  }
+}
+
+// A scan decoding through a pool hands over the serial scan's batches:
+// quoted newlines and doubled quotes, blank lines between records, and a
+// last record with no newline.
+TEST_F(FlatFileTest, ParallelScanMatchesSerialScan) {
+  const std::string path = dir_ + "/t.csv";
+  const auto file = FlatFile::Open("t", TestSchema(), path).value();
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 30000; ++i) {
+    std::string text = "r" + std::to_string(i);
+    if (i % 5 == 0) text += "\nsecond line, \"quoted\"";
+    if (i % 7 == 0) text = "\"\"";
+    rows.push_back(Row({Value::Int64(i),
+                        i % 11 == 0 ? Value::Null() : Value::String(text),
+                        Value::Double(static_cast<double>(i) * 0.25)}));
+  }
+  for (size_t begin = 0; begin < rows.size(); begin += 4000) {
+    const size_t end = std::min(rows.size(), begin + 4000);
+    std::vector<Row> chunk(rows.begin() + static_cast<std::ptrdiff_t>(begin),
+                           rows.begin() + static_cast<std::ptrdiff_t>(end));
+    ASSERT_TRUE(file->Append(RowBatch(TestSchema(), std::move(chunk))).ok());
+    // Blank lines are no rows in a three-column file.
+    if (end < rows.size()) AppendRaw(path, "\n\n");
+  }
+  DropFinalNewline(path);
+  ASSERT_EQ(file->NumRows().value(), rows.size());
+  ExpectParallelScanMatchesSerial(*file, rows);
+}
+
+// In a one-column file an empty line is a NULL row, in every window.
+TEST_F(FlatFileTest, ParallelScanKeepsOneColumnNullRows) {
+  const Schema schema({{"note", DataType::kString, true}});
+  const std::string path = dir_ + "/one.csv";
+  const auto file = FlatFile::Open("one", schema, path).value();
+  std::vector<Row> rows;
+  RowBatch batch(schema);
+  for (int64_t i = 0; i < 30000; ++i) {
+    // The last row holds text: its newline is dropped below.
+    const bool null = i % 3 == 0 && i != 29999;
+    rows.push_back(Row({null ? Value::Null()
+                             : Value::String("v\n" + std::to_string(i))}));
+    batch.Append(rows.back());
+  }
+  ASSERT_TRUE(file->Append(batch).ok());
+  DropFinalNewline(path);
+  ASSERT_EQ(file->NumRows().value(), rows.size());
+  ExpectParallelScanMatchesSerial(*file, rows);
+}
+
+// A cell that fails to parse in the third window fails the parallel scan
+// with the serial scan's status, after exactly the batches before it.
+TEST_F(FlatFileTest, ParallelScanFailsAtTheFirstBadRecordLikeTheSerialScan) {
+  WorkerPool pool(4);
+  const ExecContext ctx(&pool, TaskTag());
+  const DataStore::FanOut fan_out =
+      [&ctx](size_t n, const std::function<void(size_t)>& fn) {
+        ctx.BulkExecute(n, fn);
+      };
+  for (const size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+    const std::string path =
+        dir_ + "/bad" + std::to_string(batch_size) + ".csv";
+    const auto file = FlatFile::Open("bad", TestSchema(), path).value();
+    // The first bad record opens the third window's second batch; a
+    // second one follows in a later window.
+    const size_t bad = (2 * kWindowMorsels + 1) * batch_size;
+    RowBatch head(TestSchema());
+    for (size_t i = 0; i < bad; ++i) {
+      head.Append(Row({Value::Int64(static_cast<int64_t>(i)),
+                       Value::String("ok"), Value::Double(1.0)}));
+    }
+    ASSERT_TRUE(file->Append(head).ok());
+    AppendRaw(path, std::to_string(bad) + ",bad,not_a_number\n");
+    RowBatch rest(TestSchema());
+    for (size_t i = bad + 1; i < 30 * batch_size + 40; ++i) {
+      rest.Append(Row({Value::Int64(static_cast<int64_t>(i)),
+                       Value::String("ok"), Value::Double(1.0)}));
+    }
+    ASSERT_TRUE(file->Append(rest).ok());
+    AppendRaw(path, "x,worse\n");
+
+    const Scanned serial =
+        ScanAll(*file, batch_size, DataStore::SerialFanOut());
+    const Scanned parallel = ScanAll(*file, batch_size, fan_out);
+    ASSERT_EQ(serial.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(serial.status.message().find(
+                  "file '" + path + "' line " + std::to_string(bad + 2) +
+                  ": "),
+              std::string::npos)
+        << serial.status;
+    EXPECT_EQ(parallel.status.code(), serial.status.code());
+    EXPECT_EQ(parallel.status.message(), serial.status.message());
+    ASSERT_EQ(serial.batches.size(), bad / batch_size);
+    ASSERT_EQ(parallel.batches.size(), serial.batches.size());
+    for (size_t b = 0; b < serial.batches.size(); ++b) {
+      ASSERT_TRUE(serial.batches[b] == parallel.batches[b]) << b;
     }
   }
 }

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
+
+#include "engine/exec_context.h"
 
 namespace qox {
 namespace {
@@ -115,6 +118,66 @@ TEST(MemTableTest, ConcurrentAppendsAllLand) {
   }
   for (std::thread& w : writers) w.join();
   EXPECT_EQ(table.NumRows().value(), 4u * 50u * 10u);
+}
+
+// A scan copying its batches through a 4-worker pool's fan-out hands over
+// the serial scan's batches, in order, at every batch size.
+TEST(MemTableTest, ParallelScanMatchesSerialScan) {
+  MemTable table("t", TestSchema());
+  ASSERT_TRUE(table.Append(MakeBatch(0, 30000)).ok());
+  WorkerPool pool(4);
+  const ExecContext ctx(&pool, TaskTag());
+  const DataStore::FanOut fan_out =
+      [&ctx](size_t n, const std::function<void(size_t)>& fn) {
+        ctx.BulkExecute(n, fn);
+      };
+  for (const size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+    std::vector<std::vector<Row>> serial;
+    std::vector<std::vector<Row>> parallel;
+    ASSERT_TRUE(table
+                    .Scan(batch_size, DataStore::SerialFanOut(),
+                          [&](RowBatch& batch) {
+                            serial.push_back(std::move(batch.rows()));
+                            return Status::OK();
+                          })
+                    .ok());
+    ASSERT_TRUE(table
+                    .Scan(batch_size, fan_out,
+                          [&](RowBatch& batch) {
+                            parallel.push_back(std::move(batch.rows()));
+                            return Status::OK();
+                          })
+                    .ok());
+    ASSERT_EQ(serial.size(), (30000 + batch_size - 1) / batch_size);
+    ASSERT_EQ(parallel.size(), serial.size());
+    int64_t next = 0;
+    for (size_t b = 0; b < serial.size(); ++b) {
+      ASSERT_TRUE(serial[b] == parallel[b]) << b;
+      for (const Row& row : serial[b]) {
+        ASSERT_EQ(row.value(0).int64_value(), next++);
+      }
+    }
+    EXPECT_EQ(next, 30000);
+  }
+  EXPECT_GT(pool.stats().tasks_run, 0u);
+}
+
+// The move overload lands the rows; a refused one leaves them all in the
+// batch.
+TEST(MemTableTest, MoveAppendLandsRowsAndARefusedOneKeepsThem) {
+  MemTable table("t", TestSchema());
+  RowBatch batch = MakeBatch(0, 10);
+  ASSERT_TRUE(table.Append(std::move(batch)).ok());
+  const Result<RowBatch> all = table.ReadAll();
+  ASSERT_TRUE(all.ok());
+  EXPECT_TRUE(all.value().rows() == MakeBatch(0, 10).rows());
+
+  MemTable other("o", Schema({{"id", DataType::kInt64, false}}));
+  RowBatch refused = MakeBatch(0, 3);
+  EXPECT_EQ(other.Append(std::move(refused)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(refused.rows() == MakeBatch(0, 3).rows());
+  EXPECT_EQ(other.NumRows().value(), 0u);
 }
 
 }  // namespace

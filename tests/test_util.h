@@ -101,6 +101,46 @@ inline bool SameMultiset(std::vector<Row> a, std::vector<Row> b) {
   return true;
 }
 
+/// A target that takes each appended batch's rows by move and leaves a
+/// landed batch empty, as a store that owns its rows may. Its
+/// `enospc_on_call`-th append (1-based; 0 never) moves the first half of
+/// the batch in and fails with kResourceExhausted, leaving the rest of the
+/// rows where they were.
+class DrainingStore : public DataStore {
+ public:
+  explicit DrainingStore(std::shared_ptr<MemTable> inner,
+                         int enospc_on_call = 0)
+      : inner_(std::move(inner)), enospc_on_call_(enospc_on_call) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  const Schema& schema() const override { return inner_->schema(); }
+  Result<size_t> NumRows() const override { return inner_->NumRows(); }
+  using DataStore::Scan;
+  Status Scan(size_t batch_size, const FanOut& fan_out,
+              const Consumer& consumer) const override {
+    return inner_->Scan(batch_size, fan_out, consumer);
+  }
+  Status Append(const RowBatch& batch) override {
+    return inner_->Append(batch);
+  }
+  Status Append(RowBatch&& batch) override {
+    const bool fault = ++calls_ == enospc_on_call_;
+    const size_t land = fault ? batch.num_rows() / 2 : batch.num_rows();
+    RowBatch landed(batch.schema_ptr());
+    for (size_t i = 0; i < land; ++i) landed.Append(std::move(batch.row(i)));
+    QOX_RETURN_IF_ERROR(inner_->Append(std::move(landed)));
+    if (fault) return Status::ResourceExhausted("injected ENOSPC mid-batch");
+    batch.Clear();
+    return Status::OK();
+  }
+  Status Truncate() override { return inner_->Truncate(); }
+
+ private:
+  const std::shared_ptr<MemTable> inner_;
+  const int enospc_on_call_;
+  int calls_ = 0;
+};
+
 }  // namespace testing_util
 }  // namespace qox
 
