@@ -435,7 +435,6 @@ Result<CdcReport> CdcCoordinator::Run(const CdcOptions& options) {
                               /*env=*/nullptr);
       }
       if (!outcome.ok()) {
-        if (!options.degrade_on_dead_shard) return outcome;
         // Sticky degradation: the shard is dead for the rest of the
         // window. Its backlog becomes reported lag; the healthy shards
         // keep loading.

@@ -81,12 +81,10 @@ struct CdcOptions {
   /// — the fast path for clean references and benches.
   bool supervised = true;
   /// Per-(shard, slice) supervision budget; exhausting it marks the shard
-  /// dead (degrade_on_dead_shard) or fails the run.
+  /// dead for the rest of the window, and the healthy shards keep loading
+  /// (the bounded-staleness degradation).
   size_t max_shard_incarnations = 6;
   JournalSync journal_sync = JournalSync::kAlways;
-  /// Keep loading healthy shards when one dies (the bounded-staleness
-  /// degradation); false propagates the shard's failure.
-  bool degrade_on_dead_shard = true;
   /// Optional lookup dimension keyed by `category` (column "cat"
   /// appended). Exercises each worker process's DimensionCache.
   DataStorePtr dimension;

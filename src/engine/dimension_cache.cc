@@ -1,98 +1,61 @@
 #include "engine/dimension_cache.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 namespace qox {
 
 namespace {
 
-constexpr uint32_t kEmptySlot = 0xffffffffu;
+// Dimension scan granularity (mirrors the lookup build's batch size).
+constexpr size_t kScanBatch = 1024;
 
-uint64_t HashBytes(std::string_view bytes) {
+}  // namespace
+
+uint64_t DimensionTable::HashKey(std::string_view key_bytes) {
   // FNV-1a 64, matching the repo's checksum idiom.
   uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
+  for (const char c : key_bytes) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ULL;
   }
   return h;
 }
 
-size_t NextPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
+const Row* DimensionTable::Find(std::string_view key_bytes,
+                                uint64_t hash) const {
+  const size_t r = index_.Find(
+      hash, [&](size_t pos) { return key(pos) == key_bytes; });
+  return r == KeyIndex::kNone ? nullptr : &rows_[r];
 }
 
-// Dimension scan granularity (mirrors the lookup build's batch size).
-constexpr size_t kScanBatch = 1024;
-
-}  // namespace
-
-void DimensionTable::Insert(size_t r) {
-  const std::string_view key = KeyAt(r);
-  const uint64_t h = HashBytes(key);
-  size_t slot = static_cast<size_t>(h) & slot_mask_;
-  while (slots_[slot] != kEmptySlot) {
-    if (slot_hashes_[slot] == h && KeyAt(slots_[slot]) == key) {
-      return;  // first occurrence wins
-    }
-    slot = (slot + 1) & slot_mask_;
-  }
-  slots_[slot] = static_cast<uint32_t>(r);
-  slot_hashes_[slot] = h;
+bool DimensionTable::Add(std::string_view key_bytes, uint64_t hash, Row row) {
+  if (Find(key_bytes, hash) != nullptr) return false;
+  index_.Add(hash);
+  const uint32_t offset = static_cast<uint32_t>(key_arena_.size());
+  key_arena_.append(key_bytes);
+  key_spans_.push_back({offset, static_cast<uint32_t>(key_bytes.size())});
+  bytes_ += RowBytes(key_bytes, row);
+  rows_.push_back(std::move(row));
+  return true;
 }
 
 Result<DimensionTablePtr> DimensionTable::Build(const DataStore& dimension,
                                                 size_t key_index) {
-  auto table = std::shared_ptr<DimensionTable>(new DimensionTable());
-  std::unordered_set<std::string> seen;  // build-time only; rows_ stays
-                                         // deduplicated (first wins)
+  auto table = std::make_shared<DimensionTable>();
   std::string encoded;
   QOX_RETURN_IF_ERROR(dimension.Scan(
       kScanBatch, [&](RowBatch& batch) -> Status {
         for (Row& row : batch.rows()) {
           const Value& key = row.value(key_index);
-          if (key.is_null()) continue;  // unreachable by probe
+          if (key.is_null()) continue;  // never matches
           encoded.clear();
           AppendValueKeyBytes(key, &encoded);
-          if (!seen.insert(encoded).second) continue;  // first wins
-          const uint32_t offset =
-              static_cast<uint32_t>(table->key_arena_.size());
-          table->key_arena_.append(encoded);
-          table->key_spans_.push_back(
-              {offset,
-               static_cast<uint32_t>(table->key_arena_.size()) - offset});
-          table->rows_.push_back(std::move(row));
+          table->Add(encoded, HashKey(encoded), std::move(row));
         }
         return Status::OK();
       }));
-  // Load factor <= 0.5: probe chains stay short even on adversarial keys.
-  const size_t capacity = NextPow2(std::max<size_t>(8, table->rows_.size() * 2));
-  table->slot_mask_ = capacity - 1;
-  table->slots_.assign(capacity, kEmptySlot);
-  table->slot_hashes_.assign(capacity, 0);
-  for (size_t r = 0; r < table->rows_.size(); ++r) table->Insert(r);
-  size_t bytes = table->key_arena_.size() +
-                 table->key_spans_.size() * sizeof(Span) +
-                 capacity * (sizeof(uint32_t) + sizeof(uint64_t));
-  for (const Row& row : table->rows_) bytes += row.ByteSize();
-  table->bytes_ = bytes;
   return DimensionTablePtr(std::move(table));
-}
-
-const Row* DimensionTable::Probe(std::string_view key_bytes) const {
-  const uint64_t h = HashBytes(key_bytes);
-  size_t slot = static_cast<size_t>(h) & slot_mask_;
-  while (slots_[slot] != kEmptySlot) {
-    if (slot_hashes_[slot] == h && KeyAt(slots_[slot]) == key_bytes) {
-      return &rows_[slots_[slot]];
-    }
-    slot = (slot + 1) & slot_mask_;
-  }
-  return nullptr;
 }
 
 DimensionCache& DimensionCache::Instance() {

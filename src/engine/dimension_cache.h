@@ -4,21 +4,26 @@
 // dimension feeds both partitioned branches and parallel flows; Liu's
 // shared-cache ETL optimization quantifies the win) each used to scan and
 // hash the dimension independently at Open(). The cache hash-conses those
-// builds: a DimensionTable is an immutable, refcounted flat hash table
-// keyed by (store name, content version, key column), built at most once
+// builds: a shared DimensionTable is immutable and refcounted, cached by
+// (store name, content version, key column), built at most once
 // per version — concurrent requesters block on the in-flight build instead
 // of starting their own (single-flight).
 //
-// The table itself is a flat open-addressing hash table over raw key bytes
-// (common/column_batch.h's probe-key encoding): probing compares a cached
-// 64-bit hash then memcmp's the encoded key, with no `Value` boxing on the
-// path — the lookup kernel encodes keys straight from column storage
-// (boxed key cells through AppendValueKeyBytes). Appended dimension cells
-// are copied as they are: one whose runtime type differs from its declared
-// type boxes the kernel's output column.
+// The table itself holds the dimension's rows, first occurrence of a key
+// winning, their encoded key bytes (common/column_batch.h's probe-key
+// encoding) in one arena, and the engine's key index (common/key_index.h)
+// over the FNV-1a hash of those bytes. A probe compares the hash, then the
+// bytes, with no `Value` boxing on the path — the lookup kernel encodes
+// keys straight from column storage (boxed key cells through
+// AppendValueKeyBytes). The lookup builds every table it probes this way:
+// the shared one here, a local one for an unversioned store, and, under a
+// memory budget, one streamed row by row and one per spilled partition.
+// Appended dimension cells are copied as they are: one whose runtime type
+// differs from its declared type boxes the kernel's output column.
 //
 // Invariants:
-//  - Tables are immutable after Build; sharing needs no further locking.
+//  - Shared tables are immutable after Build; sharing needs no further
+//    locking.
 //  - The cache retains an entry until its version is superseded or the
 //    retention cap evicts it; evicted tables stay alive while any acquirer
 //    still holds its shared_ptr (refcounted lifetime).
@@ -39,51 +44,76 @@
 #include <vector>
 
 #include "common/column_batch.h"
+#include "common/key_index.h"
 #include "storage/data_store.h"
 
 namespace qox {
 
-/// An immutable build of one dimension: the deduplicated rows plus a flat
-/// open-addressing index over their encoded key bytes.
+/// One dimension indexed by the encoded bytes of its key column: at most
+/// one row per key, in the order the keys were first seen.
 class DimensionTable {
  public:
+  DimensionTable() = default;
+
   /// Scans `dimension` once and indexes it by `key_index`. First occurrence
-  /// of a key wins (the same dedup an unordered_map build keeps); NULL keys
-  /// are skipped (NULL probe keys never probe).
+  /// of a key wins; NULL keys are skipped (a NULL never matches).
   static Result<std::shared_ptr<const DimensionTable>> Build(
       const DataStore& dimension, size_t key_index);
 
+  /// The hash the table indexes encoded key bytes by (FNV-1a).
+  static uint64_t HashKey(std::string_view key_bytes);
+
   /// Probes an encoded key (AppendValueKeyBytes / Column::AppendKeyBytes).
   /// Returns the matching dimension row or nullptr.
-  const Row* Probe(std::string_view key_bytes) const;
+  const Row* Probe(std::string_view key_bytes) const {
+    return Find(key_bytes, HashKey(key_bytes));
+  }
+  /// Probe with the key's HashKey already taken.
+  const Row* Find(std::string_view key_bytes, uint64_t hash) const;
+
+  /// Adds `row` under `key_bytes` (whose HashKey is `hash`) unless a row
+  /// already has that key: the first row of a key wins. Returns whether
+  /// the row was added.
+  bool Add(std::string_view key_bytes, uint64_t hash, Row row);
+
+  /// The bytes a row of `key_bytes` and `row` adds to ByteSize(), index
+  /// growth aside: a table of n such rows added after Reserve(n) counts
+  /// their sum plus KeyIndex::BytesFor(n).
+  static size_t RowBytes(std::string_view key_bytes, const Row& row) {
+    return key_bytes.size() + sizeof(Span) + row.ByteSize();
+  }
+  /// What ByteSize() grows by when Add adds a row of `key_bytes` and
+  /// `row`, index growth included.
+  size_t AddBytes(std::string_view key_bytes, const Row& row) const {
+    return RowBytes(key_bytes, row) + index_.AddBytes();
+  }
+
+  /// Makes room for `rows` rows: adding up to `rows` then never grows the
+  /// index.
+  void Reserve(size_t rows) { index_.Reserve(rows); }
 
   size_t num_rows() const { return rows_.size(); }
+  const Row& row(size_t r) const { return rows_[r]; }
+  /// The encoded key of row `r`.
+  std::string_view key(size_t r) const {
+    return std::string_view(key_arena_.data() + key_spans_[r].offset,
+                            key_spans_[r].length);
+  }
 
   /// Approximate heap footprint (what acquirers charge to their budget).
-  size_t ByteSize() const { return bytes_; }
+  size_t ByteSize() const { return bytes_ + index_.ByteSize(); }
 
  private:
-  DimensionTable() = default;
-
   struct Span {
     uint32_t offset = 0;
     uint32_t length = 0;
   };
 
-  std::string_view KeyAt(size_t row) const {
-    return std::string_view(key_arena_.data() + key_spans_[row].offset,
-                            key_spans_[row].length);
-  }
-
-  /// Inserts row index `r` unless its key is already present.
-  void Insert(size_t r);
-
   std::vector<Row> rows_;
   std::string key_arena_;
-  std::vector<Span> key_spans_;      // parallel to rows_
-  std::vector<uint32_t> slots_;      // row index per slot, kEmptySlot = free
-  std::vector<uint64_t> slot_hashes_;
-  size_t slot_mask_ = 0;
+  std::vector<Span> key_spans_;  // parallel to rows_
+  KeyIndex index_;
+  /// The keys, spans and cells of rows_.
   size_t bytes_ = 0;
 };
 

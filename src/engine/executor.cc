@@ -1188,11 +1188,6 @@ PlanInput MakePlanInput(const FlowSpec& flow, const ExecutionConfig& config) {
   input.channel_capacity = config.channel_capacity;
   input.error_policies = config.error_policies;
   input.error_budget = config.error_budget;
-  input.journaled = config.journal != nullptr;
-  if (config.journal != nullptr) {
-    input.journal_sync = config.journal->sync_policy();
-  }
-  input.sla_deadline_micros = config.sla.deadline_micros;
   return input;
 }
 

@@ -1,5 +1,7 @@
 #include "engine/ops/group_op.h"
 
+#include <iterator>
+
 namespace qox {
 
 const char* AggKindName(AggKind kind) {
@@ -47,8 +49,9 @@ Result<Schema> GroupOp::Bind(const Schema& input) {
     out_fields.push_back({agg.as, DataType::kDouble, true});
   }
   input_schema_ = input;
-  groups_.clear();
-  group_order_.clear();
+  keys_.clear();
+  states_.clear();
+  index_ = KeyIndex();
   charged_ = 0;
   spilling_ = false;
   spill_writer_.reset();
@@ -61,35 +64,42 @@ Status GroupOp::Open(OperatorContext* ctx) {
   return Status::OK();
 }
 
-Row GroupOp::MakeKey(const Row& row) const {
-  Row key;
-  for (const size_t idx : group_indices_) key.Append(row.value(idx));
-  return key;
+size_t GroupOp::GroupBytes(const Row& row) const {
+  size_t bytes = aggregates_.size() * sizeof(AggState) + index_.AddBytes();
+  for (const size_t idx : group_indices_) bytes += row.value(idx).ByteSize();
+  return bytes;
 }
 
-size_t GroupOp::GroupBytes(const Row& key) const {
-  return key.ByteSize() + aggregates_.size() * sizeof(AggState);
-}
-
-void GroupOp::AggregateRow(const Row& row, bool charge_forced) {
-  Row key = MakeKey(row);
-  auto it = groups_.find(key);
-  if (it == groups_.end()) {
-    if (enforce_ && charge_forced) {
-      // Replay path: Finish must rebuild the whole group state, so new
-      // groups overrun the budget by force — visible in the high-water
-      // mark rather than hidden from it.
-      const size_t bytes = GroupBytes(key);
-      ctx_->memory_budget->ForceReserve(bytes);
+bool GroupOp::AggregateRow(const Row& row, bool charge_forced) {
+  const size_t width = group_indices_.size();
+  const size_t hash = row.HashColumns(group_indices_);
+  size_t g = index_.Find(hash, [&](size_t pos) {
+    const Value* key = keys_.data() + pos * width;
+    for (size_t c = 0; c < width; ++c) {
+      if (key[c].Compare(row.value(group_indices_[c])) != 0) return false;
+    }
+    return true;
+  });
+  if (g == KeyIndex::kNone) {
+    if (enforce_) {
+      const size_t bytes = GroupBytes(row);
+      if (charge_forced) {
+        // Replay path: Finish must rebuild the whole group state, so new
+        // groups overrun the budget by force — visible in the high-water
+        // mark rather than hidden from it.
+        ctx_->memory_budget->ForceReserve(bytes);
+      } else if (!ctx_->memory_budget->TryReserve(bytes)) {
+        return false;
+      }
       charged_ += bytes;
     }
-    group_order_.push_back(key);
-    it = groups_.emplace(std::move(key),
-                         std::vector<AggState>(aggregates_.size()))
-             .first;
+    for (const size_t idx : group_indices_) keys_.push_back(row.value(idx));
+    states_.resize(states_.size() + aggregates_.size());
+    g = index_.Add(hash);
   }
+  AggState* states = states_.data() + g * aggregates_.size();
   for (size_t i = 0; i < aggregates_.size(); ++i) {
-    AggState& state = it->second[i];
+    AggState& state = states[i];
     ++state.row_count;
     if (aggregates_[i].kind == AggKind::kCount) continue;
     const Value& v = row.value(agg_indices_[i]);
@@ -106,33 +116,22 @@ void GroupOp::AggregateRow(const Row& row, bool charge_forced) {
     state.sum += d.value();
     ++state.count;
   }
+  return true;
 }
 
 Status GroupOp::Push(RowBatch input, RowBatch* output) {
   (void)output;
   for (const Row& row : input.rows()) {
-    if (spilling_) {
-      QOX_RETURN_IF_ERROR(spill_writer_->Append(row));
-      continue;
+    if (!spilling_) {
+      if (AggregateRow(row, /*charge_forced=*/false)) continue;
+      // Budget refused a new group: freeze the live table and spill every
+      // subsequent raw row, preserving arrival order so Finish's replay
+      // updates each group in exactly the unbudgeted order.
+      QOX_ASSIGN_OR_RETURN(spill_writer_,
+                           ctx_->spill->CreateRun(name_, input_schema_));
+      spilling_ = true;
     }
-    if (enforce_) {
-      const Row key = MakeKey(row);
-      if (groups_.find(key) == groups_.end()) {
-        const size_t bytes = GroupBytes(key);
-        if (!ctx_->memory_budget->TryReserve(bytes)) {
-          // Budget refused a new group: freeze the live table and spill
-          // every subsequent raw row, preserving arrival order so Finish's
-          // replay updates each group in exactly the unbudgeted order.
-          QOX_ASSIGN_OR_RETURN(
-              spill_writer_, ctx_->spill->CreateRun(name_, input_schema_));
-          spilling_ = true;
-          QOX_RETURN_IF_ERROR(spill_writer_->Append(row));
-          continue;
-        }
-        charged_ += bytes;
-      }
-    }
-    AggregateRow(row, /*charge_forced=*/false);
+    QOX_RETURN_IF_ERROR(spill_writer_->Append(row));
   }
   return Status::OK();
 }
@@ -149,9 +148,12 @@ Status GroupOp::Finish(RowBatch* output) {
     }
     spilling_ = false;
   }
-  for (const Row& key : group_order_) {
-    const std::vector<AggState>& states = groups_.at(key);
-    Row out = key;
+  const size_t width = group_indices_.size();
+  for (size_t g = 0; g < index_.size(); ++g) {
+    Row out(std::vector<Value>(
+        std::make_move_iterator(keys_.begin() + g * width),
+        std::make_move_iterator(keys_.begin() + (g + 1) * width)));
+    const AggState* states = states_.data() + g * aggregates_.size();
     for (size_t i = 0; i < aggregates_.size(); ++i) {
       const AggState& state = states[i];
       switch (aggregates_[i].kind) {
@@ -180,8 +182,9 @@ Status GroupOp::Finish(RowBatch* output) {
     }
     output->Append(std::move(out));
   }
-  groups_.clear();
-  group_order_.clear();
+  keys_.clear();
+  states_.clear();
+  index_ = KeyIndex();
   if (enforce_ && charged_ > 0) {
     ctx_->memory_budget->Release(charged_);
     charged_ = 0;

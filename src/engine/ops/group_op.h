@@ -1,23 +1,31 @@
 // GroupOp: blocking hash aggregation ("grouper" in the paper's pipelining
 // example {filter, sorter, filter, filter, function, grouper}).
 //
-// Under a MemoryBudget the hash table is charged per group. When a new
-// group is refused, the operator stops aggregating live and appends every
-// subsequent raw input row to one spill run; Finish replays the run
-// through the same aggregation loop in arrival order. Per-group update
-// order is then live-phase rows followed by spill-phase rows — exactly the
-// arrival order — so floating-point sums match the unbudgeted run bit for
-// bit. Finish transiently rebuilds the full group state (the documented
-// memory bound for this operator: the output itself must fit).
+// The group table stores each group's key cells and aggregate states once,
+// in first-seen order (the output order), and finds a row's group through
+// the engine's key index (common/key_index.h): the group columns are
+// hashed in place with Row::HashColumns and compared by Value::Compare, as
+// the Δ's landing does, so a row builds no key of its own; only a new
+// group copies its key cells.
+//
+// Under a MemoryBudget the table is charged per group, index growth
+// included. When a new group is refused, the operator stops aggregating
+// live and appends every subsequent raw input row to one spill run; Finish
+// replays the run through the same aggregation loop in arrival order.
+// Per-group update order is then live-phase rows followed by spill-phase
+// rows — exactly the arrival order — so floating-point sums match the
+// unbudgeted run bit for bit. Finish transiently rebuilds the full group
+// state (the documented memory bound for this operator: the output itself
+// must fit).
 
 #ifndef QOX_ENGINE_OPS_GROUP_OP_H_
 #define QOX_ENGINE_OPS_GROUP_OP_H_
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/key_index.h"
 #include "engine/operator.h"
 #include "storage/spill_manager.h"
 
@@ -77,9 +85,13 @@ class GroupOp : public Operator {
     size_t row_count = 0;  ///< all rows (kCount)
   };
 
-  Row MakeKey(const Row& row) const;
-  size_t GroupBytes(const Row& key) const;
-  void AggregateRow(const Row& row, bool charge_forced);
+  /// What a new group for `row` adds to the charge, index growth included.
+  size_t GroupBytes(const Row& row) const;
+  /// Folds `row` into its group, adding the group when it is new. Under an
+  /// enforced budget a new group is charged — by force when
+  /// `charge_forced`, otherwise only if the budget admits it: a refusal
+  /// returns false and folds nothing.
+  bool AggregateRow(const Row& row, bool charge_forced);
 
   const std::string name_;
   const std::vector<std::string> group_columns_;
@@ -92,9 +104,12 @@ class GroupOp : public Operator {
   size_t charged_ = 0;
   bool spilling_ = false;
   std::unique_ptr<SpillWriter> spill_writer_;
-  // Key = group-column row; value = one state per aggregate.
-  std::unordered_map<Row, std::vector<AggState>, RowHash> groups_;
-  std::vector<Row> group_order_;  // first-seen order for determinism
+  /// Per group, in first-seen order: its group_indices_.size() key cells,
+  /// and its aggregates_.size() states.
+  std::vector<Value> keys_;
+  std::vector<AggState> states_;
+  /// Group indexes by the hash of their key cells.
+  KeyIndex index_;
 };
 
 }  // namespace qox

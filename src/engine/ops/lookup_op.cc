@@ -51,105 +51,98 @@ constexpr size_t kDimScanBatch = 1024;
 
 Status LookupOp::Open(OperatorContext* ctx) {
   ctx_ = ctx;
-  table_.clear();
+  table_.reset();
   partitions_.clear();
-  partitioned_ = false;
   charged_ = 0;
-  flat_table_.reset();
-  const bool enforce = ctx != nullptr && ctx->BudgetEnforced();
-  MemoryBudget* budget = ctx != nullptr ? ctx->memory_budget : nullptr;
-
-  // Fast path: a flat table, shared across flows through the process-wide
-  // DimensionCache when the store is versioned, or built locally when not.
-  // Budget-enforced flows may only reuse a completed shared build (charged
-  // against their budget) — never start one, since an in-flight build is
-  // unbudgeted working set; on a refused reservation or a miss they keep
-  // the legacy streamed/spill build below.
   const std::string version = dimension_->ContentVersion();
-  if (!version.empty()) {
-    DimensionCache& cache = DimensionCache::Instance();
-    if (enforce) {
-      DimensionTablePtr hit =
-          cache.TryGet(*dimension_, version, dim_key_index_);
-      if (hit != nullptr && budget->TryReserve(hit->ByteSize())) {
-        charged_ = hit->ByteSize();
-        flat_table_ = std::move(hit);
-        if (ctx_->dim_cache_hits != nullptr) {
-          ctx_->dim_cache_hits->fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    } else {
-      QOX_ASSIGN_OR_RETURN(
-          DimensionCache::Acquired acquired,
-          cache.GetOrBuild(*dimension_, version, dim_key_index_));
-      if (budget != nullptr && !budget->unlimited()) {
-        // Finite budget without enforcement still gets charged (cache
-        // memory is real working set); unlimited budgets keep reporting 0
-        // high water, as documented.
-        if (budget->TryReserve(acquired.table->ByteSize())) {
-          charged_ = acquired.table->ByteSize();
-          flat_table_ = std::move(acquired.table);
-        }
-      } else {
-        flat_table_ = std::move(acquired.table);
-      }
-      if (flat_table_ != nullptr && ctx_ != nullptr) {
-        std::atomic<size_t>* counter =
-            acquired.built ? ctx_->dim_cache_builds : ctx_->dim_cache_hits;
-        if (counter != nullptr) {
-          counter->fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-  } else if (!enforce) {
-    // Uncacheable store: build the flat table locally so the kernel still
-    // probes encoded key bytes without per-probe Value boxing.
-    QOX_ASSIGN_OR_RETURN(flat_table_,
-                         DimensionTable::Build(*dimension_, dim_key_index_));
-  }
-  if (flat_table_ != nullptr) return Status::OK();
+  DimensionCache& cache = DimensionCache::Instance();
 
+  // A budget-enforced flow may only reuse a completed shared build
+  // (charged against its budget) — never start one, since an in-flight
+  // build is unbudgeted working set. On a miss or a refused charge it
+  // streams its own build under the budget.
+  if (ctx != nullptr && ctx->BudgetEnforced()) {
+    DimensionTablePtr hit = cache.TryGet(*dimension_, version, dim_key_index_);
+    if (hit != nullptr && ctx->memory_budget->TryReserve(hit->ByteSize())) {
+      charged_ = hit->ByteSize();
+      table_ = std::move(hit);
+      if (ctx->dim_cache_hits != nullptr) {
+        ctx->dim_cache_hits->fetch_add(1, std::memory_order_relaxed);
+      }
+      return Status::OK();
+    }
+    return BuildUnderBudget();
+  }
+  if (version.empty()) {
+    // Uncacheable store: a local build.
+    QOX_ASSIGN_OR_RETURN(table_,
+                         DimensionTable::Build(*dimension_, dim_key_index_));
+    return Status::OK();
+  }
+  QOX_ASSIGN_OR_RETURN(DimensionCache::Acquired acquired,
+                       cache.GetOrBuild(*dimension_, version, dim_key_index_));
+  table_ = std::move(acquired.table);
+  if (ctx != nullptr) {
+    std::atomic<size_t>* counter =
+        acquired.built ? ctx->dim_cache_builds : ctx->dim_cache_hits;
+    if (counter != nullptr) counter->fetch_add(1, std::memory_order_relaxed);
+  }
+  return Status::OK();
+}
+
+Status LookupOp::BuildUnderBudget() {
   // The dimension is streamed, never materialized whole: rows build the
-  // in-memory table while the budget admits them; the first refused
-  // reservation repartitions that table into spill runs and the rest of
-  // the scan is routed straight to the partition writers, so the build's
-  // working set stays within the budget plus one scan batch.
+  // table while the budget admits them; the first refused reservation
+  // repartitions that table into spill runs and the rest of the scan is
+  // routed straight to the partition writers, so the build's working set
+  // stays within the budget plus one scan batch.
+  auto table = std::make_shared<DimensionTable>();
   std::vector<std::unique_ptr<SpillWriter>> writers;
-  ValueHash hasher;
+  std::string key;
   size_t rows_seen = 0;
   QOX_RETURN_IF_ERROR(dimension_->Scan(
       kDimScanBatch, [&](RowBatch& batch) -> Status {
         for (Row& row : batch.rows()) {
           ++rows_seen;
-          const Value& key = row.value(dim_key_index_);
-          if (!partitioned_) {
-            // First occurrence of a key wins, matching what emplace on a
-            // whole-dimension build (and on partition load) would keep.
-            if (table_.find(key) != table_.end()) continue;
-            const size_t row_bytes = key.ByteSize() + row.ByteSize();
-            if (!enforce || ctx_->memory_budget->TryReserve(row_bytes)) {
-              if (enforce) charged_ += row_bytes;
-              Value key_copy = key;
-              table_.emplace(std::move(key_copy), std::move(row));
+          const Value& cell = row.value(dim_key_index_);
+          if (cell.is_null()) continue;  // never matches
+          key.clear();
+          AppendValueKeyBytes(cell, &key);
+          const uint64_t hash = DimensionTable::HashKey(key);
+          if (writers.empty()) {
+            if (table->Find(key, hash) != nullptr) continue;  // first wins
+            const size_t bytes = table->AddBytes(key, row);
+            if (ctx_->memory_budget->TryReserve(bytes)) {
+              charged_ += bytes;
+              table->Add(key, hash, std::move(row));
               continue;
             }
-            QOX_RETURN_IF_ERROR(StartPartitions(rows_seen, &writers));
+            QOX_RETURN_IF_ERROR(StartPartitions(rows_seen, *table, &writers));
+            table.reset();
           }
-          const size_t p = hasher(key) % writers.size();
+          const size_t p = hash % writers.size();
           QOX_RETURN_IF_ERROR(writers[p]->Append(row));
-          partitions_[p].bytes += key.ByteSize() + row.ByteSize();
+          ++partitions_[p].rows;
+          partitions_[p].bytes += DimensionTable::RowBytes(key, row);
         }
         return Status::OK();
       }));
+  if (writers.empty()) {
+    table_ = std::move(table);
+    return Status::OK();
+  }
   for (size_t p = 0; p < writers.size(); ++p) {
-    QOX_ASSIGN_OR_RETURN(partitions_[p].file, writers[p]->Finalize());
+    Partition& part = partitions_[p];
+    part.bytes += KeyIndex::BytesFor(part.rows);
+    QOX_ASSIGN_OR_RETURN(part.file, writers[p]->Finalize());
   }
   return Status::OK();
 }
 
 Status LookupOp::StartPartitions(
-    size_t rows_seen, std::vector<std::unique_ptr<SpillWriter>>* writers) {
-  // Size partitions to roughly half the budget each, so one cached
+    size_t rows_seen, const DimensionTable& table,
+    std::vector<std::unique_ptr<SpillWriter>>* writers) {
+  // Size partitions to roughly half the budget each, so one loaded
   // partition table plus the flowing batches fit. The full build size is
   // estimated from the rows admitted so far (the scan is still running);
   // the fan-out is capped to keep run counts (and file handles) sane for
@@ -163,7 +156,6 @@ Status LookupOp::StartPartitions(
   }
   const size_t k = std::min<size_t>(
       16, std::max<size_t>(2, (est_total + target - 1) / target));
-  partitioned_ = true;
   partitions_.resize(k);
   writers->resize(k);
   for (size_t p = 0; p < k; ++p) {
@@ -172,65 +164,55 @@ Status LookupOp::StartPartitions(
         ctx_->spill->CreateRun(name_ + ".part" + std::to_string(p),
                                dimension_->schema()));
   }
-  // Drain the in-memory table into the partition files and hand the
-  // charge back: from here on the build side lives on disk.
-  ValueHash hasher;
-  for (auto& entry : table_) {
-    const size_t p = hasher(entry.first) % k;
-    QOX_RETURN_IF_ERROR((*writers)[p]->Append(entry.second));
-    partitions_[p].bytes += entry.first.ByteSize() + entry.second.ByteSize();
+  // Drain the table into the partition files in the order its keys were
+  // first seen and hand the charge back: from here on the build side
+  // lives on disk.
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    const std::string_view key = table.key(r);
+    const size_t p = DimensionTable::HashKey(key) % k;
+    QOX_RETURN_IF_ERROR((*writers)[p]->Append(table.row(r)));
+    ++partitions_[p].rows;
+    partitions_[p].bytes += DimensionTable::RowBytes(key, table.row(r));
   }
-  table_.clear();
-  if (charged_ > 0) {
-    ctx_->memory_budget->Release(charged_);
-    charged_ = 0;
-  }
+  ctx_->memory_budget->Release(charged_);
+  charged_ = 0;
   return Status::OK();
 }
 
 Status LookupOp::EnsurePartition(size_t p) {
   Partition& part = partitions_[p];
-  if (part.loaded) return Status::OK();
-  while (!ctx_->memory_budget->TryReserve(part.bytes)) {
-    bool evicted = false;
-    for (Partition& other : partitions_) {
-      if (!other.loaded) continue;
-      other.table.clear();
-      other.loaded = false;
-      ctx_->memory_budget->Release(other.bytes);
-      charged_ -= other.bytes;
-      evicted = true;
-      break;
-    }
-    if (!evicted) {
+  if (part.table != nullptr) return Status::OK();
+  MemoryBudget* budget = ctx_->memory_budget;
+  while (!budget->TryReserve(part.bytes)) {
+    const auto loaded =
+        std::find_if(partitions_.begin(), partitions_.end(),
+                     [](const Partition& other) { return other.table; });
+    if (loaded == partitions_.end()) {
       // Nothing left to evict: one partition alone exceeds the budget.
       // Overrun rather than deadlock (visible in the high-water mark).
-      ctx_->memory_budget->ForceReserve(part.bytes);
+      budget->ForceReserve(part.bytes);
       break;
     }
+    loaded->table.reset();
+    budget->Release(loaded->bytes);
+    charged_ -= loaded->bytes;
   }
   charged_ += part.bytes;
+  auto table = std::make_shared<DimensionTable>();
+  table->Reserve(part.rows);
   SpillReader reader(part.file);
+  std::string key;
   while (true) {
     QOX_ASSIGN_OR_RETURN(std::optional<Row> row, reader.Next());
     if (!row.has_value()) break;
-    Value key = row->value(dim_key_index_);
-    part.table.emplace(std::move(key), std::move(*row));
+    const Value& cell = row->value(dim_key_index_);
+    if (cell.is_null()) continue;
+    key.clear();
+    AppendValueKeyBytes(cell, &key);
+    table->Add(key, DimensionTable::HashKey(key), std::move(*row));
   }
-  part.loaded = true;
+  part.table = std::move(table);
   return Status::OK();
-}
-
-Result<const Row*> LookupOp::Probe(const Value& key) {
-  if (!partitioned_) {
-    const auto it = table_.find(key);
-    return it == table_.end() ? nullptr : &it->second;
-  }
-  const size_t p = ValueHash{}(key) % partitions_.size();
-  QOX_RETURN_IF_ERROR(EnsurePartition(p));
-  const Table& table = partitions_[p].table;
-  const auto it = table.find(key);
-  return it == table.end() ? nullptr : &it->second;
 }
 
 Status LookupOp::PushColumnar(ColumnBatch* batch, ColumnarPushContext* cctx) {
@@ -262,13 +244,16 @@ Status LookupOp::PushColumnar(ColumnBatch* batch, ColumnarPushContext* cctx) {
     }
     const Row* match = nullptr;
     if (key_col.IsValid(r)) {
-      if (flat_table_ != nullptr) {
-        scratch.clear();
-        key_col.AppendKeyBytes(r, &scratch);
-        match = flat_table_->Probe(scratch);
-      } else {
-        QOX_ASSIGN_OR_RETURN(match, Probe(key_col.ValueAt(r)));
+      scratch.clear();
+      key_col.AppendKeyBytes(r, &scratch);
+      const uint64_t hash = DimensionTable::HashKey(scratch);
+      const DimensionTable* table = table_.get();
+      if (table == nullptr) {
+        const size_t p = hash % partitions_.size();
+        QOX_RETURN_IF_ERROR(EnsurePartition(p));
+        table = partitions_[p].table.get();
       }
+      match = table->Find(scratch, hash);
     }
     if (match == nullptr) {
       switch (miss_policy_) {
@@ -307,12 +292,8 @@ Status LookupOp::PushColumnar(ColumnBatch* batch, ColumnarPushContext* cctx) {
 
 Status LookupOp::Finish(RowBatch* output) {
   (void)output;
-  table_.clear();
-  flat_table_.reset();
-  for (Partition& part : partitions_) {
-    part.table.clear();
-    part.loaded = false;
-  }
+  table_.reset();
+  for (Partition& part : partitions_) part.table.reset();
   if (ctx_ != nullptr && ctx_->memory_budget != nullptr && charged_ > 0) {
     ctx_->memory_budget->Release(charged_);
     charged_ = 0;

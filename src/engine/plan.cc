@@ -58,11 +58,6 @@ size_t ExecutionPlan::NodeForOp(size_t op_index) const {
   return kNoNode;
 }
 
-ErrorPolicy ExecutionPlan::PolicyForOp(size_t op_index) const {
-  if (op_index >= input_.error_policies.size()) return ErrorPolicy::kFailFast;
-  return input_.error_policies[op_index];
-}
-
 size_t ExecutionPlan::AddNode(PlanNodeKind kind, std::string label,
                               size_t begin, size_t end, size_t partition,
                               size_t section) {
@@ -353,8 +348,9 @@ std::string ExecutionPlan::ToDot() const {
     // Containment policies render on the nodes that enforce them.
     if (node.kind == PlanNodeKind::kTransform ||
         node.kind == PlanNodeKind::kPartitionBranch) {
-      for (size_t op = node.begin; op < node.end; ++op) {
-        const ErrorPolicy policy = PolicyForOp(op);
+      for (size_t op = node.begin;
+           op < std::min(node.end, input_.error_policies.size()); ++op) {
+        const ErrorPolicy policy = input_.error_policies[op];
         if (policy == ErrorPolicy::kFailFast) continue;
         oss << "\\nop" << op << ":" << ErrorPolicyName(policy);
       }

@@ -42,7 +42,6 @@
 
 #include "common/status.h"
 #include "engine/error_policy.h"
-#include "storage/journal_file.h"
 
 namespace qox {
 
@@ -94,19 +93,6 @@ struct PlanInput {
   std::vector<ErrorPolicy> error_policies;
   /// Flow-level ceiling on contained (skipped + quarantined) rows.
   ErrorBudget error_budget;
-  /// Crash-safety knobs: whether the run writes a durable FlowJournal and
-  /// under which fsync policy (storage/journal_file.h). Carried on the
-  /// plan — not interpreted by lowering — so the XML interchange format
-  /// and the cost model's restart term see the same journaling
-  /// configuration the executor runs under.
-  bool journaled = false;
-  JournalSync journal_sync = JournalSync::kAlways;
-  /// Freshness-SLA deadline budget of the flow (relative microseconds from
-  /// admission; 0 = none). Carried on the plan — not interpreted by
-  /// lowering — so plan dumps, the XML interchange format, and the
-  /// FlowService's admission control all see the SLA the executor runs
-  /// under.
-  int64_t sla_deadline_micros = 0;
 };
 
 enum class PlanNodeKind {
@@ -206,7 +192,6 @@ class ExecutionPlan {
   /// Executor::BindChain.
   static Result<ExecutionPlan> Lower(const PlanInput& input);
 
-  const PlanInput& input() const { return input_; }
   size_t num_ops() const { return input_.num_ops; }
 
   const std::vector<PlanNode>& nodes() const { return nodes_; }
@@ -245,10 +230,6 @@ class ExecutionPlan {
   /// range). kNoNode when op_index is outside the chain. Quarantine
   /// provenance records carry this id.
   size_t NodeForOp(size_t op_index) const;
-
-  /// The containment policy in force for op `op_index` (kFailFast for ops
-  /// beyond the configured policy vector).
-  ErrorPolicy PolicyForOp(size_t op_index) const;
 
   /// Streaming-overlap structure for the cost model's performance law.
   const std::vector<CostChunk>& cost_chunks() const { return cost_chunks_; }

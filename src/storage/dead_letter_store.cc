@@ -21,9 +21,13 @@ std::string ChecksumInput(const QuarantineRecord& r) {
                         r.status_message, r.payload});
 }
 
-int64_t ChecksumOf(const QuarantineRecord& r) {
+/// The checksum of `r` when the record before it has checksum `previous`
+/// (0 for the first record): FNV-1a seeded with the previous checksum, so
+/// the checksums chain the records in order.
+int64_t ChecksumOf(const QuarantineRecord& r, int64_t previous) {
   const std::string input = ChecksumInput(r);
-  return static_cast<int64_t>(Fnv1a64(input.data(), input.size()));
+  return static_cast<int64_t>(Fnv1a64(input.data(), input.size(),
+                                      static_cast<uint64_t>(previous)));
 }
 
 /// Bytes a record counts against the ledger cap: its checksummed
@@ -32,8 +36,8 @@ size_t RecordBytes(const QuarantineRecord& r) {
   return ChecksumInput(r).size();
 }
 
-/// The ledger row for a record, checksum column included.
-Row EncodeRecordRow(const QuarantineRecord& record) {
+/// The ledger row for a record whose checksum is `checksum`.
+Row EncodeRecordRow(const QuarantineRecord& record, int64_t checksum) {
   Row row;
   row.Append(Value::String(record.flow_id));
   row.Append(Value::Int64(record.node_id));
@@ -45,16 +49,24 @@ Row EncodeRecordRow(const QuarantineRecord& record) {
   row.Append(Value::String(record.status_code));
   row.Append(Value::String(record.status_message));
   row.Append(Value::String(record.payload));
-  row.Append(Value::Int64(ChecksumOf(record)));
+  row.Append(Value::Int64(checksum));
   return row;
 }
 
-/// Decodes and checksum-verifies a whole ledger batch. A ledger kept in a
-/// line file reads an empty text cell back as NULL, so a NULL text cell
-/// decodes as ""; any other cell not of its column's type is corrupted.
-Result<std::vector<QuarantineRecord>> DecodeLedger(const RowBatch& all) {
-  const size_t width = DeadLetterStoreSchema().num_fields();
+/// A ledger's records and the checksum of its last (0 when empty).
+struct Ledger {
   std::vector<QuarantineRecord> records;
+  int64_t last_checksum = 0;
+};
+
+/// Decodes a whole ledger batch and verifies its checksum chain. A ledger
+/// kept in a line file reads an empty text cell back as NULL, so a NULL
+/// text cell decodes as ""; any other cell not of its column's type is
+/// corrupted.
+Result<Ledger> DecodeLedger(const RowBatch& all) {
+  const size_t width = DeadLetterStoreSchema().num_fields();
+  Ledger ledger;
+  std::vector<QuarantineRecord>& records = ledger.records;
   records.reserve(all.num_rows());
   for (size_t i = 0; i < all.num_rows(); ++i) {
     const Row& row = all.row(i);
@@ -90,18 +102,19 @@ Result<std::vector<QuarantineRecord>> DecodeLedger(const RowBatch& all) {
     if (!typed) {
       return Status::CorruptedData(record + " has a cell of the wrong type");
     }
-    if (checksum != ChecksumOf(r)) {
+    if (checksum != ChecksumOf(r, ledger.last_checksum)) {
       return Status::CorruptedData(record + " (op '" + r.op_name +
                                    "') failed checksum verification");
     }
+    ledger.last_checksum = checksum;
     records.push_back(std::move(r));
   }
-  return records;
+  return ledger;
 }
 
 /// Reads and decodes the whole ledger in `inner`. A row the inner store
 /// cannot parse under DeadLetterStoreSchema is corrupted data as well.
-Result<std::vector<QuarantineRecord>> ReadLedger(const DataStore& inner) {
+Result<Ledger> ReadLedger(const DataStore& inner) {
   Result<RowBatch> all = inner.ReadAll();
   if (all.status().code() == StatusCode::kInvalidArgument) {
     return Status::CorruptedData("dead-letter ledger '" + inner.name() +
@@ -194,18 +207,20 @@ std::shared_ptr<DeadLetterStore> DeadLetterStore::InMemory(
 }
 
 Status DeadLetterStore::Quarantine(const QuarantineRecord& record) {
-  RowBatch batch(DeadLetterStoreSchema());
-  batch.Append(EncodeRecordRow(record));
   std::lock_guard<std::mutex> lock(mu_);
-  if (cap_.max_bytes > 0) {
-    if (!bytes_initialized_) {
-      // Pre-existing ledger contents count against the cap.
-      QOX_ASSIGN_OR_RETURN(std::vector<QuarantineRecord> existing,
-                           ReadLedger(*inner_));
-      bytes_used_ = 0;
-      for (const QuarantineRecord& r : existing) bytes_used_ += RecordBytes(r);
-      bytes_initialized_ = true;
+  if (!initialized_) {
+    // A pre-existing ledger's records continue its checksum chain and
+    // count against the cap.
+    QOX_ASSIGN_OR_RETURN(const Ledger existing, ReadLedger(*inner_));
+    last_checksum_ = existing.last_checksum;
+    if (cap_.max_bytes > 0) {
+      for (const QuarantineRecord& r : existing.records) {
+        bytes_used_ += RecordBytes(r);
+      }
     }
+    initialized_ = true;
+  }
+  if (cap_.max_bytes > 0) {
     const size_t incoming = RecordBytes(record);
     if (bytes_used_ + incoming > cap_.max_bytes) {
       if (cap_.policy == DeadLetterOverflowPolicy::kAbort) {
@@ -218,8 +233,13 @@ Status DeadLetterStore::Quarantine(const QuarantineRecord& record) {
     }
     bytes_used_ += incoming;
   }
+  const int64_t checksum = ChecksumOf(record, last_checksum_);
+  RowBatch batch(DeadLetterStoreSchema());
+  batch.Append(EncodeRecordRow(record, checksum));
   QOX_CRASH_POINT("dlq.quarantine");
-  return inner_->Append(batch);
+  QOX_RETURN_IF_ERROR(inner_->Append(batch));
+  last_checksum_ = checksum;
+  return Status::OK();
 }
 
 Status DeadLetterStore::EvictForLocked(size_t incoming_bytes) {
@@ -229,8 +249,8 @@ Status DeadLetterStore::EvictForLocked(size_t incoming_bytes) {
         " bytes cannot fit cap of " + std::to_string(cap_.max_bytes) +
         " even with an empty ledger");
   }
-  QOX_ASSIGN_OR_RETURN(std::vector<QuarantineRecord> records,
-                       ReadLedger(*inner_));
+  QOX_ASSIGN_OR_RETURN(Ledger ledger, ReadLedger(*inner_));
+  std::vector<QuarantineRecord>& records = ledger.records;
   size_t total = 0;
   for (const QuarantineRecord& r : records) total += RecordBytes(r);
   // Evict whole attempt-groups, oldest first, until the new record fits.
@@ -253,15 +273,20 @@ Status DeadLetterStore::EvictForLocked(size_t incoming_bytes) {
     records = std::move(keep);
     ++groups_evicted_;
   }
+  // The survivors start a new checksum chain.
   RowBatch survivors(DeadLetterStoreSchema());
   survivors.Reserve(records.size());
+  int64_t checksum = 0;
   for (const QuarantineRecord& r : records) {
-    survivors.Append(EncodeRecordRow(r));
+    checksum = ChecksumOf(r, checksum);
+    survivors.Append(EncodeRecordRow(r, checksum));
   }
   QOX_RETURN_IF_ERROR(inner_->Truncate());
+  last_checksum_ = 0;
   if (!survivors.empty()) {
     QOX_RETURN_IF_ERROR(inner_->Append(survivors));
   }
+  last_checksum_ = checksum;
   bytes_used_ = total;
   return Status::OK();
 }
@@ -278,7 +303,8 @@ size_t DeadLetterStore::groups_evicted() const {
 
 Result<std::vector<QuarantineRecord>> DeadLetterStore::ReadAll() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return ReadLedger(*inner_);
+  QOX_ASSIGN_OR_RETURN(Ledger ledger, ReadLedger(*inner_));
+  return std::move(ledger.records);
 }
 
 Result<size_t> DeadLetterStore::NumRecords() const {

@@ -111,10 +111,12 @@ class DeadLetterStore {
   static std::shared_ptr<DeadLetterStore> InMemory(const std::string& name,
                                                    DeadLetterCap cap);
 
-  /// Checksums and appends one record.
+  /// Checksums and appends one record. The first call reads any ledger
+  /// already in the inner store, once, to continue its chain; one wrapper
+  /// appends to a ledger at a time.
   Status Quarantine(const QuarantineRecord& record);
 
-  /// Reads the whole ledger, verifying every record's checksum. Returns
+  /// Reads the whole ledger, verifying the checksum chain. Returns
   /// kCorruptedData naming the first record that fails verification.
   Result<std::vector<QuarantineRecord>> ReadAll() const;
 
@@ -135,15 +137,19 @@ class DeadLetterStore {
       : inner_(std::move(inner)), cap_(cap) {}
 
   /// Frees room for `incoming_bytes` by evicting whole oldest
-  /// attempt-groups and rewriting the inner store. Caller holds mu_.
+  /// attempt-groups and rewriting the inner store, its survivors on a new
+  /// chain. Caller holds mu_.
   Status EvictForLocked(size_t incoming_bytes);
 
   const DataStorePtr inner_;
   const DeadLetterCap cap_;
   mutable std::mutex mu_;
-  bool bytes_initialized_ = false;  // guarded by mu_
-  size_t bytes_used_ = 0;          // guarded by mu_
-  size_t groups_evicted_ = 0;      // guarded by mu_
+  /// Whether the inner store's existing records were read.
+  bool initialized_ = false;  // guarded by mu_
+  /// The checksum of the ledger's last record (0 when empty).
+  int64_t last_checksum_ = 0;  // guarded by mu_
+  size_t bytes_used_ = 0;      // guarded by mu_
+  size_t groups_evicted_ = 0;  // guarded by mu_
 };
 
 using DeadLetterStorePtr = std::shared_ptr<DeadLetterStore>;

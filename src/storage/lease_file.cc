@@ -1,15 +1,17 @@
 #include "storage/lease_file.h"
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include <unistd.h>
 
-#include "common/strings.h"
+#include "storage/record_io.h"
 
 namespace qox {
 
@@ -31,16 +33,13 @@ int64_t LeaseAgeMs(const std::string& path) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(age).count();
 }
 
-/// Atomically writes "<pid> <owner>" to `path` via tmp + rename.
+/// Atomically writes the sealed record "<pid> <owner>" to `path` via tmp +
+/// rename.
 Status PublishLease(const std::string& path, const std::string& owner) {
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return Status::IoError("cannot create lease '" + tmp + "'");
-    out << ::getpid() << " " << owner << "\n";
-    out.flush();
-    if (!out) return Status::IoError("cannot write lease '" + tmp + "'");
-  }
+  std::string record;
+  AppendSealed(std::to_string(::getpid()) + " " + owner, &record);
+  QOX_RETURN_IF_ERROR(WriteFile(tmp, record, /*sync=*/false));
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
@@ -53,13 +52,25 @@ Status PublishLease(const std::string& path, const std::string& owner) {
 }  // namespace
 
 Result<pid_t> LeaseFile::HolderPid(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("no lease at '" + path + "'");
-  long long pid = 0;
-  if (!(in >> pid) || pid <= 0) {
-    return Status::NotFound("lease at '" + path + "' is unreadable");
-  }
-  return static_cast<pid_t>(pid);
+  std::string record((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+  const auto corrupted = [&path] {
+    return Status::CorruptedData("lease at '" + path +
+                                 "' is not one sealed '<pid> <owner>' record");
+  };
+  if (record.empty() || record.back() != '\n') return corrupted();
+  record.pop_back();
+  const std::optional<std::string_view> body = OpenSealed(record);
+  if (!body.has_value()) return corrupted();
+  const size_t space = body->find(' ');
+  if (space == std::string_view::npos) return corrupted();
+  pid_t pid = 0;
+  const char* end = body->data() + space;
+  const auto [parsed, ec] = std::from_chars(body->data(), end, pid);
+  if (ec != std::errc() || parsed != end || pid <= 0) return corrupted();
+  return pid;
 }
 
 int64_t LeaseFile::TimeoutMs() {

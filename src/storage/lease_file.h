@@ -3,7 +3,9 @@
 // A supervisor takes the lease before touching the journal so two
 // supervisors cannot re-execute the same flow concurrently (double
 // supervision would double-apply the durable-prefix skip math). The lease
-// is a small file naming the holder pid; acquisition fails while that pid
+// is a small file holding one sealed record (storage/record_io.h),
+// `<pid> <owner>,<fnv1a64>`, naming the holder pid; a lease that is not
+// exactly that record names no holder. Acquisition fails while that pid
 // is alive and takes over silently when it is dead — the stale lease a
 // SIGKILLed supervisor necessarily leaves behind. Forked child workers do
 // not touch the lease: it is keyed to the supervising process.
@@ -65,8 +67,10 @@ class LeaseFile {
 
   const std::string& path() const { return path_; }
 
-  /// Reads the holder pid of the lease at `path`; NotFound when no lease
-  /// exists or it is unreadable. Diagnostic.
+  /// Reads the holder pid of the lease at `path`: NotFound when no lease
+  /// exists, kCorruptedData when the file is not one sealed record whose
+  /// body starts with a whole positive pid. Every caller treats an error
+  /// as "no live holder".
   static Result<pid_t> HolderPid(const std::string& path);
 
  private:

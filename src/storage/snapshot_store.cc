@@ -1,7 +1,6 @@
 #include "storage/snapshot_store.h"
 
 #include <algorithm>
-#include <bit>
 
 namespace qox {
 
@@ -39,55 +38,23 @@ std::vector<Row> Landing::Rows() const {
   return rows;
 }
 
-template <typename Same>
-size_t Landing::Probe(size_t hash, Same same) const {
-  if (slots_.empty()) return kNone;
-  const size_t mask = slots_.size() - 1;
-  for (size_t i = (hash * 0x9e3779b97f4a7c15ULL) >> shift_;;
-       i = (i + 1) & mask) {
-    const uint32_t slot = slots_[i];
-    if (slot == 0) return kNone;
-    const size_t pos = slot - 1;
-    if (hashes_[pos] == hash && same(pos)) return pos;
-  }
-}
-
 size_t Landing::Find(const Row& row, size_t hash) const {
   const Value* key = row.values().data();
-  return Probe(hash, [&](size_t pos) {
+  return index_.Find(hash, [&](size_t pos) {
     return SameKey(key_columns_, this->row(pos), key);
   });
 }
 
-void Landing::Rehash(size_t slots) {
-  slots_.assign(slots, 0);
-  shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
-  const size_t mask = slots - 1;
-  for (size_t pos = 0; pos < hashes_.size(); ++pos) {
-    size_t i = (hashes_[pos] * 0x9e3779b97f4a7c15ULL) >> shift_;
-    while (slots_[i] != 0) i = (i + 1) & mask;
-    slots_[i] = static_cast<uint32_t>(pos + 1);
-  }
-}
-
 void Landing::Reserve(size_t rows) {
-  const size_t slots = std::bit_ceil(std::max<size_t>(16, 2 * rows));
-  if (slots > slots_.size()) Rehash(slots);
-  hashes_.reserve(rows);
+  index_.Reserve(rows);
   chunks_.reserve((rows + kChunkRows - 1) / kChunkRows);
 }
 
 size_t Landing::Add(size_t hash) {
-  const size_t pos = hashes_.size();
-  if (2 * (pos + 1) > slots_.size()) Reserve(2 * (pos + 1));
+  const size_t pos = index_.Add(hash);
   if (pos % kChunkRows == 0) {
     chunks_.emplace_back(kChunkRows * width_);
   }
-  hashes_.push_back(hash);
-  const size_t mask = slots_.size() - 1;
-  size_t i = (hash * 0x9e3779b97f4a7c15ULL) >> shift_;
-  while (slots_[i] != 0) i = (i + 1) & mask;
-  slots_[i] = static_cast<uint32_t>(pos + 1);
   return pos;
 }
 
@@ -98,8 +65,8 @@ Status Landing::Absorb(Landing part) {
   Reserve(size() + part.size());
   for (size_t q = 0; q < part.size(); ++q) {
     Value* cells = part.mutable_row(q);
-    const size_t hash = part.hashes_[q];
-    if (Probe(hash, [&](size_t p) {
+    const size_t hash = part.index_.hash(q);
+    if (index_.Find(hash, [&](size_t p) {
           return SameKey(key_columns_, row(p), cells);
         }) != kNone) {
       return Status::Invalid("landing parts share a key");
@@ -148,7 +115,7 @@ Result<DeltaResult> SnapshotStore::ComputeDelta(std::vector<Row> fresh) const {
     QOX_RETURN_IF_ERROR(CheckRow(fresh[i]));
     const size_t hash = fresh[i].HashColumns(key_columns_);
     const Value* key = fresh[i].values().data();
-    const size_t pos = landing.Probe(hash, [&](size_t p) {
+    const size_t pos = landing.index_.Find(hash, [&](size_t p) {
       return SameKey(key_columns_, fresh[last[p]].values().data(), key);
     });
     if (pos == Landing::kNone) {
@@ -164,7 +131,7 @@ Result<DeltaResult> SnapshotStore::ComputeDelta(std::vector<Row> fresh) const {
     std::lock_guard<std::mutex> lock(mu_);
     for (size_t p = 0; p < landing.size(); ++p) {
       const Row& row = fresh[last[p]];
-      const size_t at = snapshot_.Find(row, landing.hashes_[p]);
+      const size_t at = snapshot_.Find(row, landing.index_.hash(p));
       kind[p] = at == Landing::kNone ? kInsert
                 : SameCells(row.num_values(), snapshot_.row(at),
                             row.values().data())

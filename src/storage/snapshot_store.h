@@ -11,10 +11,10 @@
 // without reading the source a second time.
 //
 // A landing is held as a compact table (Landing): one row per key, the
-// rows' cells stored back to back in chunks of kChunkRows rows, and an
-// open-addressing index of row positions by key hash (Row::HashColumns
-// over the key columns; keys compare by Value::Compare). Neither a landing
-// nor a commit allocates per row.
+// rows' cells stored back to back in chunks of kChunkRows rows, and the
+// engine's key index (common/key_index.h) of row positions by key hash
+// (Row::HashColumns over the key columns; keys compare by Value::Compare).
+// Neither a landing nor a commit allocates per row.
 //
 // The snapshot lives entirely in memory — there are no file writes here,
 // so the disk-write audit (checked write/fsync/close returns) that covers
@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/key_index.h"
 #include "common/row.h"
 #include "common/status.h"
 
@@ -39,12 +40,12 @@ namespace qox {
 class Landing {
  public:
   static constexpr size_t kChunkRows = 64;
-  static constexpr size_t kNone = static_cast<size_t>(-1);
+  static constexpr size_t kNone = KeyIndex::kNone;
 
   Landing() = default;
   Landing(size_t width, std::vector<size_t> key_columns);
 
-  size_t size() const { return hashes_.size(); }
+  size_t size() const { return index_.size(); }
   size_t width() const { return width_; }
   const std::vector<size_t>& key_columns() const { return key_columns_; }
 
@@ -72,28 +73,18 @@ class Landing {
   Value* mutable_row(size_t pos) {
     return chunks_[pos / kChunkRows].data() + (pos % kChunkRows) * width_;
   }
-  /// Makes index room for `rows` rows in all.
+  /// Makes room for `rows` rows in all.
   void Reserve(size_t rows);
   /// Appends a row of NULL cells under `hash` and indexes it; returns its
   /// position.
   size_t Add(size_t hash);
-  /// Position of a row under `hash` for which `same(pos)` holds, or kNone.
-  template <typename Same>
-  size_t Probe(size_t hash, Same same) const;
-  /// Rebuilds the slot array with `slots` slots (a power of two).
-  void Rehash(size_t slots);
 
   size_t width_ = 0;
   std::vector<size_t> key_columns_;
   /// kChunkRows rows of width_ cells each.
   std::vector<std::vector<Value>> chunks_;
-  /// The key hash of the row at each position.
-  std::vector<size_t> hashes_;
-  /// Linear-probing slots holding position + 1 (0 = free), at most half
-  /// full; a hash picks its first slot by its top `64 - shift_` bits after
-  /// a Fibonacci multiply.
-  std::vector<uint32_t> slots_;
-  unsigned shift_ = 64;
+  /// Row positions by key hash.
+  KeyIndex index_;
 };
 
 /// Classification of a fresh landing against the previous snapshot.

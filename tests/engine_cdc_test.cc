@@ -31,6 +31,7 @@
 #include "storage/journal_file.h"
 #include "storage/lease_file.h"
 #include "storage/mem_table.h"
+#include "test_util.h"
 
 namespace qox {
 namespace {
@@ -396,10 +397,7 @@ TEST_F(CdcSweepTest, UsurpedLeaseStopsTheCoordinatorInsteadOfSplitBrain) {
   const std::string lease_path = options.scratch_dir + "/coordinator.lease";
   options.shard_child_setup = [lease_path](size_t shard, int) {
     ArmCrashPoints("");
-    if (shard == 1) {
-      std::ofstream out(lease_path, std::ios::trunc);
-      out << 1 << " usurper\n";
-    }
+    if (shard == 1) testing_util::PlantLease(lease_path, 1, "usurper");
   };
   const Result<CdcReport> report = CdcCoordinator::Run(options);
   ASSERT_FALSE(report.ok());

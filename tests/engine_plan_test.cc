@@ -314,16 +314,12 @@ TEST(ExecutionPlanTest, LoweringValidatesContainmentKnobs) {
   EXPECT_FALSE(ExecutionPlan::Lower(bad_fraction).ok());
 }
 
-TEST(ExecutionPlanTest, PolicyForOpAndNodeForOpCoverTheChain) {
+TEST(ExecutionPlanTest, NodeForOpCoversTheChain) {
   PlanInput input = SimpleInput(3);
-  input.error_policies = {ErrorPolicy::kFailFast, ErrorPolicy::kQuarantine};
   input.parallel.partitions = 2;
   input.parallel.range_begin = 1;
   input.parallel.range_end = 3;
   const ExecutionPlan plan = MustLower(input);
-  EXPECT_EQ(plan.PolicyForOp(0), ErrorPolicy::kFailFast);
-  EXPECT_EQ(plan.PolicyForOp(1), ErrorPolicy::kQuarantine);
-  EXPECT_EQ(plan.PolicyForOp(2), ErrorPolicy::kFailFast);  // past the list
   // Every op maps to a covering transform/branch node (partition 0 as the
   // representative branch for the parallel range).
   for (size_t op = 0; op < 3; ++op) {
@@ -385,6 +381,13 @@ TEST(ExecutionPlanTest, ContainmentAnnotationsRenderInDotAndJson) {
   EXPECT_NE(dot.find("op2:skip"), std::string::npos);
   EXPECT_EQ(dot.find("op0:"), std::string::npos);  // fail_fast: unannotated
   EXPECT_NE(dot.find("error_budget"), std::string::npos);
+
+  // Ops past a shorter policy list fail fast: unannotated.
+  PlanInput shorter = SimpleInput(3);
+  shorter.error_policies = {ErrorPolicy::kFailFast, ErrorPolicy::kQuarantine};
+  const std::string shorter_dot = MustLower(shorter).ToDot();
+  EXPECT_NE(shorter_dot.find("op1:quarantine"), std::string::npos);
+  EXPECT_EQ(shorter_dot.find("op2:"), std::string::npos);
 
   const std::string json = plan.ToJson();
   EXPECT_NE(json.find("\"error_policies\":[\"fail_fast\",\"quarantine\","

@@ -264,6 +264,95 @@ TEST_P(BudgetIdentityTest, LookupBuildSpillsAndMatchesUnbudgetedRun) {
   EXPECT_EQ(SpillArtifactsUnder(config.spill_dir), 0u);
 }
 
+/// A string-keyed dimension of 2000 codes "k0".."k1999", labelled
+/// "first_<i>", with duplicate codes both before the budgeted build's spill
+/// point (a few dozen rows in) and after it — one whose first row the build
+/// held in memory and drained into a partition, one whose first row went
+/// straight to a partition — and two NULL codes.
+DataStorePtr StringKeyedDimension() {
+  Schema schema({{"code", DataType::kString, true},
+                 {"label", DataType::kString, true}});
+  auto dim = std::make_shared<MemTable>("str_dim", schema);
+  RowBatch batch(schema);
+  const auto add = [&](const Value& code, const std::string& label) {
+    batch.Append(Row({code, Value::String(label)}));
+  };
+  for (size_t i = 0; i < 2000; ++i) {
+    add(Value::String("k" + std::to_string(i)), "first_" + std::to_string(i));
+    if (i == 2) add(Value::String("k0"), "dup_before");
+    if (i == 3) add(Value::Null(), "null_before");
+    if (i == 1200) add(Value::Null(), "null_after");
+    if (i == 1500) add(Value::String("k2"), "dup_after_held");
+    if (i == 1900) add(Value::String("k1700"), "dup_after_spilled");
+  }
+  EXPECT_TRUE(dim->Append(batch).ok());
+  return dim;
+}
+
+/// 1000 probe rows: codes spread over the dimension and past it (misses),
+/// every 50th code NULL.
+std::vector<Row> StringProbeRows() {
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 1000; ++i) {
+    rows.push_back(Row(
+        {Value::Int64(i),
+         i % 50 == 0 ? Value::Null()
+                     : Value::String("k" + std::to_string(i * 7 % 2100))}));
+  }
+  rows.push_back(Row({Value::Int64(1000), Value::String("k0")}));
+  rows.push_back(Row({Value::Int64(1001), Value::String("k2")}));
+  rows.push_back(Row({Value::Int64(1002), Value::String("k1700")}));
+  return rows;
+}
+
+TEST_P(BudgetIdentityTest,
+       StringKeyedLookupWithDuplicatesAndNullsSpillsAndMatchesUnbudgetedRun) {
+  const bool streaming = GetParam();
+  const Schema probe_schema({{"id", DataType::kInt64, false},
+                             {"code", DataType::kString, true}});
+  const std::vector<Row> input = StringProbeRows();
+  const DataStorePtr dim = StringKeyedDimension();
+  const auto flow = [&](const DataStorePtr& target) {
+    FlowSpec spec;
+    spec.id = "res_str_lookup_flow";
+    spec.source = MakeSource(probe_schema, input);
+    spec.transforms.push_back([dim]() -> OperatorPtr {
+      return std::make_unique<LookupOp>(
+          "lkp", dim, "code", "code", std::vector<std::string>{"label"},
+          LookupMissPolicy::kNull);
+    });
+    spec.target = target;
+    return spec;
+  };
+  const Schema out_schema =
+      LookupOp("lkp", dim, "code", "code", {"label"}, LookupMissPolicy::kNull)
+          .Bind(probe_schema)
+          .value();
+
+  auto clean_target = std::make_shared<MemTable>("wh0", out_schema);
+  ExecutionConfig clean;
+  clean.streaming = streaming;
+  const RunOutput clean_out = RunFlow(flow(clean_target), clean_target, clean);
+  ASSERT_EQ(clean_out.rows.size(), input.size());
+  // The first row of a code wins; a NULL code matches nothing.
+  const size_t label = 2;
+  EXPECT_EQ(clean_out.rows[0].value(label), Value::Null());  // NULL probe
+  EXPECT_EQ(clean_out.rows[1000].value(label), Value::String("first_0"));
+  EXPECT_EQ(clean_out.rows[1001].value(label), Value::String("first_2"));
+  EXPECT_EQ(clean_out.rows[1002].value(label), Value::String("first_1700"));
+
+  auto target = std::make_shared<MemTable>("wh1", out_schema);
+  ExecutionConfig config;
+  config.streaming = streaming;
+  config.memory_budget_bytes = 4 << 10;  // a few dozen dimension rows
+  config.spill_dir = FreshDir(streaming ? "lkp_str_s" : "lkp_str_p");
+  const RunOutput out = RunFlow(flow(target), target, config);
+
+  EXPECT_EQ(out.rows, clean_out.rows);
+  EXPECT_GT(out.metrics.spill_runs, 0u);
+  EXPECT_EQ(SpillArtifactsUnder(config.spill_dir), 0u);
+}
+
 /// SimpleRows whose note cell holds a newline, a quote and a comma: each
 /// spilled row is a record spanning two lines of its run.
 std::vector<Row> MultiLineRows(size_t n) {

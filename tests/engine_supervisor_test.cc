@@ -16,6 +16,7 @@
 #include "common/crash_point.h"
 #include "engine/supervisor.h"
 #include "storage/lease_file.h"
+#include "test_util.h"
 
 namespace qox {
 namespace {
@@ -174,10 +175,8 @@ TEST_F(SupervisorTest, CommitThenCrashStillConverges) {
 }
 
 TEST_F(SupervisorTest, LeaseHeldByLiveProcessRefusesToRun) {
-  {
-    std::ofstream lease(scratch_ + "/f.lease");
-    lease << "1 other-supervisor\n";  // pid 1: always alive, never us
-  }
+  // pid 1: always alive, never us.
+  testing_util::PlantLease(scratch_ + "/f.lease", 1, "other-supervisor");
   const auto report = FlowSupervisor::Run(
       "f", [](const FlowEnv&) { return Status::OK(); }, options_);
   ASSERT_FALSE(report.ok());
@@ -190,10 +189,7 @@ TEST_F(SupervisorTest, StaleLeaseIsTakenOver) {
   ASSERT_GT(dead, 0);
   int wstatus = 0;
   ASSERT_EQ(::waitpid(dead, &wstatus, 0), dead);
-  {
-    std::ofstream lease(scratch_ + "/f.lease");
-    lease << dead << " dead-supervisor\n";
-  }
+  testing_util::PlantLease(scratch_ + "/f.lease", dead, "dead-supervisor");
   const auto report =
       FlowSupervisor::Run(
           "f",

@@ -1,14 +1,16 @@
 // Decoder mutation sweep over the record codec's checksummed files: a
 // spill run, a recovery point (data file and commit marker), a journal
-// segment and a dead-letter ledger kept in a flat file, each holding
-// quotes, commas, newlines and NULLs, are read back after one seeded edit
-// — a flipped bit, a CSV-special byte written over or inserted, a deleted
-// byte, a truncation, or a whole record deleted. The contract: a spill run
-// or recovery point reads back exactly the rows written or fails with
-// kCorruptedData (Adopt may instead decline the point), a journal opens to
-// a prefix of the records written, and a ledger reads back records written,
-// each exactly and in order, or fails with kCorruptedData (its records are
-// checksummed one by one, so a whole record cut out is not detectable).
+// segment, a dead-letter ledger kept in a flat file and a lease, each
+// holding quotes, commas, newlines and NULLs where it can, are read back
+// after one seeded edit — a flipped bit, a CSV-special byte written over or
+// inserted, a deleted byte, a truncation, or a whole record deleted. The
+// contract: a spill run or recovery point reads back exactly the rows
+// written or fails with kCorruptedData (Adopt may instead decline the
+// point), a journal opens to a prefix of the records written, a ledger
+// reads back a prefix of the records written or fails with kCorruptedData
+// (its checksums chain the records, so only a cut of whole records at the
+// end reads back short), and a lease names its writer's pid or is
+// kCorruptedData.
 // The same edits run over an exported design's plan XML (a line counts as
 // a record), which carries no checksum: it must fail with kInvalidArgument
 // or parse to a design that re-exports and re-parses to itself.
@@ -21,6 +23,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -29,6 +32,7 @@
 #include "storage/dead_letter_store.h"
 #include "storage/flat_file.h"
 #include "storage/journal_file.h"
+#include "storage/lease_file.h"
 #include "storage/recovery_store.h"
 #include "storage/spill_manager.h"
 #include "test_util.h"
@@ -370,6 +374,7 @@ TEST_F(DecoderMutationTest, LedgerReadsBackItsRecordsOrIsCorrupted) {
   const std::string clean = ReadFile(clean_path);
   const std::string path = dir_ + "/mutated_ledger.csv";
   size_t corrupted = 0;
+  size_t short_reads = 0;
   for (int seed = 1; seed <= kSeeds; ++seed) {
     Rng rng(static_cast<uint64_t>(seed));
     const Mutation m = Mutate(clean, ends, rng);
@@ -382,14 +387,49 @@ TEST_F(DecoderMutationTest, LedgerReadsBackItsRecordsOrIsCorrupted) {
           << where << ": " << read.status();
       continue;
     }
-    size_t next = 0;  // the written record the next one read may match
-    for (const QuarantineRecord& r : read.value()) {
-      while (next < written.size() && !SameRecord(written[next], r)) ++next;
-      ASSERT_LT(next, written.size())
-          << where << ": read back a record never written, op '" << r.op_name
-          << "', message '" << r.status_message << "'";
-      ++next;
+    const std::vector<QuarantineRecord>& got = read.value();
+    ASSERT_LE(got.size(), written.size()) << where;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(SameRecord(got[i], written[i]))
+          << where << ": record " << i << " is not the one written, op '"
+          << got[i].op_name << "', message '" << got[i].status_message
+          << "'";
     }
+    if (got.size() < written.size()) ++short_reads;
+  }
+  EXPECT_GT(corrupted, static_cast<size_t>(kSeeds) / 2);
+  std::cout << "[ledger] " << corrupted << " of " << kSeeds
+            << " edits corrupted, " << short_reads
+            << " read back a shorter prefix\n";
+  RecordProperty("short_reads", static_cast<int>(short_reads));
+}
+
+TEST_F(DecoderMutationTest, LeaseNamesItsWriterOrIsCorrupted) {
+  const std::string clean_path = dir_ + "/clean.lease";
+  std::string clean;
+  {
+    auto lease = LeaseFile::Acquire(clean_path, "cdc").value();
+    clean = ReadFile(clean_path);
+  }
+  ASSERT_EQ(LeaseFile::HolderPid(clean_path).status().code(),
+            StatusCode::kNotFound);  // released
+  const std::string path = dir_ + "/mutated.lease";
+  WriteBytes(path, clean);
+  ASSERT_EQ(LeaseFile::HolderPid(path).value(), ::getpid());
+  size_t corrupted = 0;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    Rng rng(static_cast<uint64_t>(seed));
+    const Mutation m = Mutate(clean, {clean.size()}, rng);
+    const std::string where = "seed " + std::to_string(seed) + ", " + m.edit;
+    WriteBytes(path, m.bytes);
+    const Result<pid_t> holder = LeaseFile::HolderPid(path);
+    if (!holder.ok()) {
+      ++corrupted;
+      EXPECT_EQ(holder.status().code(), StatusCode::kCorruptedData)
+          << where << ": " << holder.status();
+      continue;
+    }
+    EXPECT_EQ(holder.value(), ::getpid()) << where << ": names another pid";
   }
   EXPECT_GT(corrupted, static_cast<size_t>(kSeeds) / 2);
 }

@@ -20,6 +20,7 @@
 #include "storage/journal_file.h"
 #include "storage/lease_file.h"
 #include "storage/recovery_store.h"
+#include "test_util.h"
 
 namespace qox {
 namespace {
@@ -285,7 +286,7 @@ TEST_F(JournalTest, LeaseAcquireReleaseRoundTrip) {
 TEST_F(JournalTest, LeaseHeldByLiveProcessIsBusy) {
   const std::string path = Path("flow.lease");
   // pid 1 is always alive and never us.
-  WriteFile(path, "1 other-supervisor\n");
+  testing_util::PlantLease(path, 1, "other-supervisor");
   const auto lease = LeaseFile::Acquire(path, "tester");
   ASSERT_FALSE(lease.ok());
   EXPECT_EQ(lease.status().code(), StatusCode::kFailedPrecondition);
@@ -300,7 +301,7 @@ TEST_F(JournalTest, StaleLeaseIsTakenOver) {
   int wstatus = 0;
   ASSERT_EQ(::waitpid(dead, &wstatus, 0), dead);
   const std::string path = Path("flow.lease");
-  WriteFile(path, std::to_string(dead) + " dead-supervisor\n");
+  testing_util::PlantLease(path, dead, "dead-supervisor");
   auto lease = LeaseFile::Acquire(path, "tester").value();
   EXPECT_TRUE(lease->took_over());
   EXPECT_EQ(LeaseFile::HolderPid(path).value(), ::getpid());

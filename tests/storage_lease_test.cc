@@ -13,8 +13,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
+
+#include "test_util.h"
 
 namespace qox {
 namespace {
@@ -37,8 +38,7 @@ class LeaseFileTest : public ::testing::Test {
 
   /// Plants a lease held by `pid`, as a dead or hung holder would leave it.
   void PlantLease(pid_t pid) {
-    std::ofstream out(path_, std::ios::trunc);
-    out << pid << " planted\n";
+    testing_util::PlantLease(path_, pid, "planted");
   }
 
   void BackdateLease(std::chrono::milliseconds age) {

@@ -3,7 +3,10 @@
 #ifndef QOX_TESTS_TEST_UTIL_H_
 #define QOX_TESTS_TEST_UTIL_H_
 
+#include <sys/types.h>
+
 #include <algorithm>
+#include <fstream>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -16,6 +19,7 @@
 #include "engine/executor.h"
 #include "engine/operator.h"
 #include "storage/mem_table.h"
+#include "storage/record_io.h"
 
 namespace qox {
 namespace testing_util {
@@ -88,6 +92,15 @@ inline Result<std::vector<Row>> RunOperator(Operator* op, const Schema& input,
   result.insert(result.end(), std::make_move_iterator(finished.rows().begin()),
                 std::make_move_iterator(finished.rows().end()));
   return result;
+}
+
+/// Writes at `path` the lease a holder `pid` tagged `owner` leaves: one
+/// sealed "<pid> <owner>" record (storage/lease_file.h).
+inline void PlantLease(const std::string& path, pid_t pid,
+                       const std::string& owner) {
+  std::string record;
+  AppendSealed(std::to_string(pid) + " " + owner, &record);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << record;
 }
 
 /// Order-insensitive row-multiset equality.
