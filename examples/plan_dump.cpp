@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
     PhysicalDesign d;  // streaming with a mid-chain RP barrier
     d.flow = flow;
     d.streaming = true;
-    d.channel_capacity = 4;
     d.recovery_points = {flow.num_ops() / 2};
     designs.push_back(d);
   }

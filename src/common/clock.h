@@ -29,22 +29,6 @@ class StopWatch {
   int64_t start_;
 };
 
-/// A virtual clock for freshness simulations: experiments that reason about
-/// "loads per day" compress a simulated day into measured execution, so
-/// event timestamps and load completion times live on this clock rather
-/// than the wall clock.
-class SimClock {
- public:
-  explicit SimClock(int64_t start_micros = 0) : now_(start_micros) {}
-
-  int64_t now_micros() const { return now_; }
-  void AdvanceMicros(int64_t delta) { now_ += delta; }
-  void SetMicros(int64_t t) { now_ = t; }
-
- private:
-  int64_t now_;
-};
-
 /// Common time unit conversions.
 inline constexpr int64_t kMicrosPerMilli = 1000;
 inline constexpr int64_t kMicrosPerSecond = 1000 * 1000;

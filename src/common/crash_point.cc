@@ -15,7 +15,6 @@ namespace {
 
 struct CrashState {
   std::mutex mu;
-  bool env_consulted = false;
   /// point name -> hits remaining before it fires.
   std::map<std::string, long> remaining;
 };
@@ -50,20 +49,6 @@ void ArmLocked(CrashState& state, const std::string& spec) {
   ArmedFlag().store(!state.remaining.empty(), std::memory_order_release);
 }
 
-/// Reads QOX_CRASH_AT exactly once per process, unless ArmCrashPoints got
-/// there first (programmatic arming overrides the environment).
-void ConsultEnvOnce() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    CrashState& state = State();
-    std::lock_guard<std::mutex> lock(state.mu);
-    if (state.env_consulted) return;
-    state.env_consulted = true;
-    const char* env = std::getenv("QOX_CRASH_AT");
-    if (env != nullptr && env[0] != '\0') ArmLocked(state, env);
-  });
-}
-
 [[noreturn]] void Die() {
   // SIGKILL cannot be caught: no destructors, no flushes, no atexit — the
   // same death a `kill -9` from outside would cause. _exit is the
@@ -75,7 +60,6 @@ void ConsultEnvOnce() {
 }  // namespace
 
 void CrashPointHit(const char* name) {
-  ConsultEnvOnce();
   if (!ArmedFlag().load(std::memory_order_acquire)) return;
   CrashState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
@@ -88,7 +72,6 @@ void CrashPointHit(const char* name) {
 void ArmCrashPoints(const std::string& spec) {
   CrashState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
-  state.env_consulted = true;
   ArmLocked(state, spec);
 }
 

@@ -5,19 +5,15 @@
 // recovery-point rename, a warehouse append. When armed, reaching the
 // site's configured hit count kills the process with SIGKILL (no atexit
 // handlers, no flushes — the honest `kill -9`). Disarmed sites cost one
-// relaxed atomic load.
+// atomic load.
 //
-// Arming:
-//   * programmatically, ArmCrashPoints("rp.sealed,flat.mid_append:3") —
-//     fire "rp.sealed" on its first hit and "flat.mid_append" on its third;
-//   * via the QOX_CRASH_AT environment variable with the same syntax, read
-//     once on first hit (so a supervisor's child can be armed from outside
-//     without code changes).
+// Arming is in-process only: ArmCrashPoints("rp.sealed,flat.mid_append:3")
+// fires "rp.sealed" on its first hit and "flat.mid_append" on its third.
 //
 // The hit counters are process-wide and survive re-arming only via
 // ArmCrashPoints (which resets them), so a forked child starts with the
-// parent's counters — arm in the child (e.g. FlowSupervisor's child_setup)
-// for per-incarnation schedules.
+// parent's counters — arm in the child (FlowSupervisor's child_setup,
+// CdcOptions::shard_child_setup) for per-incarnation schedules.
 
 #ifndef QOX_COMMON_CRASH_POINT_H_
 #define QOX_COMMON_CRASH_POINT_H_

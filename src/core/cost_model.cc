@@ -163,7 +163,6 @@ ExecutionPlan CostModel::PlanFor(const PhysicalDesign& design) {
   }
   input.redundancy = std::max<size_t>(1, design.redundancy);
   input.streaming = design.streaming;
-  input.channel_capacity = design.channel_capacity;
   // Containment knobs ride along so plan dumps and exported metadata show
   // the policies the executors would enforce. Pathological values are
   // clamped (like out-of-range cuts above) to keep estimation total.

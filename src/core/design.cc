@@ -237,7 +237,6 @@ ExecutionConfig PhysicalDesign::ToExecutionConfig(
   config.retry = retry;
   config.injector = injector;
   config.streaming = streaming;
-  config.channel_capacity = channel_capacity;
   config.error_policies = error_policies;
   config.error_budget = error_budget;
   config.memory_budget_bytes = memory_budget_bytes;

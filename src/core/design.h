@@ -191,9 +191,6 @@ struct PhysicalDesign {
   /// law (overlapped max-of-stages instead of sum, see cost_model.h) and
   /// maps to ExecutionConfig::streaming.
   bool streaming = false;
-  /// Bounded capacity, in batches, of every streaming channel (maps to
-  /// ExecutionConfig::channel_capacity and the plan's edge capacities).
-  size_t channel_capacity = 8;
   /// Row-level containment policy per op (by index; empty or short =
   /// kFailFast, the seed behaviour). Maps to ExecutionConfig::error_policies
   /// and is priced by the cost model's data-quality term.

@@ -1,6 +1,7 @@
 #include "core/plan_io.h"
 
 #include <cctype>
+#include <charconv>
 #include <map>
 #include <sstream>
 
@@ -17,7 +18,7 @@ bool PlanStageSpec::operator==(const PlanStageSpec& other) const {
 }
 
 bool PlanEdgeSpec::operator==(const PlanEdgeSpec& other) const {
-  return from == other.from && to == other.to && capacity == other.capacity;
+  return from == other.from && to == other.to;
 }
 
 bool OpSpec::operator==(const OpSpec& other) const {
@@ -42,7 +43,6 @@ bool DesignSpec::operator==(const DesignSpec& other) const {
          provenance_columns == other.provenance_columns &&
          audit_rejects == other.audit_rejects &&
          streaming == other.streaming &&
-         channel_capacity == other.channel_capacity &&
          error_budget_max_rows == other.error_budget_max_rows &&
          error_budget_max_fraction == other.error_budget_max_fraction &&
          journaled == other.journaled &&
@@ -50,11 +50,6 @@ bool DesignSpec::operator==(const DesignSpec& other) const {
          memory_budget_bytes == other.memory_budget_bytes &&
          resource_policy == other.resource_policy &&
          sla_deadline_s == other.sla_deadline_s &&
-         has_service == other.has_service &&
-         service_workers == other.service_workers &&
-         service_max_concurrent == other.service_max_concurrent &&
-         service_policy == other.service_policy &&
-         service_admit_only_feasible == other.service_admit_only_feasible &&
          cdc_shards == other.cdc_shards &&
          cdc_slice_events == other.cdc_slice_events &&
          cdc_update_rate_per_s == other.cdc_update_rate_per_s &&
@@ -100,7 +95,6 @@ DesignSpec SpecOf(const PhysicalDesign& design) {
   spec.provenance_columns = design.provenance_columns;
   spec.audit_rejects = design.audit_rejects;
   spec.streaming = design.streaming;
-  spec.channel_capacity = design.channel_capacity;
   spec.error_budget_max_rows = design.error_budget.max_rows;
   spec.error_budget_max_fraction = design.error_budget.max_fraction;
   spec.journaled = design.journaled;
@@ -130,7 +124,6 @@ DesignSpec SpecOf(const PhysicalDesign& design) {
     PlanEdgeSpec edge_spec;
     edge_spec.from = edge.from;
     edge_spec.to = edge.to;
-    edge_spec.capacity = edge.capacity;
     spec.plan_edges.push_back(edge_spec);
   }
   return spec;
@@ -376,6 +369,13 @@ Result<size_t> ParseSize(const std::string& text) {
   return static_cast<size_t>(v.int64_value());
 }
 
+/// A double in its shortest form that parses back to the same value, so a
+/// document re-parses to the spec it was written from.
+std::string ExactDouble(double value) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
 Result<double> ParseDouble(const std::string& text) {
   QOX_ASSIGN_OR_RETURN(const Value v, Value::Parse(text, DataType::kDouble));
   if (v.is_null()) return Status::Invalid("expected a number");
@@ -391,16 +391,15 @@ std::string ExportDesignXml(const DesignSpec& spec) {
       << spec.redundancy << "\" loads_per_day=\"" << spec.loads_per_day
       << "\" provenance_columns=\"" << (spec.provenance_columns ? 1 : 0)
       << "\" audit_rejects=\"" << (spec.audit_rejects ? 1 : 0)
-      << "\" streaming=\"" << (spec.streaming ? 1 : 0)
-      << "\" channel_capacity=\"" << spec.channel_capacity << "\"";
+      << "\" streaming=\"" << (spec.streaming ? 1 : 0) << "\"";
   // The budget attributes appear only when a budget is actually set, so
   // documents from designs that never touch containment stay byte-stable.
   if (spec.error_budget_max_rows != static_cast<size_t>(-1)) {
     oss << " error_budget_max_rows=\"" << spec.error_budget_max_rows << "\"";
   }
   if (spec.error_budget_max_fraction < 1.0) {
-    oss << " error_budget_max_fraction=\"" << spec.error_budget_max_fraction
-        << "\"";
+    oss << " error_budget_max_fraction=\""
+        << ExactDouble(spec.error_budget_max_fraction) << "\"";
   }
   // Journal attributes appear only for journaled designs (same
   // byte-stability contract as the budget attributes above).
@@ -416,7 +415,7 @@ std::string ExportDesignXml(const DesignSpec& spec) {
   // The SLA attribute appears only for deadline-carrying flows, so
   // pre-service documents stay byte-stable.
   if (spec.sla_deadline_s > 0.0) {
-    oss << " sla_deadline_s=\"" << spec.sla_deadline_s << "\"";
+    oss << " sla_deadline_s=\"" << ExactDouble(spec.sla_deadline_s) << "\"";
   }
   oss << ">\n";
   oss << "  <flow id=\"" << XmlEscape(spec.flow_id) << "\" source=\""
@@ -425,8 +424,9 @@ std::string ExportDesignXml(const DesignSpec& spec) {
   for (const OpSpec& op : spec.ops) {
     oss << "    <operator name=\"" << XmlEscape(op.name) << "\" kind=\""
         << XmlEscape(op.kind) << "\" blocking=\"" << (op.blocking ? 1 : 0)
-        << "\" cost_per_row=\"" << op.cost_per_row << "\" selectivity=\""
-        << op.selectivity << "\" reads=\"" << XmlEscape(ColumnList(op.reads))
+        << "\" cost_per_row=\"" << ExactDouble(op.cost_per_row)
+        << "\" selectivity=\"" << ExactDouble(op.selectivity)
+        << "\" reads=\"" << XmlEscape(ColumnList(op.reads))
         << "\" creates=\"" << XmlEscape(ColumnList(op.creates))
         << "\" drops=\"" << XmlEscape(ColumnList(op.drops)) << "\"";
     if (op.error_policy != "fail_fast") {
@@ -453,16 +453,7 @@ std::string ExportDesignXml(const DesignSpec& spec) {
   if (spec.cdc_shards > 0) {
     oss << "  <cdc shards=\"" << spec.cdc_shards << "\" slice_events=\""
         << spec.cdc_slice_events << "\" update_rate_per_s=\""
-        << spec.cdc_update_rate_per_s << "\"/>\n";
-  }
-  // Optional multi-flow service context (FlowServiceConfig). Absent for
-  // solo designs, so documents that predate the service are unchanged.
-  if (spec.has_service) {
-    oss << "  <service workers=\"" << spec.service_workers
-        << "\" max_concurrent_flows=\"" << spec.service_max_concurrent
-        << "\" policy=\"" << XmlEscape(spec.service_policy)
-        << "\" admit_only_feasible=\""
-        << (spec.service_admit_only_feasible ? 1 : 0) << "\"/>\n";
+        << ExactDouble(spec.cdc_update_rate_per_s) << "\"/>\n";
   }
   if (!spec.plan_stages.empty() || !spec.plan_edges.empty()) {
     oss << "  <execution_plan>\n";
@@ -478,7 +469,7 @@ std::string ExportDesignXml(const DesignSpec& spec) {
     }
     for (const PlanEdgeSpec& edge : spec.plan_edges) {
       oss << "    <edge from=\"" << edge.from << "\" to=\"" << edge.to
-          << "\" capacity=\"" << edge.capacity << "\"/>\n";
+          << "\"/>\n";
     }
     oss << "  </execution_plan>\n";
   }
@@ -509,8 +500,6 @@ Result<DesignSpec> ParseDesignXml(const std::string& xml) {
   QOX_ASSIGN_OR_RETURN(spec.audit_rejects,
                        BoolAttribute(root, "audit_rejects"));
   QOX_ASSIGN_OR_RETURN(spec.streaming, BoolAttribute(root, "streaming"));
-  QOX_ASSIGN_OR_RETURN(spec.channel_capacity,
-                       ParseSize(AttributeOr(root, "channel_capacity", "8")));
   const std::string budget_rows =
       AttributeOr(root, "error_budget_max_rows", "max");
   if (budget_rows == "max") {
@@ -536,8 +525,8 @@ Result<DesignSpec> ParseDesignXml(const std::string& xml) {
     spec.resource_policy = AttributeOr(root, "resource_policy", "fail_flow");
     QOX_RETURN_IF_ERROR(ParseResourcePolicy(spec.resource_policy).status());
   }
-  // Schema evolution: documents written before the SLA / service additions
-  // simply lack these attributes and fall back to the defaults.
+  // Schema evolution: documents written before the SLA attribute simply
+  // lack it and fall back to the default.
   QOX_ASSIGN_OR_RETURN(spec.sla_deadline_s,
                        ParseDouble(AttributeOr(root, "sla_deadline_s", "0")));
   if (spec.sla_deadline_s < 0.0) {
@@ -623,22 +612,6 @@ Result<DesignSpec> ParseDesignXml(const std::string& xml) {
       return Status::Invalid("<cdc> update_rate_per_s must be >= 0");
     }
   }
-  if (const XmlNode* service = root.FirstChild("service")) {
-    spec.has_service = true;
-    QOX_ASSIGN_OR_RETURN(spec.service_workers,
-                         ParseSize(AttributeOr(*service, "workers", "4")));
-    QOX_ASSIGN_OR_RETURN(
-        spec.service_max_concurrent,
-        ParseSize(AttributeOr(*service, "max_concurrent_flows", "4")));
-    spec.service_policy = AttributeOr(*service, "policy", "edf");
-    // Policies are closed vocabulary; reject documents from the future.
-    if (spec.service_policy != "edf" && spec.service_policy != "fifo") {
-      return Status::Invalid("unknown service queue policy '" +
-                             spec.service_policy + "'");
-    }
-    QOX_ASSIGN_OR_RETURN(spec.service_admit_only_feasible,
-                         BoolAttribute(*service, "admit_only_feasible"));
-  }
   if (const XmlNode* plan = root.FirstChild("execution_plan")) {
     for (const XmlNode& child : plan->children) {
       if (child.tag == "stage") {
@@ -671,8 +644,6 @@ Result<DesignSpec> ParseDesignXml(const std::string& xml) {
         QOX_ASSIGN_OR_RETURN(const std::string to,
                              RequiredAttribute(child, "to"));
         QOX_ASSIGN_OR_RETURN(edge.to, ParseSize(to));
-        QOX_ASSIGN_OR_RETURN(edge.capacity,
-                             ParseSize(AttributeOr(child, "capacity", "8")));
         spec.plan_edges.push_back(edge);
       }
     }

@@ -41,7 +41,6 @@ struct PlanStageSpec {
 struct PlanEdgeSpec {
   size_t from = 0;
   size_t to = 0;
-  size_t capacity = 8;
 
   bool operator==(const PlanEdgeSpec& other) const;
 };
@@ -82,7 +81,6 @@ struct DesignSpec {
   bool provenance_columns = false;
   bool audit_rejects = false;
   bool streaming = false;
-  size_t channel_capacity = 8;
   /// Flow-level error budget; the defaults mean unlimited (no budget).
   size_t error_budget_max_rows = static_cast<size_t>(-1);
   double error_budget_max_fraction = 1.0;
@@ -100,17 +98,6 @@ struct DesignSpec {
   /// the document only when set, so pre-SLA documents stay byte-stable
   /// and still parse (schema evolution).
   double sla_deadline_s = 0.0;
-  /// Multi-flow service context the design is meant to be admitted under
-  /// (engine/flow_service.h FlowServiceConfig), exported as an optional
-  /// <service> element: shared-pool workers, concurrency slots, queue
-  /// policy ("edf" or "fifo"), and admission control. has_service == false
-  /// (the default) omits the element entirely — older documents without it
-  /// load unchanged.
-  bool has_service = false;
-  size_t service_workers = 4;
-  size_t service_max_concurrent = 4;
-  std::string service_policy = "edf";
-  bool service_admit_only_feasible = false;
   /// Sharded CDC ingestion shape (PhysicalDesign::cdc_*), exported as an
   /// optional <cdc> element. cdc_shards == 0 (the default) omits the
   /// element entirely, so pre-CDC documents stay byte-stable and parse
@@ -133,13 +120,15 @@ struct DesignSpec {
 /// Extracts the structural spec of a design (for export / comparison).
 DesignSpec SpecOf(const PhysicalDesign& design);
 
-/// Serializes a design spec as a self-contained XML document.
+/// Serializes a design spec as a self-contained XML document. Doubles are
+/// written in their shortest form that parses back to the same value, so
+/// ParseDesignXml(ExportDesignXml(spec)) == spec.
 std::string ExportDesignXml(const DesignSpec& spec);
 std::string ExportDesignXml(const PhysicalDesign& design);
 
 /// Parses a document produced by ExportDesignXml (or a compatible tool).
-/// Unknown elements are ignored; malformed XML or missing required
-/// attributes error.
+/// Unknown elements and attributes are ignored; malformed XML or missing
+/// required attributes error.
 Result<DesignSpec> ParseDesignXml(const std::string& xml);
 
 }  // namespace qox

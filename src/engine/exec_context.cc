@@ -19,16 +19,6 @@ void ExecContext::Post(std::function<void()> fn, TaskGroup* group,
   pool_->Post(std::move(fn), tag, group);
 }
 
-void ExecContext::Dispatch(std::function<void()> fn) const {
-  if (pool_ == nullptr || pool_->InWorkerThread()) {
-    fn();
-    return;
-  }
-  TaskTag tag = tag_;
-  tag.blocking = false;
-  pool_->Post(std::move(fn), tag, nullptr);
-}
-
 void ExecContext::BulkExecute(size_t n,
                               const std::function<void(size_t)>& fn) const {
   if (n == 0) return;

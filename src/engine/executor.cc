@@ -130,7 +130,11 @@ class FlowRunner {
             quarantine_seq_.fetch_add(1, std::memory_order_relaxed);
         record.status_code = StatusCodeName(contained.cause.code());
         record.status_message = contained.cause.message();
-        record.payload = EncodeQuarantinePayload(contained.row);
+        // The row as it entered the failing op: a row of that op's cut
+        // (the load's, for a shed row), which replay decodes it against.
+        record.payload = EncodeQuarantinePayload(
+            contained.row,
+            cut_schemas_[static_cast<size_t>(contained.op_index)]);
         return config_.dead_letter->Quarantine(record);
       };
     }
@@ -588,7 +592,7 @@ class FlowRunner {
   /// re-emits downstream. Returns the barrier's output channel.
   BatchChannelPtr SpawnBarrierStage(StageSet* stages, BatchChannelPtr in,
                                     size_t cut, size_t node_id) {
-    BatchChannelPtr out = stages->MakeChannel(config_.channel_capacity);
+    BatchChannelPtr out = stages->MakeChannel();
     stages->Spawn(
         plan_.nodes()[node_id].label,
         [this, in, out, cut, node_id](StageStats* stats) -> Status {
@@ -625,7 +629,7 @@ class FlowRunner {
   BatchChannelPtr SpawnTransformStage(StageSet* stages, BatchChannelPtr in,
                                       size_t begin, size_t end, int attempt,
                                       size_t expected_rows, size_t node_id) {
-    BatchChannelPtr out = stages->MakeChannel(config_.channel_capacity);
+    BatchChannelPtr out = stages->MakeChannel();
     stages->Spawn(plan_.nodes()[node_id].label,
                   [this, in, out, begin, end, attempt, expected_rows,
                    node_id](StageStats* stats) -> Status {
@@ -683,7 +687,7 @@ class FlowRunner {
     std::vector<BatchChannelPtr> part_in;
     part_in.reserve(num_parts);
     for (size_t p = 0; p < num_parts; ++p) {
-      part_in.push_back(stages->MakeChannel(config_.channel_capacity));
+      part_in.push_back(stages->MakeChannel());
     }
     stages->Spawn(
         plan_.nodes()[unit.router].label,
@@ -736,7 +740,7 @@ class FlowRunner {
     branches.reserve(num_parts);
     const size_t per_part_rows = expected_rows / num_parts + 1;
     for (size_t p = 0; p < num_parts; ++p) {
-      part_out.push_back(stages->MakeChannel(config_.channel_capacity));
+      part_out.push_back(stages->MakeChannel());
       branches.push_back(StageSet::Stage{
           plan_.nodes()[unit.branches[p]].label,
           [this, p, inp = part_in[p], outp = part_out[p], begin, end,
@@ -784,7 +788,7 @@ class FlowRunner {
           }});
     }
     stages->SpawnGroup(std::move(branches));
-    BatchChannelPtr out = stages->MakeChannel(config_.channel_capacity);
+    BatchChannelPtr out = stages->MakeChannel();
     SpawnMerge(stages, std::move(part_out), out, unit.merge,
                std::move(unit_stats));
     return out;
@@ -1040,10 +1044,10 @@ class FlowRunner {
     // The load's input; it stays null when the load reads the voted output.
     BatchChannelPtr cursor;
     if (resumed_cut >= 0 && voted_ == nullptr) {
-      cursor = stages.MakeChannel(config_.channel_capacity);
+      cursor = stages.MakeChannel();
       SpawnReplayStage(&stages, cursor, std::move(resume_rows), current_cut);
     } else if (resumed_cut < 0) {
-      cursor = stages.MakeChannel(config_.channel_capacity);
+      cursor = stages.MakeChannel();
       SpawnExtractStage(&stages, cursor, attempt, source_rows);
       if (plan_.rp_after_extract()) {
         cursor = SpawnBarrierStage(&stages, cursor, 0,
@@ -1185,7 +1189,6 @@ PlanInput MakePlanInput(const FlowSpec& flow, const ExecutionConfig& config) {
   input.recovery_points = config.recovery_points;
   input.redundancy = config.redundancy;
   input.streaming = config.streaming;
-  input.channel_capacity = config.channel_capacity;
   input.error_policies = config.error_policies;
   input.error_budget = config.error_budget;
   return input;
@@ -1340,6 +1343,17 @@ Status RunRedundantInstances(const FlowSpec& flow,
   return Status::OK();
 }
 
+/// A directory removed, with everything under it, when this goes out of
+/// scope (unless `path` is empty).
+struct OwnedDir {
+  std::string path;
+  ~OwnedDir() {
+    if (path.empty()) return;
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);  // best effort
+  }
+};
+
 }  // namespace
 
 Result<std::vector<Schema>> Executor::BindChain(const FlowSpec& flow,
@@ -1427,15 +1441,18 @@ Result<RunMetrics> Executor::Run(const FlowSpec& flow,
                                  const ExecutionConfig& original_config) {
   const StopWatch total_timer;
   ExecutionConfig config = original_config;
-  if (config.memory_budget_bytes == 0) {
-    // The QOX_MEM_BUDGET environment override lets any experiment or test
-    // run memory-bounded without touching its config plumbing.
-    config.memory_budget_bytes = MemoryBudgetFromEnv();
-  }
+  // A budgeted run without a spill directory spills under one of its own,
+  // removed when the run ends: a spill run's name is unique only within
+  // its manager, so two runs of one flow in one process (two FlowService
+  // submissions) must not share a directory.
+  OwnedDir owned_spill_dir;
   if (config.memory_budget_bytes > 0 && config.spill_dir.empty()) {
+    static std::atomic<uint64_t> next_run{0};
     config.spill_dir = std::filesystem::temp_directory_path().string() +
                        "/qox_spill_" + flow.id + "." +
-                       std::to_string(::getpid());
+                       std::to_string(::getpid()) + "." +
+                       std::to_string(next_run.fetch_add(1));
+    owned_spill_dir.path = config.spill_dir;
   }
   if (config.journal != nullptr) {
     // Sweep spill directories a dead incarnation journaled: a SIGKILL

@@ -119,8 +119,9 @@ struct ExecutionConfig {
   /// attempts re-log their rejects (each record names its attempt).
   DataStorePtr reject_store;
   /// Streaming (pipelined) execution: extract, transform units, and load
-  /// run as concurrent stages connected by bounded Channel<RowBatch> edges
-  /// (DESIGN.md "Streaming dataflow"), so batches flow end to end without
+  /// run as concurrent stages connected by Channel<RowBatch> edges of
+  /// StageSet::kChannelCapacity batches (DESIGN.md "Streaming dataflow"),
+  /// so batches flow end to end without
   /// full materialization except at blocking operators and recovery-point
   /// cuts. Off (phased), the same stages run one at a time, each to
   /// completion, the load last. In both modes the load is the dataflow's
@@ -130,9 +131,6 @@ struct ExecutionConfig {
   /// timings become per-stage busy-time aggregates (stages overlap, so
   /// they no longer sum to total).
   bool streaming = false;
-  /// Bounded capacity, in batches, of every streaming channel (the
-  /// backpressure window between adjacent stages). Values < 1 act as 1.
-  size_t channel_capacity = 8;
   /// Row-level containment policy per transform op (by global index).
   /// Empty, or shorter than the chain, means kFailFast for the uncovered
   /// ops — the historical all-or-nothing behaviour. Both modes enforce
@@ -164,19 +162,20 @@ struct ExecutionConfig {
   /// baseline for the durable-prefix load skip. Default = fresh run.
   FlowResume resume;
   /// Per-flow byte budget for blocking-operator working sets
-  /// (engine/memory_budget.h). 0 = unlimited, unless the QOX_MEM_BUDGET
-  /// environment variable overrides it at Run(). When finite, sort /
-  /// group / lookup spill to checksummed files under `spill_dir` instead
-  /// of growing, and results stay byte-identical to the unbudgeted run.
+  /// (engine/memory_budget.h). 0 = unlimited. When finite, sort / group /
+  /// lookup spill to checksummed files under `spill_dir` instead of
+  /// growing, and results stay byte-identical to the unbudgeted run.
   size_t memory_budget_bytes = 0;
   /// How the flow degrades when a write boundary reports
   /// kResourceExhausted (disk full, dead-letter cap): fail fast, treat it
   /// as transient and retry with backoff, or shed the affected load rows
   /// to the dead-letter ledger and continue.
   ResourcePolicy resource_policy = ResourcePolicy::kFailFlow;
-  /// Directory for spill runs. Empty = a per-flow-instance directory
-  /// under the system temp dir. Recorded in the flow journal so a
-  /// supervisor restart deletes a dead incarnation's leftovers.
+  /// Directory for spill runs (one subdirectory per flow instance). Empty
+  /// = a directory of this Run's own under the system temp dir, removed
+  /// when the run ends; a caller's directory stays. Recorded in the flow
+  /// journal so a supervisor restart deletes a dead incarnation's
+  /// leftovers.
   std::string spill_dir;
   /// Read by nothing: every per-row transform op runs its columnar kernel
   /// (engine/pipeline.h). The field stays only because the repository

@@ -95,7 +95,6 @@ void FlowService::DispatchLocked() {
     ++running_;
     TaskTag tag;
     tag.deadline_micros = entry->absolute_deadline_micros;
-    tag.predicted_micros = entry->submission.predicted_micros;
     tag.blocking = true;  // drivers park in Executor::Run for the flow's life
     pool_.Post([this, entry] { RunDriver(entry); }, tag);
   }

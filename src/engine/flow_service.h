@@ -78,8 +78,8 @@ struct FlowSubmission {
   FlowSpec flow;
   ExecutionConfig config;
   /// Cost-model estimate of the flow's execution time (microseconds),
-  /// e.g. CostModel::Predict(...).seconds * 1e6. Feeds admission control
-  /// and the pool's load accounting; 0 = unknown (always admitted).
+  /// e.g. CostModel::Predict(...).seconds * 1e6. Feeds admission control;
+  /// 0 = unknown (always admitted).
   int64_t predicted_micros = 0;
 };
 

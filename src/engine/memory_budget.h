@@ -121,17 +121,6 @@ class MemoryBudget {
   std::atomic<size_t> high_water_{0};
 };
 
-/// Parses a byte-size string: a plain byte count with an optional k/m/g
-/// suffix (binary multiples), e.g. "65536", "64k", "16m". Error on
-/// malformed input.
-Result<size_t> ParseByteSize(const std::string& text);
-
-/// The QOX_MEM_BUDGET environment override, parsed with ParseByteSize.
-/// Returns 0 (unlimited) when the variable is unset or empty; malformed
-/// values are ignored (a typo must not silently change flow semantics, so
-/// the engine runs unbudgeted rather than guessing).
-size_t MemoryBudgetFromEnv();
-
 }  // namespace qox
 
 #endif  // QOX_ENGINE_MEMORY_BUDGET_H_

@@ -77,7 +77,6 @@ void ExecutionPlan::Connect(size_t from, size_t to) {
   PlanEdge edge;
   edge.from = from;
   edge.to = to;
-  edge.capacity = std::max<size_t>(1, input_.channel_capacity);
   edges_.push_back(edge);
   nodes_[from].outputs.push_back(to);
   nodes_[to].inputs.push_back(from);
@@ -379,8 +378,7 @@ std::string ExecutionPlan::ToJson() const {
   std::ostringstream oss;
   oss << "{\"num_ops\":" << input_.num_ops << ",\"streaming\":"
       << (input_.streaming ? "true" : "false") << ",\"redundancy\":"
-      << input_.redundancy << ",\"channel_capacity\":"
-      << input_.channel_capacity;
+      << input_.redundancy;
   if (!input_.error_policies.empty()) {
     oss << ",\"error_policies\":[";
     for (size_t i = 0; i < input_.error_policies.size(); ++i) {
@@ -416,7 +414,7 @@ std::string ExecutionPlan::ToJson() const {
   for (size_t i = 0; i < edges_.size(); ++i) {
     if (i > 0) oss << ",";
     oss << "{\"from\":" << edges_[i].from << ",\"to\":" << edges_[i].to
-        << ",\"capacity\":" << edges_[i].capacity << "}";
+        << "}";
   }
   oss << "],\"sections\":[";
   for (size_t i = 0; i < sections_.size(); ++i) {

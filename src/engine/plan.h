@@ -84,7 +84,6 @@ struct PlanInput {
   std::vector<size_t> recovery_points;  ///< cut positions (hard barriers)
   size_t redundancy = 1;
   bool streaming = false;
-  size_t channel_capacity = 8;
   /// Per-op row-error containment policy (by global index). Empty or
   /// shorter than the chain = kFailFast for the uncovered ops. Longer than
   /// the chain is a lowering error. Carried on the plan so dumps, the XML
@@ -135,12 +134,11 @@ struct PlanNode {
   std::vector<size_t> outputs;  ///< downstream node ids
 };
 
-/// A channel edge of the dataflow (bounded to `capacity` batches when the
-/// plan runs in streaming mode).
+/// A channel edge of the dataflow (StageSet decides its bound: unbounded
+/// when staged, StageSet::kChannelCapacity batches when streaming).
 struct PlanEdge {
   size_t from = 0;
   size_t to = 0;
-  size_t capacity = 8;
 };
 
 /// One scheduling unit of a section: a maximal op run that is either fully

@@ -31,9 +31,9 @@ StageSet::~StageSet() {
   group_.Wait();
 }
 
-BatchChannelPtr StageSet::MakeChannel(size_t capacity) {
+BatchChannelPtr StageSet::MakeChannel() {
   auto channel = std::make_shared<BatchChannel>(
-      staged_ ? static_cast<size_t>(-1) : capacity);
+      staged_ ? static_cast<size_t>(-1) : kChannelCapacity);
   std::lock_guard<std::mutex> lock(mu_);
   if (!first_failure_.ok()) channel->Poison(PoisonEcho(first_failure_));
   channels_.push_back(channel);

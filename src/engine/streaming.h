@@ -11,13 +11,14 @@
 //   * STREAMING: stages run concurrently as BLOCKING tasks on the shared
 //     executor substrate (engine/worker_pool.h — stage bodies park on
 //     channel edges, so they run on the pool's cached expansion workers,
-//     never occupying core workers), joined by bounded channels. The
-//     context's tag (flow deadline, predicted cost) rides on every stage
-//     submission, which is how a whole streaming dataflow competes EDF
-//     against other flows on one shared pool. Every stage waits on one
-//     channel at a time; a partitioned unit stays deadlock-free on bounded
-//     channels because its router, branches and merge keep one fixed
-//     batch schedule (FlowRunner::SpawnParallelUnit in executor.cc).
+//     never occupying core workers), joined by channels of
+//     kChannelCapacity batches. The context's tag (the flow deadline)
+//     rides on every stage submission, which is how a whole streaming
+//     dataflow competes EDF against other flows on one shared pool. Every
+//     stage waits on one channel at a time; a partitioned unit stays
+//     deadlock-free on bounded channels because its router, branches and
+//     merge keep one fixed batch schedule (FlowRunner::SpawnParallelUnit
+//     in executor.cc).
 //   * STAGED (phased plans): Spawn runs the stage to completion on the
 //     calling thread before returning, writing into unbounded channels, so
 //     every edge is a materialization barrier and a stage knows its whole
@@ -63,6 +64,10 @@ using BatchChannelPtr = std::shared_ptr<BatchChannel>;
 
 class StageSet {
  public:
+  /// Batches a streaming channel holds before its producer waits: the
+  /// backpressure window between adjacent stages.
+  static constexpr size_t kChannelCapacity = 8;
+
   using Body = std::function<Status(StageStats*)>;
   struct Stage {
     std::string name;
@@ -81,11 +86,11 @@ class StageSet {
   StageSet(const StageSet&) = delete;
   StageSet& operator=(const StageSet&) = delete;
 
-  /// Creates a channel registered for poison-on-failure; staged sets ignore
-  /// `capacity` and make it unbounded. If a stage has already failed, the
-  /// channel is born poisoned, so stages wired after a failure unwind
-  /// immediately instead of processing data nobody reads.
-  BatchChannelPtr MakeChannel(size_t capacity);
+  /// Creates a channel registered for poison-on-failure: unbounded when
+  /// staged, kChannelCapacity batches when streaming. If a stage has
+  /// already failed, the channel is born poisoned, so stages wired after a
+  /// failure unwind immediately instead of processing data nobody reads.
+  BatchChannelPtr MakeChannel();
 
   /// Submits `body` as a blocking task on the substrate (staged: runs it
   /// here). The body fills its StageStats (rows, batches, waits); wall and

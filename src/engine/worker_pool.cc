@@ -10,12 +10,8 @@ namespace {
 constexpr size_t kExternalIndex = static_cast<size_t>(-1);
 
 /// Identity of the pool task (if any) executing on the calling thread.
-/// `depth` counts nested execution — a helping wait runs tasks inside a
-/// task — so quiescence checks can exclude the caller's own in-flight
-/// frames.
 thread_local const WorkerPool* tl_pool = nullptr;
 thread_local size_t tl_worker_index = kExternalIndex;
-thread_local int tl_depth = 0;
 
 /// How long a helping wait parks between help attempts when no CPU task is
 /// runnable (the awaited tasks are executing elsewhere). Bounded polling —
@@ -182,9 +178,7 @@ bool WorkerPool::TryTakeTask(size_t worker_index, Task* out) {
 void WorkerPool::RunTask(Task task) {
   const WorkerPool* prev_pool = tl_pool;
   tl_pool = this;
-  ++tl_depth;
   task.fn();
-  --tl_depth;
   tl_pool = prev_pool;
   FinishTask(task);
 }
@@ -194,16 +188,14 @@ void WorkerPool::FinishTask(const Task& task) {
     std::lock_guard<std::mutex> lock(mu_);
     --running_;
     if (task.tag.blocking) --blocking_in_flight_;
-    if (queued_cpu_ == 0 && blocking_queue_.empty()) {
-      idle_cv_.notify_all();
-      if (shutdown_ && running_ == 0) {
-        // Fully quiescent under shutdown: wake every parked worker so it
-        // observes its exit condition. (Workers park during the drain —
-        // their wait predicates only fire on runnable work or on this
-        // final quiescence, not on shutdown_ alone.)
-        work_cv_.notify_all();
-        blocking_cv_.notify_all();
-      }
+    if (shutdown_ && running_ == 0 && queued_cpu_ == 0 &&
+        blocking_queue_.empty()) {
+      // Fully quiescent under shutdown: wake every parked worker so it
+      // observes its exit condition. (Workers park during the drain —
+      // their wait predicates only fire on runnable work or on this
+      // final quiescence, not on shutdown_ alone.)
+      work_cv_.notify_all();
+      blocking_cv_.notify_all();
     }
   }
   if (task.group != nullptr) task.group->Finish();
@@ -220,33 +212,6 @@ bool WorkerPool::TryHelpOne() {
   }
   RunTask(std::move(task));
   return true;
-}
-
-Status WorkerPool::WaitIdle() {
-  const bool helper = InWorkerThread();
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      // A thread inside `self` pool frames must not wait for its own
-      // completion — idle means "nothing outstanding but the caller".
-      const size_t self = tl_pool == this ? static_cast<size_t>(tl_depth) : 0;
-      if (queued_cpu_ == 0 && blocking_queue_.empty() && running_ <= self) {
-        return Status::OK();
-      }
-      if (!helper) {
-        idle_cv_.wait(lock);
-        continue;
-      }
-    }
-    if (!TryHelpOne()) {
-      std::unique_lock<std::mutex> lock(mu_);
-      const size_t self = tl_pool == this ? static_cast<size_t>(tl_depth) : 0;
-      if (queued_cpu_ == 0 && blocking_queue_.empty() && running_ <= self) {
-        return Status::OK();
-      }
-      idle_cv_.wait_for(lock, kHelpParkSlice);
-    }
-  }
 }
 
 void WorkerPool::CoreWorkerLoop(size_t worker_index) {

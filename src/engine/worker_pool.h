@@ -30,11 +30,11 @@
 // a task (a worker waiting for its own queue deadlocks a full pool) but
 // could not see TRANSITIVE waits — task A posting task B and blocking on a
 // latch until B finishes deadlocks a single-worker pool just the same.
-// The substrate closes that hole structurally: TaskGroup::Wait() and
-// WaitIdle() called from a core worker HELP — they pop and run queued CPU
-// tasks while the awaited work is outstanding — so a worker waiting on
-// child tasks executes them itself instead of starving them. Blocking
-// tasks may simply park (expansion capacity is unbounded).
+// The substrate closes that hole structurally: TaskGroup::Wait() called
+// from a core worker HELPS — it pops and runs queued CPU tasks while the
+// awaited work is outstanding — so a worker waiting on child tasks
+// executes them itself instead of starving them. Blocking tasks may simply
+// park (expansion capacity is unbounded).
 
 #ifndef QOX_ENGINE_WORKER_POOL_H_
 #define QOX_ENGINE_WORKER_POOL_H_
@@ -49,8 +49,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/status.h"
-
 namespace qox {
 
 class WorkerPool;
@@ -64,9 +62,6 @@ struct TaskTag {
   /// first, which is what makes the shared pool schedule runnable stages
   /// of many flows EDF.
   int64_t deadline_micros = 0;
-  /// Predicted execution time (cost-model estimate), for admission-control
-  /// load accounting and diagnostics. Not used for ordering.
-  int64_t predicted_micros = 0;
   /// May park on channels / condition variables / child tasks: run on an
   /// expansion worker instead of occupying a core worker.
   bool blocking = false;
@@ -131,13 +126,6 @@ class WorkerPool {
   void Post(std::function<void()> task, const TaskTag& tag = TaskTag(),
             TaskGroup* group = nullptr);
 
-  /// Blocks until every submitted task (CPU and blocking) has finished.
-  /// From a core worker this HELPS: the calling task's own in-flight slot
-  /// is excluded and queued CPU tasks run here, so "post subtasks, wait
-  /// for quiescence" works from inside the pool (the old ThreadPool
-  /// rejected this; transitive variants deadlocked it).
-  Status WaitIdle();
-
   /// True when the calling thread is one of this pool's core workers.
   bool InWorkerThread() const;
 
@@ -183,7 +171,6 @@ class WorkerPool {
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;   ///< core workers: work or shutdown
-  std::condition_variable idle_cv_;   ///< WaitIdle watchers
   std::condition_variable blocking_cv_;  ///< expansion workers
   std::priority_queue<Task, std::vector<Task>, EdfLater> injection_;
   std::vector<std::deque<Task>> local_;  ///< per-core-worker deques

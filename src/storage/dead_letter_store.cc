@@ -150,16 +150,16 @@ Schema DeadLetterStoreSchema() {
                  {"checksum", DataType::kInt64, false}});
 }
 
-std::string EncodeQuarantinePayload(const Row& row) {
+std::string EncodeQuarantinePayload(const Row& row, const Schema& schema) {
   std::string payload;
-  AppendRow(row, &payload);
+  AppendTaggedRow(row, schema, &payload);
   return payload;
 }
 
 Result<Row> DecodeQuarantinePayload(const std::string& payload,
                                     const Schema& schema) {
   std::vector<std::string> cells;
-  Result<Row> row = ParseRow(payload, schema, &cells);
+  Result<Row> row = ParseTaggedRow(payload, schema, &cells);
   if (!row.ok()) {
     return Status::CorruptedData("quarantine payload: " +
                                  row.status().message());

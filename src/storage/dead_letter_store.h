@@ -9,8 +9,9 @@
 // a quarantine ledger that silently rots would make the later replay
 // silently wrong, which is worse than failing loudly.
 //
-// The payload column holds the failing row CSV-encoded *as it entered the
-// failing operator* (all upstream transforms applied), so ReplayQuarantine
+// The payload column holds the failing row *as it entered the failing
+// operator* (all upstream transforms applied), as a tagged record of that
+// operator's input schema (storage/record_io.h), so ReplayQuarantine
 // (engine/quarantine.h) can re-run just the suffix of a repaired flow over
 // it without re-extracting anything.
 
@@ -53,11 +54,13 @@ struct QuarantineRecord {
 /// field plus the trailing int64 checksum).
 Schema DeadLetterStoreSchema();
 
-/// CSV-encodes a row for the payload column.
-std::string EncodeQuarantinePayload(const Row& row);
+/// Encodes a row of `schema` (the failing op's input schema) for the
+/// payload column, as one tagged record.
+std::string EncodeQuarantinePayload(const Row& row, const Schema& schema);
 
-/// Decodes a payload back into a row of `schema` (the failing op's input
-/// schema). Errors when the arity or any cell fails to parse.
+/// Decodes a payload back into the row EncodeQuarantinePayload was given,
+/// against the same `schema`. kCorruptedData when the arity, the tag cell
+/// or any cell fails to parse.
 Result<Row> DecodeQuarantinePayload(const std::string& payload,
                                     const Schema& schema);
 

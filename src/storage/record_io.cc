@@ -108,6 +108,126 @@ Result<Row> ParseRow(std::string_view record, const Schema& schema,
   return Row(std::move(values));
 }
 
+namespace {
+
+/// The tag letter of a cell's runtime type (never NULL: the empty cell
+/// parses as NULL under every declared type).
+char TagLetter(DataType type) {
+  switch (type) {
+    case DataType::kBool:
+      return 'b';
+    case DataType::kInt64:
+      return 'i';
+    case DataType::kDouble:
+      return 'd';
+    case DataType::kString:
+      return 's';
+    case DataType::kTimestamp:
+      return 't';
+    case DataType::kNull:
+      break;
+  }
+  return '?';
+}
+
+std::optional<DataType> TagType(char letter) {
+  switch (letter) {
+    case 'b':
+      return DataType::kBool;
+    case 'i':
+      return DataType::kInt64;
+    case 'd':
+      return DataType::kDouble;
+    case 's':
+      return DataType::kString;
+    case 't':
+      return DataType::kTimestamp;
+    default:
+      return std::nullopt;
+  }
+}
+
+/// Whether Value::Parse of the cell's text as `declared` would miss the
+/// value: an empty string, or a cell of another runtime type.
+bool NeedsTag(const Value& value, DataType declared) {
+  if (value.is_null()) return false;
+  if (value.is_string()) {
+    return declared != DataType::kString || value.string_value().empty();
+  }
+  return value.type() != declared;
+}
+
+}  // namespace
+
+void AppendTaggedRow(const Row& row, const Schema& schema, std::string* out) {
+  std::string tags;
+  for (size_t i = 0; i < row.num_values(); ++i) {
+    const Value& value = row.value(i);
+    out->append(CsvEscape(value.ToString()));
+    out->push_back(',');
+    const DataType declared =
+        i < schema.num_fields() ? schema.field(i).type : DataType::kNull;
+    if (NeedsTag(value, declared)) {
+      tags += std::to_string(i);
+      tags.push_back(TagLetter(value.type()));
+    }
+  }
+  out->append(tags);
+}
+
+Result<Row> ParseTaggedRow(std::string_view record, const Schema& schema,
+                           std::vector<std::string>* cells) {
+  CsvDecodeLine(record, cells);
+  const size_t width = schema.num_fields();
+  if (cells->size() != width + 1) {
+    return Status::Invalid("expected " + std::to_string(width) +
+                           " cells and a tag cell, got " +
+                           std::to_string(cells->size()) + " cells");
+  }
+  const std::string& tags = (*cells)[width];
+  size_t cursor = 0;  // the next unread tag in `tags`
+  std::vector<Value> values;
+  values.reserve(width);
+  for (size_t i = 0; i < width; ++i) {
+    DataType type = schema.field(i).type;
+    bool tagged = false;
+    if (cursor < tags.size()) {
+      size_t position = 0;
+      const char* first = tags.data() + cursor;
+      const char* last = tags.data() + tags.size();
+      const auto [ptr, ec] = std::from_chars(first, last, position);
+      if (ec != std::errc() || ptr == first || ptr == last ||
+          position < i || position >= width) {
+        return Status::Invalid("malformed tag cell '" + tags + "'");
+      }
+      if (position == i) {
+        const std::optional<DataType> tag_type = TagType(*ptr);
+        if (!tag_type.has_value()) {
+          return Status::Invalid("malformed tag cell '" + tags + "'");
+        }
+        type = *tag_type;
+        tagged = true;
+        cursor = static_cast<size_t>(ptr + 1 - tags.data());
+      }
+    }
+    const std::string& cell = (*cells)[i];
+    if (tagged && type == DataType::kString) {
+      values.push_back(Value::String(cell));
+      continue;
+    }
+    if (tagged && cell.empty()) {
+      return Status::Invalid("tagged cell " + std::to_string(i) +
+                             " is empty");
+    }
+    QOX_ASSIGN_OR_RETURN(Value v, Value::Parse(cell, type));
+    values.push_back(std::move(v));
+  }
+  if (cursor != tags.size()) {
+    return Status::Invalid("malformed tag cell '" + tags + "'");
+  }
+  return Row(std::move(values));
+}
+
 RecordReader::RecordReader(const std::string& path, size_t block_bytes)
     : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)), block_(block_bytes) {}
 

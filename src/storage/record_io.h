@@ -4,10 +4,19 @@
 // A record is one CSV record: it ends at the first newline outside a
 // quoted cell, so a cell holding a newline (CsvEscape quotes it) stays in
 // its record. A row is encoded as its cells' Value::ToString, CSV-escaped
-// and comma-separated; NULL and "" both encode as the empty cell and both
-// parse back as NULL. A sealed record is `body,<Fnv1a64(body)>` with the
-// hash in decimal: the journal and spill runs seal every record, so a torn
-// or corrupted one fails to open.
+// and comma-separated, and each cell parses back as its column's declared
+// type; the empty cell is NULL. That is the flat file's CSV, where NULL and
+// "" are one cell. Spill runs, recovery points and dead-letter payloads
+// hold rows that must come back exactly, so they write *tagged* rows: the
+// same cells plus one trailing tag cell naming each position whose
+// declared-type parse would not give the value back — an empty string, or
+// a cell of another runtime type than its column's (a boxed cell) — as
+// `<position><letter>`, the letter one of b i d s t (bool, int64, double,
+// string, timestamp). The tag cell is empty when no cell needs one:
+// `7,,"a,b",` is a row of int64 7, NULL and "a,b"; `7,,"a,b",1s` holds ""
+// where the NULL was. A sealed record is `body,<Fnv1a64(body)>` with the hash in
+// decimal: the journal and spill runs seal every record, so a torn or
+// corrupted one fails to open.
 //
 // Writes go through WriteAll (EINTR-safe; ENOSPC is kResourceExhausted,
 // so ResourcePolicy can degrade around a full disk) and SyncFd.
@@ -60,6 +69,17 @@ void AppendRow(const Row& row, std::string* out);
 /// kInvalidArgument.
 Result<Row> ParseRow(std::string_view record, const Schema& schema,
                      std::vector<std::string>* cells);
+
+/// Appends `row`, a row of `schema`, as one tagged record (its cells and
+/// the tag cell), without a newline, to `*out`.
+void AppendTaggedRow(const Row& row, const Schema& schema, std::string* out);
+
+/// Parses one tagged record into the row AppendTaggedRow was given: each
+/// cell as its field's type, or as its tag's. A cell count other than the
+/// schema's width plus one, a malformed tag cell, or a cell that does not
+/// parse is kInvalidArgument.
+Result<Row> ParseTaggedRow(std::string_view record, const Schema& schema,
+                           std::vector<std::string>* cells);
 
 /// Splits a file into records. Reads with read(2) straight into one block
 /// and finds line ends and quotes with memchr.

@@ -75,7 +75,7 @@ Status RecoveryPointStore::Save(const RecoveryPointId& id,
     Status st;
     for (size_t i = 0; i < rows.size() && st.ok(); ++i) {
       const size_t record_begin = chunk.size();
-      AppendRow(rows[i], &chunk);
+      AppendTaggedRow(rows[i], schema, &chunk);
       checksum = Fnv1a64(chunk.data() + record_begin,
                          chunk.size() - record_begin, i == 0 ? 0 : checksum);
       chunk += '\n';
@@ -118,7 +118,6 @@ Status RecoveryPointStore::Save(const RecoveryPointId& id,
     }
   }
   QOX_CRASH_POINT("rp.sealed");
-  (void)schema;  // schema travels with the flow; file stores values only
   total_bytes_written_.fetch_add(bytes);
   std::lock_guard<std::mutex> lock(mu_);
   RecoveryPointInfo& info = points_[KeyOf(id)];
@@ -187,7 +186,7 @@ Result<RowBatch> RecoveryPointStore::Load(const RecoveryPointId& id,
   while (reader.Next(&record)) {
     checksum = Fnv1a64(record.data(), record.size(),
                        batch.empty() ? 0 : checksum);
-    Result<Row> row = ParseRow(record, schema, &cells);
+    Result<Row> row = ParseTaggedRow(record, schema, &cells);
     if (!row.ok()) {
       return Status::CorruptedData("recovery point '" + path + "' row " +
                                    std::to_string(batch.num_rows() + 1) +

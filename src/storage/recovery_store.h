@@ -6,10 +6,11 @@
 // genuine. On failure, the executor resumes from the most recent complete
 // recovery point instead of restarting the flow from scratch.
 //
-// The data file `<flow>.<point>.rp.csv` holds one CSV record per row, in
-// the record codec's row encoding (storage/record_io.h), so a cell holding
-// a newline stays in its record. Its `.commit` marker holds the row count
-// and a checksum chained over the records (`<rows> <checksum>`).
+// The data file `<flow>.<point>.rp.csv` holds one tagged CSV record per
+// row (storage/record_io.h), so a cell holding a newline stays in its
+// record and an empty string or a boxed cell reads back as written. Its
+// `.commit` marker holds the row count and a checksum chained over the
+// records (`<rows> <checksum>`).
 
 #ifndef QOX_STORAGE_RECOVERY_STORE_H_
 #define QOX_STORAGE_RECOVERY_STORE_H_
@@ -55,7 +56,7 @@ class RecoveryPointStore {
   /// until re-registered (a fresh store starts logically empty).
   static Result<std::shared_ptr<RecoveryPointStore>> Open(std::string dir);
 
-  /// Durably saves `rows` (with their schema) as recovery point `id`,
+  /// Durably saves `rows`, rows of `schema`, as recovery point `id`,
   /// replacing any previous save. The point becomes visible/complete only
   /// after the data file and commit marker (row count + content checksum)
   /// are fully written, so a crash mid-save leaves the previous state

@@ -46,7 +46,7 @@ Status SpillWriter::Append(const Row& row) {
                                       final_path_ + "'");
   }
   payload_.clear();
-  AppendRow(row, &payload_);
+  AppendTaggedRow(row, schema_, &payload_);
   AppendSealed(payload_, &buffer_);
   ++rows_;
   if (buffer_.size() >= kFlushBytes) QOX_RETURN_IF_ERROR(Flush());
@@ -138,7 +138,7 @@ Result<std::optional<Row>> SpillReader::Next() {
   if (!reader_.terminated() || !payload.has_value()) {
     return corrupted("failed checksum verification");
   }
-  Result<Row> row = ParseRow(*payload, file_.schema, &cells_);
+  Result<Row> row = ParseTaggedRow(*payload, file_.schema, &cells_);
   if (!row.ok()) return corrupted(row.status().message());
   ++rows_read_;
   return std::optional<Row>(row.TakeValue());

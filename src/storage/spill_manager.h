@@ -17,9 +17,10 @@
 // spilled).
 //
 // Record format, one sealed CSV record per row:  payload,checksum  where
-// payload is the row's cells CSV-encoded (the FlatFile value encoding; a
-// cell holding a newline is quoted and stays in its record) and checksum
-// is the FNV-1a 64 hash of the payload, in decimal.
+// payload is the row as a tagged record of the run's schema (record_io.h:
+// a cell holding a newline is quoted and stays in its record, and an empty
+// string or a boxed cell reads back as written) and checksum is the FNV-1a
+// 64 hash of the payload, in decimal.
 
 #ifndef QOX_STORAGE_SPILL_MANAGER_H_
 #define QOX_STORAGE_SPILL_MANAGER_H_

@@ -98,17 +98,45 @@ TEST(PlanIoTest, XmlLooksLikeXml) {
 TEST(PlanIoTest, StreamingKnobsRoundTrip) {
   PhysicalDesign design = MakeDesign();
   design.streaming = true;
-  design.channel_capacity = 3;
   const DesignSpec original = SpecOf(design);
   EXPECT_TRUE(original.streaming);
-  EXPECT_EQ(original.channel_capacity, 3u);
   const std::string xml = ExportDesignXml(original);
   EXPECT_NE(xml.find("streaming=\"1\""), std::string::npos);
-  EXPECT_NE(xml.find("channel_capacity=\"3\""), std::string::npos);
   const Result<DesignSpec> parsed = ParseDesignXml(xml);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_TRUE(parsed.value().streaming);
-  EXPECT_EQ(parsed.value().channel_capacity, 3u);
+  EXPECT_TRUE(parsed.value() == original);
+}
+
+// Doubles are written in their shortest exact form: a design whose costs,
+// selectivity and SLA need more than six digits parses back equal.
+TEST(PlanIoTest, DoublesRoundTripExactly) {
+  const DataStorePtr source =
+      testing_util::MakeSource(SimpleSchema(), SimpleRows(10), "src_store");
+  std::vector<LogicalOp> ops;
+  ops.push_back(
+      MakeFilter("flt", {Predicate::NotNull("amount")}, 0.123456789));
+  ops.push_back(MakeFunction(
+      "fn", {ColumnTransform::Scale("scaled", "amount", 2.0),
+             ColumnTransform::Scale("halved", "amount", 0.5),
+             ColumnTransform::Drop("note")}));
+  const std::vector<Schema> schemas =
+      BindLogicalChain(source->schema(), ops).value();
+  PhysicalDesign design;
+  design.flow = LogicalFlow("xml_flow", source, std::move(ops),
+                            std::make_shared<MemTable>("tgt", schemas.back()));
+  design.sla_deadline_s = 1.0 / 3.0;
+  const DesignSpec original = SpecOf(design);
+  EXPECT_EQ(original.ops[1].cost_per_row, 0.5 + 0.4 * 3);  // not 1.7
+  const std::string xml = ExportDesignXml(original);
+  EXPECT_NE(xml.find("cost_per_row=\"1.7000000000000002\""),
+            std::string::npos);
+  EXPECT_NE(xml.find("selectivity=\"0.123456789\""), std::string::npos);
+  EXPECT_NE(xml.find("sla_deadline_s=\"0.3333333333333333\""),
+            std::string::npos);
+  EXPECT_NE(xml.find("selectivity=\"1\""), std::string::npos);
+  const Result<DesignSpec> parsed = ParseDesignXml(xml);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_TRUE(parsed.value() == original);
 }
 
@@ -272,19 +300,31 @@ TEST(PlanIoTest, UnknownElementsIgnoredForCompatibility) {
   EXPECT_EQ(parsed.value().ops.size(), 1u);
 }
 
-// Documents may carry a `columnar` attribute from when designs chose a
-// kernel family. It names nothing now: such a document parses to the same
-// design as without it, and no design writes it.
+// Documents may carry what designs no longer choose: a `columnar`
+// attribute from when designs chose a kernel family, a channel capacity on
+// the root and on each plan edge, and a <service> element. They name
+// nothing now: such a document parses to the same design as without them,
+// and no design writes them.
 TEST(PlanIoTest, LegacyColumnarAttributeParsesToTheSameDesign) {
   PhysicalDesign design = MakeDesign();
   design.columnar = true;
   const DesignSpec original = SpecOf(design);
   EXPECT_TRUE(original == SpecOf(MakeDesign()));
   const std::string xml = ExportDesignXml(original);
-  EXPECT_EQ(xml.find("columnar"), std::string::npos);
+  for (const char* gone : {"columnar", "capacity", "<service"}) {
+    EXPECT_EQ(xml.find(gone), std::string::npos) << gone;
+  }
   std::string legacy = xml;
   const std::string root = "<physical_design";
-  legacy.insert(legacy.find(root) + root.size(), " columnar=\"1\"");
+  legacy.insert(legacy.find(root) + root.size(),
+                " columnar=\"1\" channel_capacity=\"3\"");
+  const std::string edge = "<edge from=\"0\"";
+  ASSERT_NE(legacy.find(edge), std::string::npos);
+  legacy.insert(legacy.find(edge) + edge.size(), " capacity=\"3\"");
+  const std::string plan = "  <execution_plan>";
+  legacy.insert(legacy.find(plan),
+                "  <service workers=\"8\" max_concurrent_flows=\"3\" "
+                "policy=\"fifo\" admit_only_feasible=\"1\"/>\n");
   const Result<DesignSpec> parsed = ParseDesignXml(legacy);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_TRUE(parsed.value() == original);
@@ -293,9 +333,7 @@ TEST(PlanIoTest, LegacyColumnarAttributeParsesToTheSameDesign) {
 // A boolean attribute is 0 or 1. Any other value is refused, naming the
 // attribute, instead of parsing as false.
 TEST(PlanIoTest, MangledBooleanAttributesAreRefused) {
-  DesignSpec spec = SpecOf(MakeDesign());
-  spec.has_service = true;
-  const std::string xml = ExportDesignXml(spec);
+  const std::string xml = ExportDesignXml(SpecOf(MakeDesign()));
   ASSERT_TRUE(ParseDesignXml(xml).ok());
   auto expect_refused = [](const std::string& doc,
                            const std::string& attribute) {
@@ -307,8 +345,7 @@ TEST(PlanIoTest, MangledBooleanAttributesAreRefused) {
         << parsed.status();
   };
   for (const std::string attribute :
-       {"provenance_columns", "audit_rejects", "streaming", "blocking",
-        "admit_only_feasible"}) {
+       {"provenance_columns", "audit_rejects", "streaming", "blocking"}) {
     const std::string key = " " + attribute + "=\"";
     const size_t value = xml.find(key);
     ASSERT_NE(value, std::string::npos) << attribute;
@@ -336,46 +373,28 @@ TEST(PlanIoTest, CommentsAndDeclarationsSkipped) {
   EXPECT_TRUE(ParseDesignXml(xml).ok());
 }
 
-TEST(PlanIoTest, SlaAndServiceKnobsRoundTrip) {
+TEST(PlanIoTest, SlaKnobRoundTrips) {
   PhysicalDesign design = MakeDesign();
   design.sla_deadline_s = 42.5;
-  DesignSpec original = SpecOf(design);
+  const DesignSpec original = SpecOf(design);
   EXPECT_EQ(original.sla_deadline_s, 42.5);
-  original.has_service = true;
-  original.service_workers = 8;
-  original.service_max_concurrent = 3;
-  original.service_policy = "fifo";
-  original.service_admit_only_feasible = true;
   const std::string xml = ExportDesignXml(original);
   EXPECT_NE(xml.find("sla_deadline_s=\"42.5\""), std::string::npos);
-  EXPECT_NE(xml.find("<service workers=\"8\""), std::string::npos);
-  EXPECT_NE(xml.find("admit_only_feasible=\"1\""), std::string::npos);
   const Result<DesignSpec> parsed = ParseDesignXml(xml);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_TRUE(parsed.value() == original);
-
-  // An unknown queue policy is a document from the future: rejected.
-  const std::string bad = [&xml] {
-    std::string s = xml;
-    const size_t at = s.find("policy=\"fifo\"");
-    return s.replace(at, std::string("policy=\"fifo\"").size(),
-                     "policy=\"lottery\"");
-  }();
-  EXPECT_FALSE(ParseDesignXml(bad).ok());
 }
 
 TEST(PlanIoTest, SlaFreeDesignsStayOutOfTheDocument) {
-  // Byte-stability: designs without an SLA or service context export the
-  // exact pre-service document — no new attributes, no <service> element.
+  // Byte-stability: designs without an SLA export the exact pre-SLA
+  // document, with no new attribute.
   const std::string xml = ExportDesignXml(SpecOf(MakeDesign()));
   EXPECT_EQ(xml.find("sla_deadline_s"), std::string::npos);
-  EXPECT_EQ(xml.find("<service"), std::string::npos);
 }
 
 TEST(PlanIoTest, PreServiceDocumentsStillParse) {
-  // Schema evolution: a document written before the SLA/service additions
-  // (no sla_deadline_s attribute, no <service> element) loads with the
-  // defaults — no SLA, no service context.
+  // Schema evolution: a document written before the SLA addition (no
+  // sla_deadline_s attribute) loads with the default — no SLA.
   const std::string xml =
       "<?xml version=\"1.0\"?>\n"
       "<physical_design threads=\"2\" redundancy=\"1\">\n"
@@ -387,7 +406,6 @@ TEST(PlanIoTest, PreServiceDocumentsStillParse) {
   const Result<DesignSpec> parsed = ParseDesignXml(xml);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed.value().sla_deadline_s, 0.0);
-  EXPECT_FALSE(parsed.value().has_service);
   // A negative SLA is rejected outright.
   const std::string bad =
       "<?xml version=\"1.0\"?>\n"

@@ -257,7 +257,7 @@ TEST(ColumnarExecutionTest, QuarantineLedgerHoldsTheExpectedEntries) {
     r.op_index = 0;
     r.op_name = "lkp";
     r.status_code = "not_found";
-    r.payload = EncodeQuarantinePayload(row);
+    r.payload = EncodeQuarantinePayload(row, SimpleSchema());
     expected.push_back(r);
   }
   EXPECT_EQ(run.metrics.rows_quarantined, 40u);
@@ -533,6 +533,10 @@ TEST(ColumnarExecutionTest, PoisonArmedAcrossARunIsQuarantinedPerOp) {
 
   std::vector<QuarantineRecord> ledger;
   std::vector<Row> expected;
+  const Schema scaled_schema =
+      FunctionOp("fn", {ColumnTransform::Scale("scaled", "amount", 2.0)})
+          .Bind(SimpleSchema())
+          .value();
   int64_t next_key = 1;
   for (const Row& row : input) {
     if (row.value(2).is_null()) continue;  // filtered, never poisoned
@@ -544,7 +548,8 @@ TEST(ColumnarExecutionTest, PoisonArmedAcrossARunIsQuarantinedPerOp) {
       r.op_index = id == 20 ? 2 : 1;
       r.op_name = id == 20 ? "sk" : "fn";
       r.status_code = "invalid_argument";
-      r.payload = EncodeQuarantinePayload(id == 20 ? scaled : row);
+      r.payload = id == 20 ? EncodeQuarantinePayload(scaled, scaled_schema)
+                           : EncodeQuarantinePayload(row, SimpleSchema());
       ledger.push_back(r);
       continue;
     }

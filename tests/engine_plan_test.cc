@@ -332,21 +332,6 @@ TEST(ExecutionPlanTest, NodeForOpCoversTheChain) {
   EXPECT_EQ(plan.NodeForOp(7), ExecutionPlan::kNoNode);
 }
 
-TEST(ExecutionPlanTest, EdgeCapacityTracksChannelCapacity) {
-  PlanInput input = SimpleInput(2);
-  input.channel_capacity = 3;
-  const ExecutionPlan plan = MustLower(input);
-  for (const PlanEdge& edge : plan.edges()) {
-    EXPECT_EQ(edge.capacity, 3u);
-  }
-
-  input.channel_capacity = 0;  // clamps to 1, like the streaming executor
-  const ExecutionPlan clamped = MustLower(input);
-  for (const PlanEdge& edge : clamped.edges()) {
-    EXPECT_EQ(edge.capacity, 1u);
-  }
-}
-
 TEST(ExecutionPlanTest, DotAndJsonRenderTheGraph) {
   PlanInput input = SimpleInput(3);
   input.recovery_points = {1};

@@ -105,8 +105,13 @@ TEST(DeadLetterStoreTest, QuarantineReadAllRoundTrip) {
   record.row_index = 7;
   record.status_code = "not_found";
   record.status_message = "unresolved key \"z,9\"";
+  // The payload decodes back to the exact row (NULLs and commas included).
+  const Schema payload_schema({{"id", DataType::kInt64, false},
+                              {"s", DataType::kString, true},
+                              {"d", DataType::kDouble, true}});
   record.payload = EncodeQuarantinePayload(
-      Row({Value::Int64(9), Value::String("a,b"), Value::Null()}));
+      Row({Value::Int64(9), Value::String("a,b"), Value::Null()}),
+      payload_schema);
   ASSERT_TRUE(dlq->Quarantine(record).ok());
   ASSERT_EQ(dlq->NumRecords().value(), 1u);
 
@@ -122,11 +127,6 @@ TEST(DeadLetterStoreTest, QuarantineReadAllRoundTrip) {
   EXPECT_EQ(read[0].status_code, record.status_code);
   EXPECT_EQ(read[0].status_message, record.status_message);
   EXPECT_EQ(read[0].payload, record.payload);
-
-  // The payload decodes back to the exact row (NULLs and commas included).
-  const Schema payload_schema({{"id", DataType::kInt64, false},
-                              {"s", DataType::kString, true},
-                              {"d", DataType::kDouble, true}});
   const Row decoded =
       DecodeQuarantinePayload(read[0].payload, payload_schema).value();
   EXPECT_EQ(decoded, Row({Value::Int64(9), Value::String("a,b"),
@@ -308,6 +308,50 @@ TEST(QuarantineExecutionTest, ReplayYieldsExactlyTheMissingRows) {
 
 // A target that moves the load's rows in and leaves each landed batch
 // empty: the run and the replay still count the rows they loaded.
+// A quarantined row holding an empty string and boxed cells (cells of
+// another runtime type than their column's) replays unchanged: its payload
+// decodes to the row that entered the op, so the replay appends what the
+// clean run loads for it.
+TEST(QuarantineExecutionTest, ReplayOfEmptyAndBoxedCellsAppendsTheRowUnchanged) {
+  const std::vector<Row> input = testing_util::EmptyAndBoxedRows(64);
+  // Row 6 holds a "" note and a boxed int64 category; row 36 both of those
+  // and a boxed int64 amount.
+  ASSERT_TRUE(input[36].value(1).is_int64());
+  ASSERT_TRUE(input[36].value(2).is_int64());
+  ASSERT_EQ(input[36].value(3), Value::String(""));
+  FailureInjector injector;
+  injector.AddPoison({/*at_op=*/1, /*id_value=*/6});
+  injector.AddPoison({/*at_op=*/1, /*id_value=*/36});
+
+  auto target = std::make_shared<MemTable>("wh", TargetSchema());
+  auto dlq = DeadLetterStore::InMemory("dlq");
+  ExecutionConfig config;
+  config.injector = &injector;
+  config.error_policies = {ErrorPolicy::kFailFast, ErrorPolicy::kQuarantine,
+                           ErrorPolicy::kFailFast};
+  config.dead_letter = dlq;
+  ASSERT_TRUE(
+      Executor::Run(MakeFlow(MakeSource(SimpleSchema(), input), target), config)
+          .ok());
+  ASSERT_EQ(dlq->NumRecords().value(), 2u);
+
+  auto replayed = std::make_shared<MemTable>("replayed", TargetSchema());
+  const FlowSpec repaired =
+      MakeFlow(MakeSource(SimpleSchema(), input), replayed);
+  ASSERT_EQ(ReplayQuarantine(repaired, ExecutionConfig{}, *dlq)
+                .value()
+                .replayed,
+            2u);
+  std::vector<Row> expected;
+  for (const Row& row : CleanOutput(input)) {
+    const int64_t id = row.value(0).int64_value();
+    if (id == 6 || id == 36) expected.push_back(row);
+  }
+  const std::vector<Row> rows = ReadRows(replayed);
+  EXPECT_EQ(rows, expected);
+  EXPECT_EQ(testing_util::CellTypes(rows), testing_util::CellTypes(expected));
+}
+
 TEST(QuarantineExecutionTest, MovedLoadsCountTheRowsTheyLanded) {
   const std::vector<Row> input = SimpleRows(64);
   FailureInjector injector;

@@ -128,6 +128,41 @@ TEST_F(RecoveryTest, FailureWithRpResumesWithoutReExtracting) {
   EXPECT_EQ(metrics.value().rows_extracted, 200u);
 }
 
+// A recovery point holding empty strings and boxed cells (cells of
+// another runtime type than their column's) resumes as written: the retry
+// starts from the point and loads the fault-free rows, cell types
+// included.
+TEST_F(RecoveryTest, ResumeFromAPointOfEmptyAndBoxedCellsLoadsTheFaultFreeRows) {
+  const std::vector<Row> input = testing_util::EmptyAndBoxedRows(2000);
+  auto clean_target = std::make_shared<MemTable>("clean", BoundSchema());
+  ASSERT_TRUE(Executor::Run(MakeFlow(testing_util::MakeSource(SimpleSchema(),
+                                                              input),
+                                     clean_target),
+                            ExecutionConfig{})
+                  .ok());
+  const std::vector<Row> expected = clean_target->ReadAll().value().rows();
+
+  auto target = std::make_shared<MemTable>("tgt", BoundSchema());
+  FailureInjector injector;
+  FailureSpec spec;
+  spec.at_op = 2;  // the sort, after the point at cut 1
+  spec.at_fraction = 0.5;
+  injector.AddFailure(spec);
+  ExecutionConfig config;
+  config.injector = &injector;
+  config.recovery_points = {1};
+  config.rp_store = rp_store_;
+  const Result<RunMetrics> metrics = Executor::Run(
+      MakeFlow(testing_util::MakeSource(SimpleSchema(), input), target),
+      config);
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  EXPECT_EQ(metrics.value().attempts, 2u);
+  EXPECT_EQ(metrics.value().resumed_from_rp, 1u);
+  const std::vector<Row> loaded = target->ReadAll().value().rows();
+  EXPECT_EQ(loaded, expected);
+  EXPECT_EQ(testing_util::CellTypes(loaded), testing_util::CellTypes(expected));
+}
+
 struct FailurePoint {
   int at_op;             // -1 extract .. 2 transform ops, kAtLoad
   double at_fraction;

@@ -1,6 +1,6 @@
 // Resource-exhaustion hardening: memory budgets force blocking operators
 // (sort, group, lookup build) to spill without changing the warehouse,
-// spill files never outlive a run, the QOX_MEM_BUDGET override is honored,
+// spill files never outlive a run, concurrent runs of one flow spill apart,
 // the dead-letter cap bounds the quarantine ledger, and budget enforcement
 // holds under a hard RLIMIT_AS address-space cap.
 
@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/executor.h"
@@ -99,15 +100,17 @@ Schema SortTargetSchema() {
   return fn.Bind(SimpleSchema()).value();
 }
 
-FlowSpec GroupFlow(DataStorePtr source, DataStorePtr target) {
+// Grouped by id (the default), every input row is its own group, so the
+// hash state is a working set proportional to the input, not to
+// |categories|.
+FlowSpec GroupFlow(DataStorePtr source, DataStorePtr target,
+                   std::vector<std::string> group_by = {"id"}) {
   FlowSpec spec;
   spec.id = "res_group_flow";
   spec.source = std::move(source);
-  // Group by id: every input row is its own group, so the hash state is a
-  // working set proportional to the input, not to |categories|.
-  spec.transforms.push_back([]() -> OperatorPtr {
+  spec.transforms.push_back([group_by]() -> OperatorPtr {
     return std::make_unique<GroupOp>(
-        "grp", std::vector<std::string>{"id"},
+        "grp", group_by,
         std::vector<Aggregate>{Aggregate::Count("n"),
                                Aggregate::Sum("amount", "total")});
   });
@@ -115,8 +118,8 @@ FlowSpec GroupFlow(DataStorePtr source, DataStorePtr target) {
   return spec;
 }
 
-Schema GroupTargetSchema() {
-  GroupOp op("grp", {"id"},
+Schema GroupTargetSchema(std::vector<std::string> group_by = {"id"}) {
+  GroupOp op("grp", std::move(group_by),
              {Aggregate::Count("n"), Aggregate::Sum("amount", "total")});
   return op.Bind(SimpleSchema()).value();
 }
@@ -416,6 +419,133 @@ TEST_P(BudgetIdentityTest, GroupOfMultiLineCellsSpillsAndMatchesUnbudgetedRun) {
   EXPECT_EQ(SpillArtifactsUnder(config.spill_dir), 0u);
 }
 
+using testing_util::CellTypes;
+using testing_util::EmptyAndBoxedRows;
+
+TEST_P(BudgetIdentityTest, SortOfEmptyAndBoxedCellsSpillsAndMatchesUnbudgetedRun) {
+  const bool streaming = GetParam();
+  const std::vector<Row> input = EmptyAndBoxedRows(2000);
+
+  auto clean_target = std::make_shared<MemTable>("wh0", SortTargetSchema());
+  ExecutionConfig clean;
+  clean.streaming = streaming;
+  const RunOutput clean_out =
+      RunFlow(SortFlow(MakeSource(SimpleSchema(), input), clean_target),
+              clean_target, clean);
+  ASSERT_GT(clean_out.rows.size(), 1000u);
+
+  auto target = std::make_shared<MemTable>("wh1", SortTargetSchema());
+  ExecutionConfig config;
+  config.streaming = streaming;
+  config.memory_budget_bytes = 8 << 10;
+  config.spill_dir = FreshDir(streaming ? "sort_eb_s" : "sort_eb_p");
+  const RunOutput out =
+      RunFlow(SortFlow(MakeSource(SimpleSchema(), input), target), target,
+              config);
+
+  EXPECT_EQ(out.rows, clean_out.rows);
+  EXPECT_EQ(CellTypes(out.rows), CellTypes(clean_out.rows));
+  EXPECT_GT(out.metrics.spill_runs, 0u);
+  EXPECT_EQ(SpillArtifactsUnder(config.spill_dir), 0u);
+}
+
+TEST_P(BudgetIdentityTest,
+       GroupOfEmptyAndBoxedCellsSpillsAndMatchesUnbudgetedRun) {
+  const bool streaming = GetParam();
+  const std::vector<Row> input = EmptyAndBoxedRows(3000);
+  // Grouped on the cells themselves, so a "" read back as NULL or a boxed
+  // cell read back as its column's type lands in another group.
+  const std::vector<std::string> group_by = {"id", "category", "note"};
+
+  auto clean_target =
+      std::make_shared<MemTable>("wh0", GroupTargetSchema(group_by));
+  ExecutionConfig clean;
+  clean.streaming = streaming;
+  const RunOutput clean_out = RunFlow(
+      GroupFlow(MakeSource(SimpleSchema(), input), clean_target, group_by),
+      clean_target, clean);
+  ASSERT_EQ(clean_out.rows.size(), 3000u);
+
+  auto target = std::make_shared<MemTable>("wh1", GroupTargetSchema(group_by));
+  ExecutionConfig config;
+  config.streaming = streaming;
+  config.memory_budget_bytes = 8 << 10;
+  config.spill_dir = FreshDir(streaming ? "grp_eb_s" : "grp_eb_p");
+  const RunOutput out = RunFlow(
+      GroupFlow(MakeSource(SimpleSchema(), input), target, group_by), target,
+      config);
+
+  EXPECT_EQ(out.rows, clean_out.rows);
+  EXPECT_EQ(CellTypes(out.rows), CellTypes(clean_out.rows));
+  EXPECT_GT(out.metrics.spill_runs, 0u);
+  EXPECT_EQ(SpillArtifactsUnder(config.spill_dir), 0u);
+}
+
+TEST_P(BudgetIdentityTest,
+       LookupOfEmptyAndBoxedCellsSpillsAndMatchesUnbudgetedRun) {
+  const bool streaming = GetParam();
+  // The string-keyed dimension plus a "" code past the spill point, some
+  // "" labels and some boxed int64 labels; the probe adds "" codes.
+  const Schema dim_schema({{"code", DataType::kString, true},
+                           {"label", DataType::kString, true}});
+  auto dim = std::make_shared<MemTable>("eb_dim", dim_schema);
+  RowBatch dim_rows(dim_schema);
+  for (int64_t i = 0; i < 2000; ++i) {
+    const Value label = i % 7 == 0    ? Value::String("")
+                        : i % 11 == 0 ? Value::Int64(i)
+                                      : Value::String("l" + std::to_string(i));
+    dim_rows.Append(Row({Value::String("k" + std::to_string(i)), label}));
+    if (i == 1000) {
+      dim_rows.Append(Row({Value::String(""), Value::String("empty_code")}));
+    }
+  }
+  ASSERT_TRUE(dim->Append(dim_rows).ok());
+  const Schema probe_schema({{"id", DataType::kInt64, false},
+                             {"code", DataType::kString, true}});
+  std::vector<Row> input;
+  for (int64_t i = 0; i < 1000; ++i) {
+    input.push_back(Row(
+        {Value::Int64(i), i % 40 == 0
+                              ? Value::String("")
+                              : Value::String("k" + std::to_string(i * 7 % 2100))}));
+  }
+  const auto flow = [&](const DataStorePtr& target) {
+    FlowSpec spec;
+    spec.id = "res_eb_lookup_flow";
+    spec.source = MakeSource(probe_schema, input);
+    spec.transforms.push_back([dim]() -> OperatorPtr {
+      return std::make_unique<LookupOp>(
+          "lkp", dim, "code", "code", std::vector<std::string>{"label"},
+          LookupMissPolicy::kNull);
+    });
+    spec.target = target;
+    return spec;
+  };
+  const Schema out_schema =
+      LookupOp("lkp", dim, "code", "code", {"label"}, LookupMissPolicy::kNull)
+          .Bind(probe_schema)
+          .value();
+
+  auto clean_target = std::make_shared<MemTable>("wh0", out_schema);
+  ExecutionConfig clean;
+  clean.streaming = streaming;
+  const RunOutput clean_out = RunFlow(flow(clean_target), clean_target, clean);
+  ASSERT_EQ(clean_out.rows.size(), input.size());
+  EXPECT_EQ(clean_out.rows[0].value(2), Value::String("empty_code"));
+
+  auto target = std::make_shared<MemTable>("wh1", out_schema);
+  ExecutionConfig config;
+  config.streaming = streaming;
+  config.memory_budget_bytes = 4 << 10;
+  config.spill_dir = FreshDir(streaming ? "lkp_eb_s" : "lkp_eb_p");
+  const RunOutput out = RunFlow(flow(target), target, config);
+
+  EXPECT_EQ(out.rows, clean_out.rows);
+  EXPECT_EQ(CellTypes(out.rows), CellTypes(clean_out.rows));
+  EXPECT_GT(out.metrics.spill_runs, 0u);
+  EXPECT_EQ(SpillArtifactsUnder(config.spill_dir), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(PhasedAndStreaming, BudgetIdentityTest,
                          ::testing::Values(false, true),
                          [](const ::testing::TestParamInfo<bool>& info) {
@@ -423,45 +553,52 @@ INSTANTIATE_TEST_SUITE_P(PhasedAndStreaming, BudgetIdentityTest,
                          });
 
 // ---------------------------------------------------------------------------
-// QOX_MEM_BUDGET environment override.
+// Default spill directories.
 // ---------------------------------------------------------------------------
 
-TEST(MemBudgetEnvTest, EnvOverrideForcesSpillWhenConfigUnbudgeted) {
-  ASSERT_EQ(setenv("QOX_MEM_BUDGET", "8k", /*overwrite=*/1), 0);
-  const std::vector<Row> input = SimpleRows(2000);
-  auto target = std::make_shared<MemTable>("wh", SortTargetSchema());
-  ExecutionConfig config;  // memory_budget_bytes deliberately left 0
-  config.spill_dir = FreshDir("env");
-  const RunOutput out =
-      RunFlow(SortFlow(MakeSource(SimpleSchema(), input), target), target,
-              config);
-  unsetenv("QOX_MEM_BUDGET");
-  EXPECT_GT(out.metrics.spill_runs, 0u);
-  EXPECT_EQ(SpillArtifactsUnder(config.spill_dir), 0u);
+/// Entries of the system temp dir named like a default spill directory of
+/// `flow_id` in this process.
+size_t DefaultSpillDirs(const std::string& flow_id) {
+  const std::string prefix =
+      "qox_spill_" + flow_id + "." + std::to_string(::getpid()) + ".";
+  size_t count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::temp_directory_path())) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++count;
+  }
+  return count;
 }
 
-TEST(MemBudgetEnvTest, FromEnvParsesAndIgnoresMalformed) {
-  ASSERT_EQ(setenv("QOX_MEM_BUDGET", "64k", 1), 0);
-  EXPECT_EQ(MemoryBudgetFromEnv(), 64u << 10);
-  ASSERT_EQ(setenv("QOX_MEM_BUDGET", "not_a_size", 1), 0);
-  EXPECT_EQ(MemoryBudgetFromEnv(), 0u);
-  ASSERT_EQ(setenv("QOX_MEM_BUDGET", "", 1), 0);
-  EXPECT_EQ(MemoryBudgetFromEnv(), 0u);
-  unsetenv("QOX_MEM_BUDGET");
-  EXPECT_EQ(MemoryBudgetFromEnv(), 0u);
-}
-
-TEST(ParseByteSizeTest, SuffixesAndErrors) {
-  EXPECT_EQ(ParseByteSize("65536").value(), 65536u);
-  EXPECT_EQ(ParseByteSize("64k").value(), 64u << 10);
-  EXPECT_EQ(ParseByteSize("16m").value(), 16u << 20);
-  EXPECT_EQ(ParseByteSize("2g").value(), 2ull << 30);
-  EXPECT_EQ(ParseByteSize("0").value(), 0u);
-  EXPECT_FALSE(ParseByteSize("").ok());
-  EXPECT_FALSE(ParseByteSize("k").ok());
-  EXPECT_FALSE(ParseByteSize("12q").ok());
-  EXPECT_FALSE(ParseByteSize("-5").ok());
-  EXPECT_FALSE(ParseByteSize("1.5m").ok());
+// Two budgeted runs of one flow id at once, both on the default spill
+// directory (two FlowService submissions of one flow are such a pair):
+// each spills under a directory of its own, loads the serial bytes, and
+// leaves no directory behind.
+TEST(SpillDirTest, ConcurrentRunsOfOneFlowSpillApart) {
+  const std::vector<Row> input = SimpleRows(4000);
+  auto serial_target = std::make_shared<MemTable>("wh", SortTargetSchema());
+  const RunOutput serial =
+      RunFlow(SortFlow(MakeSource(SimpleSchema(), input), serial_target),
+              serial_target, ExecutionConfig{});
+  ASSERT_EQ(serial.metrics.spill_runs, 0u);
+  for (int round = 0; round < 3; ++round) {
+    std::vector<RunOutput> outs(2);
+    std::vector<std::thread> runs;
+    for (size_t k = 0; k < outs.size(); ++k) {
+      runs.emplace_back([&outs, &input, k] {
+        auto target = std::make_shared<MemTable>("wh", SortTargetSchema());
+        ExecutionConfig config;
+        config.memory_budget_bytes = 16 << 10;
+        outs[k] = RunFlow(SortFlow(MakeSource(SimpleSchema(), input), target),
+                          target, config);
+      });
+    }
+    for (std::thread& run : runs) run.join();
+    for (const RunOutput& out : outs) {
+      EXPECT_EQ(out.rows, serial.rows) << "round " << round;
+      EXPECT_GT(out.metrics.spill_runs, 0u) << "round " << round;
+    }
+  }
+  EXPECT_EQ(DefaultSpillDirs("res_sort_flow"), 0u);
 }
 
 // ---------------------------------------------------------------------------

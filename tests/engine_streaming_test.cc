@@ -65,7 +65,6 @@ struct StreamingCase {
   PartitionScheme scheme;
   size_t range_begin;
   size_t range_end;
-  size_t channel_capacity;
   size_t batch_size;
 };
 
@@ -89,7 +88,6 @@ TEST_P(StreamingEquivalenceTest, MatchesPhasedOutput) {
 
   auto target = std::make_shared<MemTable>("tgt", BoundSchema());
   config.streaming = true;
-  config.channel_capacity = c.channel_capacity;
   const Result<RunMetrics> metrics =
       Executor::Run(MakeFlow(source, target), config);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
@@ -103,21 +101,21 @@ INSTANTIATE_TEST_SUITE_P(
     Configurations, StreamingEquivalenceTest,
     ::testing::Values(
         // Purely sequential dataflow, default batches.
-        StreamingCase{1, PartitionScheme::kRoundRobin, 0, 3, 4, 128},
-        // Tiny channel + tiny batches: heavy backpressure exercise.
-        StreamingCase{1, PartitionScheme::kRoundRobin, 0, 3, 1, 7},
+        StreamingCase{1, PartitionScheme::kRoundRobin, 0, 3, 128},
+        // Tiny batches: heavy backpressure exercise.
+        StreamingCase{1, PartitionScheme::kRoundRobin, 0, 3, 7},
         // Round-robin partitioned, full range.
-        StreamingCase{4, PartitionScheme::kRoundRobin, 0, 3, 4, 64},
+        StreamingCase{4, PartitionScheme::kRoundRobin, 0, 3, 64},
         // A range holding only the sort: lowering ends it before the
         // sort, so nothing runs partitioned.
-        StreamingCase{4, PartitionScheme::kRoundRobin, 2, 3, 1, 16},
+        StreamingCase{4, PartitionScheme::kRoundRobin, 2, 3, 16},
         // Hash partitioned, full range.
-        StreamingCase{4, PartitionScheme::kHash, 0, 3, 4, 64},
+        StreamingCase{4, PartitionScheme::kHash, 0, 3, 64},
         // Partial parallel range: sequential prefix + partitioned suffix.
-        StreamingCase{3, PartitionScheme::kRoundRobin, 1, 3, 2, 32},
-        StreamingCase{3, PartitionScheme::kHash, 1, 2, 2, 32},
+        StreamingCase{3, PartitionScheme::kRoundRobin, 1, 3, 32},
+        StreamingCase{3, PartitionScheme::kHash, 1, 2, 32},
         // More partitions than a typical core count.
-        StreamingCase{8, PartitionScheme::kRoundRobin, 0, 3, 2, 16}));
+        StreamingCase{8, PartitionScheme::kRoundRobin, 0, 3, 16}));
 
 class StreamingRecoveryTest : public ::testing::Test {
  protected:
@@ -329,7 +327,6 @@ TEST(StreamingExecutorTest, StageStatsCoverTheDataflow) {
   ExecutionConfig config;
   config.streaming = true;
   config.batch_size = 32;
-  config.channel_capacity = 2;
   config.parallel.partitions = 2;
   config.num_threads = 2;
   const Result<RunMetrics> metrics =
@@ -351,8 +348,8 @@ TEST(StreamingExecutorTest, StageStatsCoverTheDataflow) {
       saw_extract = true;
       EXPECT_EQ(s.rows, 800u);
       EXPECT_GT(s.batches, 1u);
-      EXPECT_LE(s.channel_high_water, config.channel_capacity);
     }
+    EXPECT_LE(s.channel_high_water, StageSet::kChannelCapacity) << s.name;
     if (s.name == "load") saw_load = true;
     if (s.name.rfind("merge", 0) == 0) merge_rows = s.rows;
   }
@@ -416,34 +413,65 @@ TEST(StreamingExecutorTest, FullySkewedHashPartitionsDoNotDeadlock) {
   // the starved partitions never see end-of-stream. The batch schedule
   // rules that out: the router sends every partition a slice of every
   // input batch (empty here for all but one), so the partition the merge
-  // waits on next has always been fed. Row count is chosen >>
-  // channel_capacity * batch_size so the skew saturates one-batch
-  // channels, and the parallel range covers only per-row operators — a
-  // blocking branch would mask the head-of-line topology.
+  // waits on next has always been fed.
+  //
+  // The run fills every channel before anything drains. The flow is the
+  // filter and the function, both partitioned (a blocking op would absorb
+  // the backlog and mask the head-of-line topology), and the load holds
+  // its first append until the source has handed out every batch. Between
+  // the extract and the held load, the stages and channels take exactly
+  // 36 batches: the load's 1, merge->load 8, the merge's 1, a branch's
+  // output 8 and its 1, router->branch 8, the router's 1, extract->router
+  // 8. The hot partition is the last one the router deals to, so once the
+  // scan of 36 batches has ended the router has dealt batch 26 to it while
+  // its branch holds batch 18: its channel holds batches 19..26, full.
+  constexpr size_t kPartitions = 4;
+  constexpr size_t kBatch = 16;
+  int64_t hot_id = 0;
+  while (Row({Value::Int64(hot_id)}).HashColumns({0}) % kPartitions !=
+         kPartitions - 1) {
+    ++hot_id;
+  }
   std::vector<Row> rows;
-  for (size_t i = 0; i < 4000; ++i) {
-    rows.push_back(testing_util::SimpleRow(/*id=*/42, "a",
+  for (size_t i = 0; i < 36 * kBatch; ++i) {
+    rows.push_back(testing_util::SimpleRow(hot_id, "a",
                                            static_cast<double>(i % 100)));
   }
   const DataStorePtr source = testing_util::MakeSource(SimpleSchema(), rows);
+  const auto per_row_flow = [](const DataStorePtr& from,
+                               const DataStorePtr& to) {
+    FlowSpec flow = MakeFlow(from, to);
+    flow.transforms.pop_back();  // the sort
+    return flow;
+  };
 
   ExecutionConfig config;
-  config.num_threads = 4;
-  config.batch_size = 16;
-  config.parallel.partitions = 4;
+  config.num_threads = kPartitions;
+  config.batch_size = kBatch;
+  config.parallel.partitions = kPartitions;
   config.parallel.scheme = PartitionScheme::kHash;
   config.parallel.hash_column = "id";
-  config.parallel.range_begin = 0;
-  config.parallel.range_end = 2;
-  config.channel_capacity = 1;
-  const std::vector<Row> expected = RunPhased(source, config);
+  const auto phased_target = std::make_shared<MemTable>("tgt", BoundSchema());
+  ASSERT_TRUE(
+      Executor::Run(per_row_flow(source, phased_target), config).ok());
 
+  auto gate = std::make_shared<testing_util::Gate>();
   auto target = std::make_shared<MemTable>("tgt", BoundSchema());
   config.streaming = true;
-  const Result<RunMetrics> metrics =
-      Executor::Run(MakeFlow(source, target), config);
+  const Result<RunMetrics> metrics = Executor::Run(
+      per_row_flow(std::make_shared<testing_util::GatedStore>(source, gate),
+                   std::make_shared<testing_util::GatedStore>(target, gate)),
+      config);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
-  EXPECT_EQ(expected, target->ReadAll().value().rows());
+  EXPECT_EQ(phased_target->ReadAll().value().rows(),
+            target->ReadAll().value().rows());
+  bool saw_router = false;
+  for (const StageStats& s : metrics.value().stage_stats) {
+    if (s.name.rfind("partition", 0) != 0) continue;
+    saw_router = true;
+    EXPECT_EQ(s.channel_high_water, StageSet::kChannelCapacity);
+  }
+  EXPECT_TRUE(saw_router);
 }
 
 TEST(StreamingExecutorTest, MidLoadInjectedFailureFiresAndRetries) {
@@ -496,7 +524,7 @@ TEST(StageSetTest, BlockedStageUnwindsWithEchoAndPrimaryWins) {
   // consumer returned.
   WorkerPool pool(2);
   StageSet stages(ExecContext(&pool, TaskTag{}));
-  BatchChannelPtr ch = stages.MakeChannel(1);
+  BatchChannelPtr ch = stages.MakeChannel();
   stages.Spawn("consumer", [ch](StageStats* stats) -> Status {
     QOX_ASSIGN_OR_RETURN(std::optional<RowBatch> item,
                          ch->Pop(&stats->stall_micros));

@@ -41,12 +41,6 @@ TEST(WorkerPoolTest, AtLeastOneWorker) {
   EXPECT_TRUE(ran.load());
 }
 
-TEST(WorkerPoolTest, WaitIdleWithNoTasksReturnsImmediately) {
-  WorkerPool pool(2);
-  EXPECT_TRUE(pool.WaitIdle().ok());
-  EXPECT_TRUE(pool.WaitIdle().ok());  // idempotent
-}
-
 TEST(WorkerPoolTest, CpuParallelismIsBoundedByCoreWorkers) {
   // CPU tasks run only on the N core workers (helping waits aside), so
   // concurrent occupancy never exceeds N.
@@ -410,10 +404,9 @@ TEST(ExecContextTest, NullPoolRunsInline) {
   ExecContext ctx;
   int count = 0;
   ctx.Post([&count] { ++count; });
-  ctx.Dispatch([&count] { ++count; });
   std::vector<size_t> seen;
   ctx.BulkExecute(4, [&seen](size_t i) { seen.push_back(i); });
-  EXPECT_EQ(count, 2);
+  EXPECT_EQ(count, 1);
   EXPECT_EQ(seen, (std::vector<size_t>{0, 1, 2, 3}));
 }
 
@@ -425,17 +418,6 @@ TEST(ExecContextTest, BulkExecuteCoversAllIndicesOnPool) {
   for (size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
-}
-
-TEST(ExecContextTest, TagTravelsWithDerivedContexts) {
-  WorkerPool pool(1);
-  TaskTag tag;
-  tag.deadline_micros = 12345;
-  const ExecContext ctx(&pool, tag);
-  const ExecContext derived = ctx.WithPredictedMicros(777);
-  EXPECT_EQ(derived.tag().deadline_micros, 12345);
-  EXPECT_EQ(derived.tag().predicted_micros, 777);
-  EXPECT_EQ(ctx.tag().predicted_micros, 0);  // original unchanged
 }
 
 TEST(WorkerPoolStressTest, MixedLoadManyThreads) {
@@ -468,7 +450,6 @@ TEST(WorkerPoolStressTest, MixedLoadManyThreads) {
   }
   for (std::thread& t : posters) t.join();
   EXPECT_EQ(count.load(), 4 * 25 * 4);
-  EXPECT_TRUE(pool.WaitIdle().ok());
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Decoder mutation sweep over the record codec's checksummed files: a
 // spill run, a recovery point (data file and commit marker), a journal
 // segment, a dead-letter ledger kept in a flat file and a lease, each
-// holding quotes, commas, newlines and NULLs where it can, are read back
+// holding quotes, commas, newlines, NULLs, empty strings and boxed cells
+// (a runtime type other than the column's) where it can, are read back
 // after one seeded edit — a flipped bit, a CSV-special byte written over or
-// inserted, a deleted byte, a truncation, or a whole record deleted. The
+// inserted, a deleted byte, a truncation, or a whole record deleted. Each
+// unedited file reads back what was written, cell types included. The
 // contract: a spill run or recovery point reads back exactly the rows
 // written or fails with kCorruptedData (Adopt may instead decline the
 // point), a journal opens to a prefix of the records written, a ledger
@@ -50,13 +52,18 @@ Schema TestSchema() {
 
 std::vector<Row> TestRows() {
   const char* texts[] = {"plain", "with,comma", "with \"quote\"",
-                         "two\nlines", "\"\n,\r\n\"", nullptr};
+                         "two\nlines", "\"\n,\r\n\"", nullptr, ""};
   std::vector<Row> rows;
   for (int64_t i = 0; i < 12; ++i) {
-    const char* text = texts[i % 6];
+    const char* text = texts[i % 7];
+    Value amount = i % 4 == 3 ? Value::Null() : Value::Double(i * 0.5);
+    if (i % 5 == 2) amount = Value::String(i == 2 ? "" : "n/a");  // boxed
+    if (i % 5 == 4) amount = Value::Int64(i);                     // boxed
     rows.push_back(Row({Value::Int64(i),
-                        text == nullptr ? Value::Null() : Value::String(text),
-                        i % 4 == 3 ? Value::Null() : Value::Double(i * 0.5)}));
+                        i == 8    ? Value::Int64(i)  // boxed
+                        : text == nullptr ? Value::Null()
+                                          : Value::String(text),
+                        amount}));
   }
   return rows;
 }
@@ -163,6 +170,21 @@ TEST_F(DecoderMutationTest, SpillRunReadsBackItsRowsOrIsCorrupted) {
   }
   const std::string clean = ReadFile(clean_file.path);
   ASSERT_EQ(clean.size(), ends.back());
+  const auto read_run = [](const SpillFile& run) -> Result<std::vector<Row>> {
+    SpillReader reader(run);
+    std::vector<Row> read;
+    while (true) {
+      QOX_ASSIGN_OR_RETURN(std::optional<Row> next, reader.Next());
+      if (!next.has_value()) return read;
+      read.push_back(std::move(*next));
+    }
+  };
+  // Unedited, the run reads back its rows, cell types included.
+  const Result<std::vector<Row>> clean_rows = read_run(clean_file);
+  ASSERT_TRUE(clean_rows.ok()) << clean_rows.status();
+  ASSERT_EQ(clean_rows.value(), rows);
+  ASSERT_EQ(testing_util::CellTypes(clean_rows.value()),
+            testing_util::CellTypes(rows));
 
   SpillFile file = clean_file;
   file.path = dir_ + "/mutated.spill";
@@ -171,25 +193,18 @@ TEST_F(DecoderMutationTest, SpillRunReadsBackItsRowsOrIsCorrupted) {
     Rng rng(static_cast<uint64_t>(seed));
     const Mutation m = Mutate(clean, ends, rng);
     WriteBytes(file.path, m.bytes);
-    SpillReader reader(file);
-    std::vector<Row> read;
-    Status st;
-    while (true) {
-      Result<std::optional<Row>> next = reader.Next();
-      if (!next.ok()) {
-        st = next.status();
-        break;
-      }
-      if (!next.value().has_value()) break;
-      read.push_back(std::move(*next.value()));
-    }
-    if (!st.ok()) {
+    const Result<std::vector<Row>> read = read_run(file);
+    if (!read.ok()) {
       ++corrupted;
-      EXPECT_EQ(st.code(), StatusCode::kCorruptedData)
-          << "seed " << seed << ", " << m.edit << ": " << st;
+      EXPECT_EQ(read.status().code(), StatusCode::kCorruptedData)
+          << "seed " << seed << ", " << m.edit << ": " << read.status();
     } else {
-      EXPECT_EQ(read, rows) << "seed " << seed << ", " << m.edit
-                            << ": read back " << read.size() << " rows";
+      EXPECT_EQ(read.value(), rows)
+          << "seed " << seed << ", " << m.edit << ": read back "
+          << read.value().size() << " rows";
+      EXPECT_EQ(testing_util::CellTypes(read.value()),
+                testing_util::CellTypes(rows))
+          << "seed " << seed << ", " << m.edit;
     }
   }
   EXPECT_GT(corrupted, static_cast<size_t>(kSeeds) / 2);
@@ -221,6 +236,12 @@ TEST_F(DecoderMutationTest, RecoveryPointReadsBackItsRowsOrIsCorrupted) {
   const std::string clean_marker = ReadFile(marker_path);
   const std::vector<size_t> marker_ends{clean_marker.size()};
   ASSERT_EQ(clean_data.size(), data_ends.back());
+  // Unedited, the point reads back its rows, cell types included.
+  const Result<RowBatch> clean_rows = writer->Load(id, TestSchema());
+  ASSERT_TRUE(clean_rows.ok()) << clean_rows.status();
+  ASSERT_EQ(clean_rows.value().rows(), rows);
+  ASSERT_EQ(testing_util::CellTypes(clean_rows.value().rows()),
+            testing_util::CellTypes(rows));
 
   for (int seed = 1; seed <= kSeeds; ++seed) {
     Rng rng(static_cast<uint64_t>(seed));
@@ -239,6 +260,9 @@ TEST_F(DecoderMutationTest, RecoveryPointReadsBackItsRowsOrIsCorrupted) {
     const Result<RowBatch> loaded = store->Load(id, TestSchema());
     if (loaded.ok()) {
       EXPECT_EQ(loaded.value().rows(), rows) << where;
+      EXPECT_EQ(testing_util::CellTypes(loaded.value().rows()),
+                testing_util::CellTypes(rows))
+          << where;
     } else {
       EXPECT_EQ(loaded.status().code(), StatusCode::kCorruptedData)
           << where << ": " << loaded.status();
@@ -296,7 +320,7 @@ std::vector<QuarantineRecord> LedgerRecords() {
     r.status_code = "invalid_argument";
     // An empty message reads back from the flat file as NULL.
     r.status_message = i == 5 ? "" : "bad \"row\"\nat " + std::to_string(i);
-    r.payload = EncodeQuarantinePayload(rows[i]);
+    r.payload = EncodeQuarantinePayload(rows[i], TestSchema());
     records.push_back(std::move(r));
   }
   return records;
@@ -356,6 +380,17 @@ TEST_F(DecoderMutationTest, EmptiedLedgerCellIsCorruptedData) {
 
 TEST_F(DecoderMutationTest, LedgerReadsBackItsRecordsOrIsCorrupted) {
   const std::vector<QuarantineRecord> written = LedgerRecords();
+  // Each payload decodes to its row, cell types included.
+  const std::vector<Row> rows = TestRows();
+  for (size_t i = 0; i < written.size(); ++i) {
+    const Result<Row> row =
+        DecodeQuarantinePayload(written[i].payload, TestSchema());
+    ASSERT_TRUE(row.ok()) << "record " << i << ": " << row.status();
+    ASSERT_EQ(row.value(), rows[i]) << "record " << i;
+    ASSERT_EQ(testing_util::CellTypes({row.value()}),
+              testing_util::CellTypes({rows[i]}))
+        << "record " << i;
+  }
   const std::string clean_path = dir_ + "/clean_ledger.csv";
   // Record ends from the writer; the header line counts as record 0.
   std::vector<size_t> ends;
@@ -467,10 +502,7 @@ std::string DesignXml() {
   design.sla_deadline_s = 1.5;
   design.cdc_shards = 4;
   design.cdc_update_rate_per_s = 200.0;
-  DesignSpec spec = SpecOf(design);
-  spec.has_service = true;
-  spec.service_policy = "fifo";
-  return ExportDesignXml(spec);
+  return ExportDesignXml(SpecOf(design));
 }
 
 TEST_F(DecoderMutationTest, PlanXmlParsesToAFixpointOrIsRefused) {

@@ -2,7 +2,9 @@
 // significant digits (printf's %.15g) and 17 only when 15 do not parse
 // back to the same double, so a flat file, a spill run, a recovery point
 // and a dead-letter payload each read back the exact bits written, while a
-// double that 15 digits already round-trip keeps its old text.
+// double that 15 digits already round-trip keeps its old text. Tagged
+// records (spill runs, recovery points, payloads) also keep empty strings
+// and boxed cells.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 
 #include "storage/dead_letter_store.h"
 #include "storage/flat_file.h"
+#include "storage/record_io.h"
 #include "storage/recovery_store.h"
 #include "storage/spill_manager.h"
 
@@ -134,11 +137,57 @@ TEST_F(DoubleRoundTripTest, DeadLetterPayload) {
   std::vector<Row> read;
   for (const Row& row : DoubleRows()) {
     const Result<Row> decoded =
-        DecodeQuarantinePayload(EncodeQuarantinePayload(row), DoubleSchema());
+        DecodeQuarantinePayload(EncodeQuarantinePayload(row, DoubleSchema()),
+                                DoubleSchema());
     ASSERT_TRUE(decoded.ok()) << decoded.status();
     read.push_back(decoded.value());
   }
   ExpectSameBits(read, DoubleRows());
+}
+
+// A tagged record reads back the row written, cell types included: an
+// empty string beside a NULL, and cells of another runtime type than their
+// column's. The tag cell names only those cells; a malformed one is
+// refused.
+TEST(TaggedRowTest, EmptyStringsAndBoxedCellsReadBackExactly) {
+  const Schema schema({{"id", DataType::kInt64, true},
+                       {"s", DataType::kString, true},
+                       {"d", DataType::kDouble, true},
+                       {"t", DataType::kTimestamp, true}});
+  const std::vector<Row> rows = {
+      Row({Value::Int64(1), Value::String("a,b"), Value::Double(0.5),
+           Value::Timestamp(7)}),
+      Row({Value::Int64(2), Value::String(""), Value::Null(), Value::Null()}),
+      Row({Value::String("x"), Value::Int64(3), Value::String("n/a"),
+           Value::Int64(9)}),
+      Row({Value::String(""), Value::Bool(true), Value::Int64(4),
+           Value::Double(1.5)}),
+      Row({Value::Timestamp(5), Value::Double(0.25), Value::String(""),
+           Value::String("two\nlines")})};
+  const std::vector<std::string> records = {"1,\"a,b\",0.5,7,", "2,,,,1s",
+                                            "x,3,n/a,9,0s1i2s3i",
+                                            ",true,4,1.5,0s1b2i3d",
+                                            "5,0.25,,\"two\nlines\",0t1d2s3s"};
+  std::vector<std::string> cells;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    std::string record;
+    AppendTaggedRow(rows[r], schema, &record);
+    EXPECT_EQ(record, records[r]);
+    const Result<Row> back = ParseTaggedRow(record, schema, &cells);
+    ASSERT_TRUE(back.ok()) << record << ": " << back.status();
+    EXPECT_EQ(back.value(), rows[r]) << record;
+    for (size_t i = 0; i < schema.num_fields(); ++i) {
+      EXPECT_EQ(back.value().value(i).type(), rows[r].value(i).type())
+          << record << ", cell " << i;
+    }
+  }
+  for (const char* bad : {"2,,,,1", "2,,,,s", "2,,,,1x", "2,,,,4s",
+                          "2,,,,1s1s", "2,,,,2s1s", "2,,,,1s,", "2,,,",
+                          "2,,,,3i", "2,,,,+1s"}) {
+    EXPECT_EQ(ParseTaggedRow(bad, schema, &cells).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
 }
 
 }  // namespace

@@ -6,12 +6,16 @@
 #include <sys/types.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <fstream>
 #include <iterator>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/column_batch.h"
@@ -49,6 +53,35 @@ inline std::vector<Row> SimpleRows(size_t n) {
     rows.push_back(std::move(row));
   }
   return rows;
+}
+
+/// SimpleRows holding the cells a codec that writes Value::ToString and
+/// parses the declared type gets wrong: note is "" in every even row,
+/// category a boxed int64 in every third row, and amount a boxed int64 in
+/// every fifth (from row 1).
+inline std::vector<Row> EmptyAndBoxedRows(size_t n) {
+  std::vector<Row> rows = SimpleRows(n);
+  for (size_t i = 0; i < n; ++i) {
+    const auto id = static_cast<int64_t>(i);
+    if (i % 2 == 0) rows[i].Set(3, Value::String(""));
+    if (i % 3 == 0) rows[i].Set(1, Value::Int64(id));
+    if (i % 5 == 1) rows[i].Set(2, Value::Int64(id % 100));
+  }
+  return rows;
+}
+
+/// Every cell's runtime type, row by row. Row equality compares int64 and
+/// double cells by value, so a check that a row came back exactly compares
+/// these too.
+inline std::vector<std::vector<DataType>> CellTypes(
+    const std::vector<Row>& rows) {
+  std::vector<std::vector<DataType>> types;
+  types.reserve(rows.size());
+  for (const Row& row : rows) {
+    std::vector<DataType>& cells = types.emplace_back();
+    for (const Value& value : row.values()) cells.push_back(value.type());
+  }
+  return types;
 }
 
 /// In-memory source preloaded with rows.
@@ -152,6 +185,68 @@ class DrainingStore : public DataStore {
   const std::shared_ptr<MemTable> inner_;
   const int enospc_on_call_;
   int calls_ = 0;
+};
+
+/// A one-shot latch between two GatedStores.
+class Gate {
+ public:
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  /// False when the gate stayed shut for `timeout`.
+  bool Wait(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [this] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+/// A store on a Gate: its scan opens the gate once it has handed out every
+/// batch, and its first append waits for the gate. A flow from one gated
+/// store into another therefore holds its load until the source has been
+/// read into the flow's channels. An append that waits 30 s fails with
+/// kDeadlineExceeded rather than hanging the test.
+class GatedStore : public DataStore {
+ public:
+  GatedStore(DataStorePtr inner, std::shared_ptr<Gate> gate)
+      : inner_(std::move(inner)), gate_(std::move(gate)) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  const Schema& schema() const override { return inner_->schema(); }
+  Result<size_t> NumRows() const override { return inner_->NumRows(); }
+  using DataStore::Scan;
+  Status Scan(size_t batch_size, const FanOut& fan_out,
+              const Consumer& consumer) const override {
+    const Status st = inner_->Scan(batch_size, fan_out, consumer);
+    gate_->Open();
+    return st;
+  }
+  Status Append(const RowBatch& batch) override {
+    QOX_RETURN_IF_ERROR(WaitOnce());
+    return inner_->Append(batch);
+  }
+  Status Append(RowBatch&& batch) override {
+    QOX_RETURN_IF_ERROR(WaitOnce());
+    return inner_->Append(std::move(batch));
+  }
+  Status Truncate() override { return inner_->Truncate(); }
+
+ private:
+  Status WaitOnce() {
+    if (std::exchange(waited_, true)) return Status::OK();
+    if (gate_->Wait(std::chrono::seconds(30))) return Status::OK();
+    return Status::DeadlineExceeded("the gate stayed shut");
+  }
+
+  const DataStorePtr inner_;
+  const std::shared_ptr<Gate> gate_;
+  bool waited_ = false;
 };
 
 }  // namespace testing_util
